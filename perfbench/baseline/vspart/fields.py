@@ -1,0 +1,329 @@
+"""Exact arithmetic in small finite fields GF(q).
+
+Field elements are plain integer codes in ``range(q)``.  For a prime field
+the code is the residue itself.  For ``q = p^e`` the base-``p`` digits of the
+code are the coefficients of the element in the polynomial basis
+``1, x, ..., x^(e-1)`` modulo a fixed irreducible polynomial, lowest degree
+first.  All operations go through dense lookup tables built once per field,
+so arithmetic in inner loops is a couple of list indexes.
+
+Fields are cached singletons: two calls to :func:`make_field` with the same
+order return the same object, which makes identity comparison safe.
+
+Towers are supported through :func:`extension_field`, which builds GF(q^t)
+as a degree-``t`` extension of an already constructed GF(q).  The spread and
+near-spread constructions rely on this; element codes of an extension are
+integers whose base-``q`` digits are the coordinates over the base field.
+"""
+from __future__ import annotations
+
+from .errors import BadRange, NotPrimePower, UnsupportedField
+
+# Orders offered to callers for the ambient field of V(n, q).
+MAX_FIELD_ORDER = 16
+# Internal towers used by constructions may be larger, but table size is
+# quadratic in the order so they are capped too.
+MAX_EXTENSION_ORDER = 256
+
+# One documented modulus per supported non-prime order, as coefficients of a
+# monic irreducible polynomial over GF(p), lowest degree first.
+_DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),         # x^2 + x + 1
+    (2, 3): (1, 1, 0, 1),      # x^3 + x + 1
+    (2, 4): (1, 1, 0, 0, 1),   # x^4 + x + 1
+    (3, 2): (1, 0, 1),         # x^2 + 1
+}
+
+
+def _prime_power(q):
+    """Split q into (p, e) with p prime, or raise NotPrimePower."""
+    if q < 2:
+        raise NotPrimePower(f"field order must be at least 2, got {q}")
+    p = None
+    for cand in range(2, q + 1):
+        if q % cand == 0:
+            p = cand
+            break
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise NotPrimePower(f"{q} is not a prime power")
+    return p, e
+
+
+# ---------------------------------------------------------------------------
+# polynomial helpers over an existing field, used only while building tables
+# ---------------------------------------------------------------------------
+
+def _ptrim(u):
+    i = len(u)
+    while i > 0 and u[i - 1] == 0:
+        i -= 1
+    return u[:i]
+
+
+def _pmul(u, v, K):
+    if not u or not v:
+        return ()
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            out[i + j] = K.add(out[i + j], K.mul(a, b))
+    return _ptrim(tuple(out))
+
+
+def _pmod(u, m, K):
+    """Remainder of u modulo a monic polynomial m."""
+    r = list(_ptrim(tuple(u)))
+    dm = len(m) - 1
+    while len(r) > dm:
+        lead = r[-1]
+        if lead != 0:
+            shift = len(r) - 1 - dm
+            for j in range(dm + 1):
+                r[shift + j] = K.sub(r[shift + j], K.mul(lead, m[j]))
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def _monic_polys(K, deg):
+    """All monic polynomials of the given degree over K, coefficients low first."""
+    q = K.q
+    for code in range(q ** deg):
+        coeffs = []
+        c = code
+        for _ in range(deg):
+            coeffs.append(c % q)
+            c //= q
+        yield tuple(coeffs) + (1,)
+
+
+def _is_irreducible(m, K):
+    deg = len(m) - 1
+    for d in range(1, deg // 2 + 1):
+        for div in _monic_polys(K, d):
+            if not _pmod(m, div, K):
+                return False
+    return True
+
+
+def _find_irreducible(K, degree):
+    for m in _monic_polys(K, degree):
+        if _is_irreducible(m, K):
+            return m
+    raise UnsupportedField(
+        f"no irreducible polynomial of degree {degree} over GF({K.q}) found"
+    )
+
+
+class FiniteField:
+    """A finite field with dense operation tables.
+
+    Do not call the constructor directly; use :func:`make_field` or
+    :func:`extension_field` so instances are cached.
+    """
+
+    def __init__(self, p=None, base=None, modulus=None):
+        if p is not None:
+            self.p = p
+            self.base = None
+            self.degree = 1
+            self.e = 1
+            self.modulus = None
+            self.q = p
+            self._build_prime_tables()
+        else:
+            if not _is_irreducible(modulus, base):
+                raise UnsupportedField(
+                    f"modulus {modulus} is reducible over GF({base.q})"
+                )
+            self.p = base.p
+            self.base = base
+            self.modulus = tuple(modulus)
+            self.degree = len(modulus) - 1
+            self.e = base.e * self.degree
+            self.q = base.q ** self.degree
+            self._build_extension_tables()
+        self._build_inverses()
+
+    @property
+    def key(self):
+        if self.base is None:
+            return ("p", self.p)
+        return (self.base.key, self.modulus)
+
+    # -- table construction -------------------------------------------------
+
+    def _build_prime_tables(self):
+        p = self.p
+        self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+        self._neg = [(-a) % p for a in range(p)]
+
+    def _build_extension_tables(self):
+        K = self.base
+        k = K.q
+        q = self.q
+        t = self.degree
+        digits = []
+        for a in range(q):
+            c, ds = a, []
+            for _ in range(t):
+                ds.append(c % k)
+                c //= k
+            digits.append(tuple(ds))
+        self._digit_cache = digits
+
+        def encode(poly):
+            code = 0
+            for i, c in enumerate(poly):
+                code += c * k ** i
+            return code
+
+        self._add = [
+            [
+                encode([K.add(x, y) for x, y in zip(digits[a], digits[b])])
+                for b in range(q)
+            ]
+            for a in range(q)
+        ]
+        self._neg = [encode([K.neg(x) for x in digits[a]]) for a in range(q)]
+        m = self.modulus
+        mul = []
+        for a in range(q):
+            pa = _ptrim(digits[a])
+            row = []
+            for b in range(q):
+                prod = _pmod(_pmul(pa, _ptrim(digits[b]), K), m, K)
+                row.append(encode(prod))
+            mul.append(row)
+        self._mul = mul
+
+    def _build_inverses(self):
+        q = self.q
+        inv = [0] * q
+        for a in range(1, q):
+            b = self.pow(a, q - 2)
+            if self._mul[a][b] != 1:
+                raise UnsupportedField(
+                    f"element {a} has no inverse; GF({q}) tables inconsistent"
+                )
+            inv[a] = b
+        self._inv = inv
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
+        return self._inv[a]
+
+    def pow(self, a, k):
+        """a**k with 0**0 == 1."""
+        if k < 0:
+            raise BadRange("negative exponents are not supported")
+        result = 1
+        acc = a
+        while k:
+            if k & 1:
+                result = self._mul[result][acc]
+            acc = self._mul[acc][acc]
+            k >>= 1
+        return result
+
+    # -- structure -----------------------------------------------------------
+
+    def elements(self):
+        return range(self.q)
+
+    def nonzero(self):
+        return range(1, self.q)
+
+    def coords(self, a):
+        """Coordinates of an element over the base field, low position first."""
+        if self.base is None:
+            return (a,)
+        return self._digit_cache[a]
+
+    def from_coords(self, cs):
+        if self.base is None:
+            (c,) = cs
+            return c
+        code = 0
+        for i, c in enumerate(cs):
+            code += c * self.base.q ** i
+        return code
+
+    def __repr__(self):
+        if self.base is None:
+            return f"GF({self.q})"
+        return f"GF({self.q})/GF({self.base.q})"
+
+
+_FIELD_CACHE: dict = {}
+
+
+def make_field(q):
+    """Return the cached GF(q) for a prime power q up to MAX_FIELD_ORDER.
+
+    Raises NotPrimePower for composite non-prime-power orders and
+    UnsupportedField for prime powers above the supported maximum.
+    """
+    p, e = _prime_power(q)
+    if q > MAX_FIELD_ORDER:
+        raise UnsupportedField(
+            f"GF({q}) is above the supported maximum order {MAX_FIELD_ORDER}"
+        )
+    if e == 1:
+        key = ("p", p)
+        if key not in _FIELD_CACHE:
+            _FIELD_CACHE[key] = FiniteField(p=p)
+        return _FIELD_CACHE[key]
+    return extension_field(make_field(p), e, _DEFAULT_MODULI[(p, e)])
+
+
+def extension_field(base, degree, modulus=None):
+    """Return the cached degree-``degree`` extension of ``base``.
+
+    With ``degree == 1`` the base field itself is returned.  The modulus, if
+    not given, is the lexicographically first monic irreducible polynomial of
+    that degree over the base (or the documented default when one exists).
+    """
+    if degree < 1:
+        raise BadRange(f"extension degree must be positive, got {degree}")
+    if degree == 1:
+        return base
+    order = base.q ** degree
+    if order > MAX_EXTENSION_ORDER:
+        raise UnsupportedField(
+            f"GF({order}) exceeds the internal extension cap {MAX_EXTENSION_ORDER}"
+        )
+    if modulus is None:
+        if base.base is None and (base.p, degree) in _DEFAULT_MODULI:
+            modulus = _DEFAULT_MODULI[(base.p, degree)]
+        else:
+            modulus = _find_irreducible(base, degree)
+    modulus = tuple(modulus)
+    key = (base.key, modulus)
+    if key not in _FIELD_CACHE:
+        _FIELD_CACHE[key] = FiniteField(base=base, modulus=modulus)
+    return _FIELD_CACHE[key]

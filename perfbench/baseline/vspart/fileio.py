@@ -1,0 +1,200 @@
+"""Reading and writing partition files.
+
+Two encodings of the same content: a line-oriented text format meant for
+golden files and diffs, and a JSON document with identical fields.  Both
+carry the field construction (characteristic, extension degree, modulus
+coefficients) so element codes mean the same thing to every reader, then
+one entry per member holding its canonical basis rows flattened
+row-major.  Reading reconstructs members by spanning the stored rows, so
+a write/read round trip is exactly the identity on canonical bases.
+"""
+from __future__ import annotations
+
+import json
+
+from .errors import FileFormatError
+from .fields import extension_field, make_field
+from .partitions import SubspacePartition
+from .spaces import span
+
+FORMAT_NAME = "vspart-partition"
+FORMAT_VERSION = 1
+
+
+def _field_header(field):
+    header = {"q": field.q, "p": field.p, "e": field.e}
+    if field.e > 1:
+        header["modulus"] = list(field.modulus)
+    else:
+        header["modulus"] = None
+    return header
+
+
+def _field_from_header(q, p, e, modulus):
+    if p < 2 or e < 1 or p**e != q:
+        raise FileFormatError(f"inconsistent field header: q={q}, p={p}, e={e}")
+    try:
+        base = make_field(p)
+        if e == 1:
+            if modulus is not None:
+                raise FileFormatError("prime field must not carry a modulus")
+            return base
+        if modulus is None:
+            raise FileFormatError(f"extension field GF({q}) needs a modulus")
+        if len(modulus) != e + 1:
+            raise FileFormatError(
+                f"modulus must have {e + 1} coefficients, got {len(modulus)}"
+            )
+        return extension_field(base, e, modulus=tuple(modulus))
+    except FileFormatError:
+        raise
+    except Exception as exc:
+        raise FileFormatError(f"cannot reconstruct the field: {exc}")
+
+
+def _member_codes(member):
+    return [int(c) for row in member.basis for c in row]
+
+
+def _member_from_codes(codes, n, field):
+    if not codes or len(codes) % n != 0:
+        raise FileFormatError(
+            f"member holds {len(codes)} codes, not a multiple of n={n}"
+        )
+    for c in codes:
+        if not 0 <= c < field.q:
+            raise FileFormatError(f"element code {c} outside GF({field.q})")
+    rows = [tuple(codes[i : i + n]) for i in range(0, len(codes), n)]
+    member = span(rows, n, field)
+    if [list(r) for r in member.basis] != [list(r) for r in rows]:
+        raise FileFormatError("member rows are not a canonical basis")
+    return member
+
+
+def partition_to_json(P):
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "n": P.n}
+    doc.update(_field_header(P.field))
+    doc["members"] = [_member_codes(m) for m in P.members]
+    return doc
+
+
+def partition_from_json(doc):
+    if not isinstance(doc, dict):
+        raise FileFormatError("partition document must be a JSON object")
+    if doc.get("format") != FORMAT_NAME:
+        raise FileFormatError("not a partition document")
+    if doc.get("version") != FORMAT_VERSION:
+        raise FileFormatError(f"unsupported version {doc.get('version')!r}")
+    try:
+        n = int(doc["n"])
+        q = int(doc["q"])
+        p = int(doc["p"])
+        e = int(doc["e"])
+        modulus = doc["modulus"]
+        members = doc["members"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed partition document: {exc}")
+    if modulus is not None:
+        modulus = [int(c) for c in modulus]
+    field = _field_from_header(q, p, e, modulus)
+    if n < 1:
+        raise FileFormatError(f"bad ambient dimension {n}")
+    subs = [_member_from_codes([int(c) for c in m], n, field) for m in members]
+    if not subs:
+        raise FileFormatError("partition document has no members")
+    return SubspacePartition(n, field, subs)
+
+
+def format_partition(P):
+    """Render the text form of a partition."""
+    header = _field_header(P.field)
+    lines = [
+        f"{FORMAT_NAME} {FORMAT_VERSION}",
+        f"n {P.n}",
+        f"q {header['q']}",
+        f"p {header['p']}",
+        f"e {header['e']}",
+    ]
+    if header["modulus"] is not None:
+        lines.append("modulus " + " ".join(str(c) for c in header["modulus"]))
+    for m in P.members:
+        lines.append("member " + " ".join(str(c) for c in _member_codes(m)))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_int_fields(lines, want):
+    got = {}
+    for key in want:
+        if not lines:
+            raise FileFormatError(f"missing header line {key!r}")
+        parts = lines.pop(0).split()
+        if len(parts) != 2 or parts[0] != key:
+            raise FileFormatError(f"expected {key!r} header, got {parts!r}")
+        try:
+            got[key] = int(parts[1])
+        except ValueError:
+            raise FileFormatError(f"header {key!r} is not an integer")
+    return got
+
+
+def parse_partition(text):
+    """Parse the text form of a partition."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise FileFormatError("empty partition file")
+    head = lines.pop(0).split()
+    if head[:1] != [FORMAT_NAME]:
+        raise FileFormatError("not a partition file")
+    if head[1:] != [str(FORMAT_VERSION)]:
+        raise FileFormatError(f"unsupported version {head[1:]}")
+    fields = _parse_int_fields(lines, ["n", "q", "p", "e"])
+    modulus = None
+    if lines and lines[0].startswith("modulus"):
+        try:
+            modulus = [int(c) for c in lines.pop(0).split()[1:]]
+        except ValueError:
+            raise FileFormatError("modulus coefficients must be integers")
+    field = _field_from_header(fields["q"], fields["p"], fields["e"], modulus)
+    n = fields["n"]
+    if n < 1:
+        raise FileFormatError(f"bad ambient dimension {n}")
+    subs = []
+    for ln in lines:
+        parts = ln.split()
+        if parts[0] != "member":
+            raise FileFormatError(f"unexpected line {ln!r}")
+        try:
+            codes = [int(c) for c in parts[1:]]
+        except ValueError:
+            raise FileFormatError(f"member codes must be integers: {ln!r}")
+        subs.append(_member_from_codes(codes, n, field))
+    if not subs:
+        raise FileFormatError("partition file has no members")
+    return SubspacePartition(n, field, subs)
+
+
+def write_partition(P, path, form="text"):
+    """Write a partition file; form is "text" or "json"."""
+    if form == "text":
+        payload = format_partition(P)
+    elif form == "json":
+        payload = json.dumps(partition_to_json(P), indent=1) + "\n"
+    else:
+        raise FileFormatError(f"unknown partition file form {form!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload)
+
+
+def read_partition(path):
+    """Read a partition file, sniffing text versus JSON."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"invalid JSON partition file: {exc}")
+        return partition_from_json(doc)
+    return parse_partition(text)

@@ -1,0 +1,491 @@
+"""Hyperplane incidence statistics for subspace partitions.
+
+For a partition P of V(n, q) and a hyperplane H, the profile of H counts,
+for each occurring dimension d, the number b_{H,d} of d-members contained
+in H.  Summing profile data over all hyperplanes double-counts incidences
+in two ways, which yields a family of exact identities; these are the
+workhorse consistency checks of the whole package.
+
+Throughout, theta(j) denotes the number of points of a j-dimensional space,
+with theta(j) = 0 for j <= 0.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from math import comb
+
+from .enumeration import all_hyperplanes, hyperplanes_containing
+from .errors import (
+    BadRange,
+    EmptySupertail,
+    HypothesisNotMet,
+    IdentityViolation,
+    NotAHyperplane,
+)
+from .partitions import supertail
+from .spaces import num_points, point_index
+
+
+def _theta(j, q):
+    return 0 if j <= 0 else num_points(j, q)
+
+
+_HYPERPLANE_MASKS: dict = {}
+
+
+def hyperplane_masks(n, field):
+    """The hyperplanes of V(n, q) paired with their point-set bit masks,
+    in canonical functional order.  Cached per ambient."""
+    key = (n, field.key)
+    if key not in _HYPERPLANE_MASKS:
+        pi = point_index(n, field)
+        pairs = tuple(
+            (H, pi.mask_of(H)) for H in all_hyperplanes(n, field)
+        )
+        _HYPERPLANE_MASKS[key] = pairs
+    return _HYPERPLANE_MASKS[key]
+
+
+def _member_masks(P):
+    pi = point_index(P.n, P.field)
+    return [(m, pi.mask_of(m)) for m in P.members]
+
+
+@dataclass(frozen=True)
+class HyperplaneProfile:
+    """Counts of members inside one hyperplane, by occurring dimension."""
+
+    dims: tuple
+    counts: tuple
+
+    def count(self, d):
+        for dim, c in zip(self.dims, self.counts):
+            if dim == d:
+                return c
+        return 0
+
+
+def profile(P, H):
+    if H.n != P.n or H.field.q != P.field.q:
+        raise NotAHyperplane("hyperplane from a different ambient")
+    if H.dim != P.n - 1:
+        raise NotAHyperplane(f"dimension {H.dim} in ambient {P.n}")
+    pi = point_index(P.n, P.field)
+    hmask = pi.mask_of(H)
+    dims = P.dims()
+    counts = {d: 0 for d in dims}
+    for m in P.members:
+        if pi.mask_of(m) & ~hmask == 0:
+            counts[m.dim] += 1
+    return HyperplaneProfile(dims, tuple(counts[d] for d in dims))
+
+
+@dataclass(frozen=True)
+class ProfileHistogram:
+    """Multiplicities s_b of each profile vector b over all hyperplanes."""
+
+    dims: tuple
+    classes: tuple  # ((counts, multiplicity), ...) sorted by counts
+
+    def total(self):
+        return sum(mult for _, mult in self.classes)
+
+    def as_dict(self):
+        return dict(self.classes)
+
+
+def _profile_vectors(P, threads=1):
+    """Profile count vector for every hyperplane, in canonical order."""
+    dims = P.dims()
+    members = _member_masks(P)
+    pairs = hyperplane_masks(P.n, P.field)
+
+    def vec(hmask):
+        counts = {d: 0 for d in dims}
+        for m, mask in members:
+            if mask & ~hmask == 0:
+                counts[m.dim] += 1
+        return tuple(counts[d] for d in dims)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(vec, [h for _, h in pairs]))
+    return [vec(h) for _, h in pairs]
+
+
+def histogram(P, threads=1):
+    counter = Counter(_profile_vectors(P, threads))
+    classes = tuple(sorted(counter.items()))
+    return ProfileHistogram(P.dims(), classes)
+
+
+def incidence_sums_via_members(P):
+    """For each occurring dimension d, the total number of (H, U) incidences
+    with U a d-member inside hyperplane H, counted member side.
+
+    Independent path: iterates hyperplanes through each member instead of
+    members inside each hyperplane.
+    """
+    sums = {}
+    for m in P.members:
+        sums[m.dim] = sums.get(m.dim, 0) + len(hyperplanes_containing(m))
+    return sums
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    name: str
+    lhs: object
+    rhs: object
+    ok: bool
+    skipped: bool = False
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    checks: tuple
+
+    @property
+    def ok(self):
+        return all(c.ok for c in self.checks if not c.skipped)
+
+    def lines(self):
+        out = []
+        for c in self.checks:
+            if c.skipped:
+                out.append(f"skip {c.name}: {c.reason}")
+            else:
+                mark = "ok " if c.ok else "FAIL"
+                out.append(f"{mark} {c.name}: {c.lhs} vs {c.rhs}")
+        return out
+
+
+def verify_incidence_identities(P, threads=1):
+    """The four double-counting identities relating profile multiplicities
+    to the type of the partition.
+
+    With s_b the multiplicity of profile b and n_d the number of d-members:
+    (1) sum_b s_b = theta(n);
+    (2) sum_b b_d s_b = n_d theta(n - d);
+    (3) sum_b C(b_d, 2) s_b = C(n_d, 2) theta(n - 2d);
+    (4) sum_b b_d b_e s_b = n_d n_e theta(n - d - e) for d != e.
+    Identities (2) to (4) are stated for 1 <= d, e <= n - 2; dimensions
+    outside that window are reported as skipped.
+    """
+    n, q = P.n, P.field.q
+    hist = histogram(P, threads)
+    ptype = P.type()
+    checks = [
+        IdentityCheck(
+            "profile classes cover all hyperplanes",
+            hist.total(),
+            num_points(n, q),
+            hist.total() == num_points(n, q),
+        )
+    ]
+    dims = hist.dims
+    pos = {d: i for i, d in enumerate(dims)}
+    in_window = {d for d in dims if 1 <= d <= n - 2}
+    for d in dims:
+        if d not in in_window:
+            checks.append(
+                IdentityCheck(
+                    f"first and second moments at dim {d}",
+                    None,
+                    None,
+                    True,
+                    skipped=True,
+                    reason=f"dimension {d} outside [1, {n - 2}]",
+                )
+            )
+            continue
+        nd = ptype.count(d)
+        lhs1 = sum(b[pos[d]] * s for b, s in hist.classes)
+        rhs1 = nd * _theta(n - d, q)
+        checks.append(
+            IdentityCheck(f"member incidences at dim {d}", lhs1, rhs1, lhs1 == rhs1)
+        )
+        lhs2 = sum(comb(b[pos[d]], 2) * s for b, s in hist.classes)
+        rhs2 = comb(nd, 2) * _theta(n - 2 * d, q)
+        checks.append(
+            IdentityCheck(f"member pair incidences at dim {d}", lhs2, rhs2, lhs2 == rhs2)
+        )
+    window = sorted(in_window)
+    for i, d in enumerate(window):
+        for e in window[i + 1:]:
+            lhs = sum(b[pos[d]] * b[pos[e]] * s for b, s in hist.classes)
+            rhs = ptype.count(d) * ptype.count(e) * _theta(n - d - e, q)
+            checks.append(
+                IdentityCheck(
+                    f"cross incidences at dims {d},{e}", lhs, rhs, lhs == rhs
+                )
+            )
+    return IdentityReport(tuple(checks))
+
+
+verify_heden_lehmann = verify_incidence_identities
+
+
+def verify_size_identity(P, threads=1):
+    """Every hyperplane sees the whole partition size through its profile:
+    |P| = 1 + sum_d b_{H,d} q^d."""
+    q = P.field.q
+    size = P.size
+    dims = P.dims()
+    checks = []
+    for i, vec in enumerate(_profile_vectors(P, threads)):
+        rhs = 1 + sum(b * q ** d for d, b in zip(dims, vec))
+        if rhs != size:
+            checks.append(
+                IdentityCheck(f"hyperplane {i} size identity", size, rhs, False)
+            )
+    checks.append(
+        IdentityCheck(
+            "size identity over all hyperplanes",
+            size,
+            "1 + sum b_d q^d",
+            not checks,
+        )
+    )
+    return IdentityReport(tuple(checks))
+
+
+def supertail_quotient(P, cut, H):
+    """The integer c_H with sum_{d < cut} (n_d - b_{H,d}) q^d = c_H q^cut.
+
+    Equivalently c_H = q^(n - cut) - sum_{d >= cut} (n_d - b_{H,d})
+    q^(d - cut).  Raises IdentityViolation if the two expressions disagree
+    or c_H is negative, which cannot happen for a valid partition.
+    """
+    n, q = P.n, P.field.q
+    dims = P.dims()
+    if cut not in dims:
+        raise BadRange(f"cut {cut} is not an occurring dimension {dims}")
+    prof = profile(P, H)
+    ptype = P.type()
+    c = q ** (n - cut)
+    for d in dims:
+        if d >= cut:
+            c -= (ptype.count(d) - prof.count(d)) * q ** (d - cut)
+    low = sum(
+        (ptype.count(d) - prof.count(d)) * q ** d for d in dims if d < cut
+    )
+    if c < 0:
+        raise IdentityViolation(f"negative supertail quotient {c}")
+    if low != c * q ** cut:
+        raise IdentityViolation(
+            f"quotient mismatch: low-dimension excess {low} != {c} * q^{cut}"
+        )
+    return c
+
+
+@dataclass(frozen=True)
+class BetaStats:
+    """Weighted tail loads beta_H = sum_{d <= t} b_{H,d} q^d per hyperplane."""
+
+    cut: int
+    tail_top: int
+    tail_size: int
+    values: tuple
+    beta0: int
+    minimum_tail: bool
+    c0: object  # int in the minimum regime, else None
+
+
+def beta_stats(P, cut):
+    """Tail loads over all hyperplanes, their minimum beta0, and in the
+    extremal regime (tail of size q^t + 1 with cut < 2t) the integer c0
+    with sum_{d <= t} n_d theta(d) = (c0 q^cut - 1) / (q - 1).
+
+    The tail size always satisfies |ST| >= beta0 + 1.
+    """
+    st = supertail(P, cut, strict=False)
+    if not st.members:
+        raise EmptySupertail(f"no members below dimension {cut}")
+    n, q = P.n, P.field.q
+    t = st.top_dim
+    dims = P.dims()
+    values = []
+    for vec in _profile_vectors(P):
+        beta = sum(
+            b * q ** d for d, b in zip(dims, vec) if d < cut
+        )
+        values.append(beta)
+    beta0 = min(values)
+    if len(st.members) < beta0 + 1:
+        raise IdentityViolation(
+            f"tail size {len(st.members)} below beta0 + 1 = {beta0 + 1}"
+        )
+    minimum_tail = len(st.members) == q ** t + 1 and cut < 2 * t
+    c0 = None
+    if minimum_tail:
+        if beta0 != q ** t:
+            raise IdentityViolation(
+                f"extremal tail must have beta0 = q^{t}, got {beta0}"
+            )
+        ptype = P.type()
+        total = sum(
+            ptype.count(d) * num_points(d, q) for d in dims if d < cut
+        )
+        num = (q - 1) * total + 1
+        if num % q ** cut:
+            raise IdentityViolation(
+                f"tail point count {total} does not solve the c0 equation"
+            )
+        c0 = num // q ** cut
+    return BetaStats(cut, t, len(st.members), tuple(values), beta0, minimum_tail, c0)
+
+
+@dataclass(frozen=True)
+class ExtremalRegime:
+    """Parameters of the top-dimension histogram in the peeled regime."""
+
+    k: int
+    r: int
+    ell: int
+    delta: int
+    gamma: int
+    tail_top: int
+    tail_size: int
+
+
+@dataclass(frozen=True)
+class AlphaContext:
+    """Histogram alpha_i = number of hyperplanes containing exactly i
+    members of the chosen dimension, with its first two moments."""
+
+    family_dim: int
+    family_size: int
+    alpha: tuple  # ((i, count), ...) sorted, zero counts omitted
+    x: int        # sum i alpha_i
+    y: int        # sum C(i, 2) alpha_i
+    z: int        # sum alpha_i = theta(n)
+    regime: object  # ExtremalRegime or None
+
+    def as_dict(self):
+        return dict(self.alpha)
+
+    def count(self, i):
+        return self.as_dict().get(i, 0)
+
+
+def alpha_histogram(P, family_dim):
+    """Distribution of family members over hyperplanes for one dimension.
+
+    When the family is the top dimension of a partition obtained by
+    peeling (n = k*f + r with k >= 2, 1 <= r < f, n_f = ell * q^f, and a
+    tail of extremal size q^t + 1 with f < 2t), the returned regime
+    parameters locate the support of the histogram at {delta, ell}.
+    """
+    n, q = P.n, P.field.q
+    if family_dim not in P.dims():
+        raise BadRange(f"no members of dimension {family_dim}")
+    pi = point_index(P.n, P.field)
+    fam = [pi.mask_of(m) for m in P.members_of_dim(family_dim)]
+    counter = Counter()
+    for _, hmask in hyperplane_masks(n, P.field):
+        inside = sum(1 for mask in fam if mask & ~hmask == 0)
+        counter[inside] += 1
+    alpha = tuple(sorted(counter.items()))
+    x = sum(i * c for i, c in alpha)
+    y = sum(comb(i, 2) * c for i, c in alpha)
+    z = sum(c for _, c in alpha)
+    regime = None
+    f = family_dim
+    if f == max(P.dims()):
+        k, r = divmod(n, f)
+        if k >= 2 and 1 <= r < f:
+            ell = q ** r * sum(q ** (i * f) for i in range(k - 1))
+            st = supertail(P, f, strict=False)
+            t = st.top_dim
+            if (
+                st.members
+                and len(fam) == ell * q ** f
+                and len(st.members) == q ** t + 1
+                and t < f < 2 * t
+            ):
+                regime = ExtremalRegime(
+                    k, r, ell, ell - q ** r, q ** ((k - 1) * f + r),
+                    t, len(st.members),
+                )
+    return AlphaContext(f, len(fam), alpha, x, y, z, regime)
+
+
+def verify_moment_identities(P, family_dim):
+    """Exact first and second moments of the alpha histogram:
+    x = n_f theta(n - f), y = C(n_f, 2) theta(n - 2f), z = theta(n)."""
+    n, q = P.n, P.field.q
+    ctx = alpha_histogram(P, family_dim)
+    nf = ctx.family_size
+    checks = (
+        IdentityCheck(
+            f"first moment at dim {family_dim}",
+            ctx.x,
+            nf * _theta(n - family_dim, q),
+            ctx.x == nf * _theta(n - family_dim, q),
+        ),
+        IdentityCheck(
+            f"second moment at dim {family_dim}",
+            ctx.y,
+            comb(nf, 2) * _theta(n - 2 * family_dim, q),
+            ctx.y == comb(nf, 2) * _theta(n - 2 * family_dim, q),
+        ),
+        IdentityCheck(
+            "histogram totals theta(n)",
+            ctx.z,
+            num_points(n, q),
+            ctx.z == num_points(n, q),
+        ),
+    )
+    return IdentityReport(checks)
+
+
+def tail_implication_checks(P, cut):
+    """Checks specific to a supertail of type [t^1, a^(q^t)]:
+
+    divisibility: alpha_i != 0 for the a-family implies q^(t-a) divides i;
+    implication:  b_{H,a} = 0 forces b_{H,t} = 1 for every hyperplane.
+
+    Raises HypothesisNotMet when the tail does not have that exact type.
+    """
+    st = supertail(P, cut)
+    counts = Counter(m.dim for m in st.members)
+    dims = sorted(counts)
+    q = P.field.q
+    if len(dims) != 2:
+        raise HypothesisNotMet(f"tail has dimensions {dims}, need exactly two")
+    a, t = dims
+    if counts[t] != 1 or counts[a] != q ** t:
+        raise HypothesisNotMet(
+            f"tail type [{t}^{counts[t]}, {a}^{counts[a]}] is not [t^1, a^(q^t)]"
+        )
+    ctx = alpha_histogram(P, a)
+    step = q ** (t - a)
+    checks = []
+    for i, c in ctx.alpha:
+        checks.append(
+            IdentityCheck(
+                f"alpha support at {i} divisible by q^(t-a)",
+                i % step,
+                0,
+                i % step == 0,
+            )
+        )
+    dims_all = P.dims()
+    pos = {d: i for i, d in enumerate(dims_all)}
+    bad = 0
+    for vec in _profile_vectors(P):
+        if vec[pos[a]] == 0 and vec[pos[t]] != 1:
+            bad += 1
+    checks.append(
+        IdentityCheck(
+            "hyperplanes missing the point family contain the t-member",
+            bad,
+            0,
+            bad == 0,
+        )
+    )
+    return IdentityReport(tuple(checks))

@@ -1,0 +1,265 @@
+"""Subspace partitions of V(n, q) and their basic numerology.
+
+A subspace partition is a collection of nontrivial subspaces such that every
+nonzero vector lies in exactly one member.  The type of a partition records
+the occurring dimensions d_1 < d_2 < ... < d_m with their multiplicities.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import (
+    BadCut,
+    BadRange,
+    DimensionMismatch,
+    EmptySupertail,
+)
+from .spaces import num_points, point_index
+
+
+@dataclass(frozen=True)
+class PartitionType:
+    """Occurring dimensions with multiplicities, ascending by dimension."""
+
+    entries: tuple  # ((dim, count), ...), dims strictly increasing
+
+    @staticmethod
+    def of(counts):
+        """Build from a dim -> count mapping, dropping zero counts."""
+        entries = tuple(sorted((d, c) for d, c in counts.items() if c))
+        for d, c in entries:
+            if d < 1 or c < 1:
+                raise BadRange(f"bad type entry {d}^{c}")
+        return PartitionType(entries)
+
+    def dims(self):
+        return tuple(d for d, _ in self.entries)
+
+    def count(self, dim):
+        for d, c in self.entries:
+            if d == dim:
+                return c
+        return 0
+
+    def size(self):
+        return sum(c for _, c in self.entries)
+
+    def packing_sum(self, q):
+        return sum(c * (q ** d - 1) for d, c in self.entries)
+
+    def __str__(self):
+        inner = ", ".join(f"{d}^{c}" for d, c in self.entries)
+        return f"[{inner}]"
+
+
+def check_packing(ptype, n, q):
+    """Whether the type meets the exact counting condition for V(n, q):
+    the members' nonzero vectors add up to q**n - 1."""
+    return ptype.packing_sum(q) == q ** n - 1
+
+
+def check_dimension(ptype, n):
+    """Whether any two members can be disjoint in V(n, q): n >= d + d' for
+    every pair of occurring dimensions taken by two distinct members."""
+    dims = ptype.dims()
+    for i, d in enumerate(dims):
+        if ptype.count(d) >= 2 and n < 2 * d:
+            return False
+        for dprime in dims[i + 1:]:
+            if n < d + dprime:
+                return False
+    return True
+
+
+class SubspacePartition:
+    """An ordered-insensitive collection of members of V(n, q).
+
+    Members are stored sorted by (dimension, basis) so that two partitions
+    with the same member set compare equal.
+    """
+
+    __slots__ = ("n", "field", "members")
+
+    def __init__(self, n, field, members):
+        for m in members:
+            if m.n != n or m.field.q != field.q:
+                raise DimensionMismatch(
+                    f"member of V({m.n},{m.field.q}) in partition of V({n},{field.q})"
+                )
+        self.n = n
+        self.field = field
+        self.members = tuple(sorted(members, key=lambda u: u.sort_key()))
+
+    @property
+    def size(self):
+        return len(self.members)
+
+    def type(self):
+        counts = {}
+        for m in self.members:
+            counts[m.dim] = counts.get(m.dim, 0) + 1
+        return PartitionType.of(counts)
+
+    def dims(self):
+        return self.type().dims()
+
+    def members_of_dim(self, d):
+        return tuple(m for m in self.members if m.dim == d)
+
+    def __eq__(self, other):
+        if not isinstance(other, SubspacePartition):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.field.q == other.field.q
+            and self.members == other.members
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.field.q, self.members))
+
+    def __repr__(self):
+        return f"SubspacePartition(n={self.n}, q={self.field.q}, type={self.type()})"
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    uncovered: tuple
+    doubly_covered: tuple  # (point, (member indexes...))
+    trivial_members: tuple
+
+
+def validate(P):
+    """Check the partition axioms point by point.
+
+    Every nonzero vector of the ambient must lie in exactly one member, and
+    no member may be the zero subspace.
+    """
+    pi = point_index(P.n, P.field)
+    trivial = tuple(i for i, m in enumerate(P.members) if m.dim == 0)
+    acc = 0
+    dup = 0
+    masks = []
+    for m in P.members:
+        mask = pi.mask_of(m)
+        dup |= acc & mask
+        acc |= mask
+        masks.append(mask)
+    uncovered_mask = pi.full_mask & ~acc
+    uncovered = pi.vectors_of_mask(uncovered_mask)
+    doubly = []
+    probe = dup
+    while probe:
+        bit = probe & -probe
+        owners = tuple(i for i, mask in enumerate(masks) if mask & bit)
+        doubly.append((pi.reps[bit.bit_length() - 1], owners))
+        probe &= probe - 1
+    ok = not uncovered and not doubly and not trivial
+    return ValidationReport(ok, uncovered, tuple(doubly), trivial)
+
+
+@dataclass(frozen=True)
+class SigmaParams:
+    """The decomposition n = k*t + r with 0 <= r < t used throughout."""
+
+    n: int
+    t: int
+    q: int
+    k: int
+    r: int
+
+    @staticmethod
+    def of(n, t, q):
+        if not 1 <= t < n:
+            raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+        if q < 2:
+            raise BadRange(f"q must be at least 2, got {q}")
+        k, r = divmod(n, t)
+        return SigmaParams(n, t, q, k, r)
+
+
+def min_partition_size(n, t, q):
+    """Minimum size of a subspace partition of V(n, q) whose largest member
+    has dimension exactly t, in closed form.
+
+    Three regimes: t divides n (a t-spread is optimal); t < n < 2t (one
+    t-member plus a complement of size q**t); and n >= 2t with remainder,
+    where peeling t-layers leaves a short tail.
+    """
+    p = SigmaParams.of(n, t, q)
+    if p.r == 0:
+        return (q ** n - 1) // (q ** t - 1)
+    if n < 2 * t:
+        return q ** t + 1
+    head = q ** (t + p.r) * sum(q ** (i * t) for i in range(p.k - 1))
+    tail = q ** ((t + p.r + 1) // 2)
+    return head + tail + 1
+
+
+@dataclass(frozen=True)
+class Supertail:
+    """Members of dimension strictly below the cut, with the cut bookkeeping."""
+
+    cut: int          # d_s, an occurring dimension
+    top_dim: int      # d_{s-1}: largest dimension inside the tail (0 if empty)
+    members: tuple
+
+    @property
+    def size(self):
+        return len(self.members)
+
+
+def supertail(P, cut, strict=True):
+    """Split off the members of dimension < cut.
+
+    In strict mode the cut must be an occurring dimension with something
+    below it.  With strict=False any positive cut is accepted and the tail
+    may be empty, which the exploratory statistics need.
+    """
+    dims = P.dims()
+    if strict:
+        if cut not in dims:
+            raise BadCut(f"cut {cut} is not an occurring dimension {dims}")
+        if cut == dims[0]:
+            raise BadCut(f"cut {cut} leaves an empty supertail")
+    elif cut < 1:
+        raise BadCut(f"cut must be positive, got {cut}")
+    members = tuple(m for m in P.members if m.dim < cut)
+    top = max((m.dim for m in members), default=0)
+    return Supertail(cut, top, members)
+
+
+def supertail_size_bound(P, cut):
+    """The proven lower bound for the size of the cut's supertail: the
+    minimum size of a partition of V(d_s, q) with largest dimension d_{s-1}.
+    """
+    st = supertail(P, cut)
+    if not st.members:
+        raise EmptySupertail(f"no members below dimension {cut}")
+    return min_partition_size(cut, st.top_dim, P.field.q)
+
+
+def drake_freeman_bound(n, d, q):
+    """The strict upper bound on the size of a partial d-spread of V(n, q)
+    when d does not divide n, as an exact rational.
+
+    Valid sizes satisfy size < bound.  Raises BadRange when d divides n
+    (the bound needs 1 <= n mod d < d).
+    """
+    if not 1 <= d < n:
+        raise BadRange(f"need 1 <= d < n, got d={d}, n={n}")
+    k, r = divmod(n, d)
+    if r == 0:
+        raise BadRange(f"{d} divides {n}; the bound needs a nonzero remainder")
+    ell = q ** r * sum(q ** (i * d) for i in range(k - 1))
+    return Fraction(ell * q ** d) + Fraction(q ** r + q ** (r - 1), 2) + 1
+
+
+def max_partial_spread_size(n, d, q):
+    """Largest integer strictly below drake_freeman_bound(n, d, q)."""
+    b = drake_freeman_bound(n, d, q)
+    if b.denominator == 1:
+        return b.numerator - 1
+    return b.numerator // b.denominator

@@ -1,0 +1,681 @@
+"""Exact-cover search over subspace partitions.
+
+Ground truth independent of the closed-form machinery: partitions of V(n,q)
+are found by backtracking over the point set, always branching on the least
+uncovered point and extending with candidate subspaces that contain it and
+avoid everything chosen so far.  Because the branch point is a function of
+the covered set, every partition is reached along exactly one path, so the
+enumeration emits each labeled partition once without a deduplication pass.
+
+The minimum-size search additionally fixes its first member to a canonical
+t-subspace through the least point.  The linear group is transitive on
+pairs (subspace, contained point), so any partition whose largest dimension
+is t has an image of the same size containing that canonical member, which
+makes the seeding sound for size queries (it is NOT sound for counting).
+
+Budgets are node counts (and optional wall-clock limits); running out
+raises BudgetExceeded carrying a JSON-serializable checkpoint that
+enumerate_partitions can resume from.
+"""
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass
+
+from .analysis import analyze_supertail, TailClass
+from .enumeration import all_subspaces, default_budget
+from .errors import BadRange, BudgetExceeded, FileFormatError, HypothesisNotMet
+from .fields import make_field
+from .partitions import (
+    PartitionType,
+    SubspacePartition,
+    min_partition_size,
+    supertail,
+)
+from .spaces import num_points, point_index, span
+
+ORACLE_POINT_LIMIT = 127
+ORACLE_NODE_BUDGET = 10**8
+CHECKPOINT_VERSION = 1
+_TIME_CHECK_MASK = 0x3FF
+
+
+def _check_point_limit(n, q, point_limit):
+    pts = num_points(n, q)
+    if pts > point_limit:
+        raise BadRange(
+            f"V({n},{q}) has {pts} points, above the search limit "
+            f"{point_limit}; pass point_limit to override"
+        )
+
+
+def _prepare(n, field, dims):
+    """Candidate subspaces of the given dimensions as point bitmasks,
+    plus per-point lists of candidate ids (dims in the order given,
+    lexicographic within a dimension)."""
+    pi = point_index(n, field)
+    cands = []
+    for d in dims:
+        for U in all_subspaces(n, d, field):
+            cands.append((pi.mask_of(U), d, U))
+    per_point = [[] for _ in pi.reps]
+    for cid, (mask, _, _) in enumerate(cands):
+        m = mask
+        while m:
+            low = m & -m
+            per_point[low.bit_length() - 1].append(cid)
+            m ^= low
+    return pi, cands, per_point
+
+
+def _canonical_subspace(n, field, d):
+    """The span of the last d unit vectors; contains the least point."""
+    rows = []
+    for i in range(n - d, n):
+        v = [0] * n
+        v[i] = 1
+        rows.append(tuple(v))
+    return span(rows, n, field)
+
+
+def _normalize_filter(type_filter):
+    if type_filter is None:
+        return None
+    if isinstance(type_filter, PartitionType):
+        return dict(type_filter.entries)
+    filt = {int(d): int(c) for d, c in dict(type_filter).items()}
+    for d, c in filt.items():
+        if d < 1 or c < 1:
+            raise BadRange(f"bad type filter entry {d}^{c}")
+    return filt
+
+
+def save_checkpoint(path, checkpoint):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(checkpoint, fh, indent=1)
+        fh.write("\n")
+
+
+def load_checkpoint(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"checkpoint is not valid JSON: {exc}")
+    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+        raise FileFormatError("unsupported checkpoint version")
+    return data
+
+
+def enumerate_partitions(
+    n,
+    q,
+    max_dim,
+    *,
+    type_filter=None,
+    size_limit=None,
+    count_limit=None,
+    budget=None,
+    time_limit=None,
+    resume=None,
+    point_limit=ORACLE_POINT_LIMIT,
+    stats=None,
+    seed=None,
+):
+    """Stream every subspace partition of V(n,q) with member dimensions in
+    [1, max_dim], each exactly once, in a fixed deterministic order.
+
+    type_filter restricts to one exact type (a PartitionType or a dict
+    mapping dimension to count); size_limit caps the member count;
+    count_limit stops the stream after that many partitions.  seed is a
+    list of pairwise disjoint members every emitted partition must extend;
+    seed dimensions are exempt from max_dim and the type filter only
+    constrains the non-seed members.  The budget counts extension
+    attempts; exhausting it (or time_limit seconds) raises BudgetExceeded
+    whose .checkpoint resumes the stream via the resume argument with
+    identical options.  When a dict is passed as stats, its "nodes" entry
+    accumulates the extension attempts spent.
+    """
+    if not 1 <= max_dim <= n:
+        raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
+    _check_point_limit(n, q, point_limit)
+    field = make_field(q)
+    filt = _normalize_filter(type_filter)
+    if filt is not None and max(filt) > max_dim:
+        return
+    if budget is None:
+        budget = default_budget(ORACLE_NODE_BUDGET)
+    dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
+    if not dims:
+        return
+    pi, cands, per_point = _prepare(n, field, dims)
+    full = pi.full_mask
+    theta_max = max(num_points(d, q) for d in dims)
+
+    options = {
+        "n": n,
+        "q": q,
+        "max_dim": max_dim,
+        "type_filter": sorted(filt.items()) if filt else None,
+        "size_limit": size_limit,
+        "count_limit": count_limit,
+    }
+    covered = 0
+    taken = 0
+    counts = dict.fromkeys(dims, 0)
+    capacity = sum(c * num_points(d, q) for d, c in filt.items()) if filt else None
+    seed = list(seed) if seed else []
+    for member in seed:
+        mask = pi.mask_of(member)
+        if mask & covered:
+            raise BadRange("seed members are not pairwise disjoint")
+        covered |= mask
+        taken += 1
+    options["seed"] = sorted(
+        [[int(c) for c in row] for row in member.basis] for member in seed
+    )
+    if seed and covered == full:
+        yield SubspacePartition(n, field, seed)
+        return
+    emitted = 0
+    nodes_done = 0
+    frames = []
+    if resume is not None:
+        if resume.get("kind") != "partition-enumeration":
+            raise FileFormatError("checkpoint is not an enumeration checkpoint")
+        opts = dict(resume.get("options", {}))
+        if opts.get("type_filter") is not None:
+            opts["type_filter"] = [tuple(e) for e in opts["type_filter"]]
+        want = dict(options)
+        if want["type_filter"] is not None:
+            want["type_filter"] = [tuple(e) for e in want["type_filter"]]
+        if opts != want:
+            raise FileFormatError(
+                f"checkpoint options {opts} do not match the call {want}"
+            )
+        state = resume.get("state", {})
+        stack = state.get("stack", [])
+        if not stack:
+            raise FileFormatError("checkpoint has an empty frontier stack")
+        for point, pos in stack[:-1]:
+            plist = per_point[point]
+            if not 1 <= pos <= len(plist):
+                raise FileFormatError("checkpoint frontier out of range")
+            cid = plist[pos - 1]
+            mask, d, _ = cands[cid]
+            if mask & covered:
+                raise FileFormatError("checkpoint frontier is not disjoint")
+            covered |= mask
+            taken += 1
+            counts[d] += 1
+            if capacity is not None:
+                capacity -= num_points(d, q)
+            frames.append([point, pos, cid])
+        point, pos = stack[-1]
+        frames.append([point, pos, None])
+        emitted = int(state.get("emitted", 0))
+        nodes_done = int(state.get("nodes_done", 0))
+    else:
+        low = (full & ~covered) & -(full & ~covered)
+        frames = [[low.bit_length() - 1, 0, None]]
+
+    nodes = 0
+    started = time.monotonic()
+
+    def _checkpoint():
+        return {
+            "version": CHECKPOINT_VERSION,
+            "kind": "partition-enumeration",
+            "options": options,
+            "state": {
+                "stack": [[f[0], f[1]] for f in frames],
+                "emitted": emitted,
+                "nodes_done": nodes_done + nodes,
+            },
+        }
+
+    try:
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                mask, d, _ = cands[frame[2]]
+                covered &= ~mask
+                taken -= 1
+                counts[d] -= 1
+                if capacity is not None:
+                    capacity += num_points(d, q)
+                frame[2] = None
+            plist = per_point[frame[0]]
+            pos = frame[1]
+            moved = False
+            while pos < len(plist):
+                cid = plist[pos]
+                mask, d, _ = cands[cid]
+                if mask & covered:
+                    pos += 1
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    frame[1] = pos
+                    raise BudgetExceeded(
+                        f"enumeration stopped after {nodes - 1} nodes",
+                        checkpoint=_checkpoint(),
+                    )
+                if (
+                    time_limit is not None
+                    and nodes & _TIME_CHECK_MASK == 0
+                    and time.monotonic() - started > time_limit
+                ):
+                    frame[1] = pos
+                    raise BudgetExceeded(
+                        f"enumeration stopped after {time_limit} seconds",
+                        checkpoint=_checkpoint(),
+                    )
+                pos += 1
+                if filt is not None and counts[d] + 1 > filt[d]:
+                    continue
+                uncovered = (full & ~(covered | mask)).bit_count()
+                if size_limit is not None:
+                    need = (uncovered + theta_max - 1) // theta_max
+                    if taken + 1 + need > size_limit:
+                        continue
+                if capacity is not None and capacity - num_points(d, q) < uncovered:
+                    continue
+                frame[1] = pos
+                frame[2] = cid
+                covered |= mask
+                taken += 1
+                counts[d] += 1
+                if capacity is not None:
+                    capacity -= num_points(d, q)
+                if covered == full:
+                    if filt is None or all(
+                        counts[d] == c for d, c in filt.items()
+                    ):
+                        emitted += 1
+                        yield SubspacePartition(
+                            n, field, seed + [cands[f[2]][2] for f in frames]
+                        )
+                        if count_limit is not None and emitted >= count_limit:
+                            return
+                    moved = True
+                    break
+                low = (full & ~covered) & -(full & ~covered)
+                frames.append([low.bit_length() - 1, 0, None])
+                moved = True
+                break
+            if not moved:
+                frames.pop()
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    size: int
+    partition: SubspacePartition
+    nodes: int
+
+
+def search_min_partition_size(
+    n,
+    t,
+    q,
+    *,
+    budget=None,
+    time_limit=None,
+    point_limit=ORACLE_POINT_LIMIT,
+):
+    """Minimum size of a partition of V(n,q) whose largest member has
+    dimension exactly t, by seeded branch and bound.
+
+    The first member is pinned to the canonical t-subspace through the
+    least point (sound for the minimum by transitivity of the linear group
+    on (subspace, point) pairs); afterwards the search branches on the
+    least uncovered point with candidates of dimension at most t, larger
+    dimensions first, pruning on size + ceil(uncovered / theta(t)).
+    """
+    if not 1 <= t < n:
+        raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+    _check_point_limit(n, q, point_limit)
+    field = make_field(q)
+    if budget is None:
+        budget = default_budget(ORACLE_NODE_BUDGET)
+    dims = list(range(t, 0, -1))
+    pi, cands, per_point = _prepare(n, field, dims)
+    full = pi.full_mask
+    theta_t = num_points(t, q)
+
+    root = _canonical_subspace(n, field, t)
+    root_mask = pi.mask_of(root)
+    covered = root_mask
+    taken = 1
+    best = None
+    best_members = None
+    nodes = 0
+    started = time.monotonic()
+    low = (full & ~covered) & -(full & ~covered)
+    frames = [[low.bit_length() - 1, 0, None]]
+    while frames:
+        frame = frames[-1]
+        if frame[2] is not None:
+            covered &= ~cands[frame[2]][0]
+            taken -= 1
+            frame[2] = None
+        plist = per_point[frame[0]]
+        pos = frame[1]
+        moved = False
+        while pos < len(plist):
+            cid = plist[pos]
+            mask, d, _ = cands[cid]
+            pos += 1
+            if mask & covered:
+                continue
+            nodes += 1
+            if nodes > budget or (
+                time_limit is not None
+                and nodes & _TIME_CHECK_MASK == 0
+                and time.monotonic() - started > time_limit
+            ):
+                raise BudgetExceeded(
+                    f"minimum-size search stopped after {nodes} nodes",
+                    checkpoint={
+                        "version": CHECKPOINT_VERSION,
+                        "kind": "min-size-search",
+                        "options": {"n": n, "t": t, "q": q},
+                        "state": {"best": best, "nodes": nodes},
+                    },
+                )
+            new_covered = covered | mask
+            uncovered = (full & ~new_covered).bit_count()
+            if best is not None:
+                bound = taken + 1 + (uncovered + theta_t - 1) // theta_t
+                if bound >= best:
+                    continue
+            frame[1] = pos
+            frame[2] = cid
+            covered = new_covered
+            taken += 1
+            if covered == full:
+                if best is None or taken < best:
+                    best = taken
+                    best_members = [root] + [cands[f[2]][2] for f in frames]
+                moved = True
+                break
+            rest = (full & ~covered) & -(full & ~covered)
+            frames.append([rest.bit_length() - 1, 0, None])
+            moved = True
+            break
+        if not moved:
+            frames.pop()
+    return SearchResult(best, SubspacePartition(n, field, best_members), nodes)
+
+
+@dataclass(frozen=True)
+class ImpossibilityReport:
+    n: int
+    cut: int
+    q: int
+    candidate_types: tuple
+    type_hits: int
+    sweep_partitions: int
+    sweep_hits: int
+    nodes: int
+
+    @property
+    def confirmed(self):
+        return self.type_hits == 0 and self.sweep_hits == 0
+
+
+def _tail_type_candidates(n, cut, q):
+    """Exact types a partition of V(n,q) with n < 2*cut could have while
+    carrying a minimum-size supertail at the cut: one member of dimension
+    cut (two cannot fit), plus a tail solving the point count exactly with
+    size sigma(cut, top dim)."""
+    rest = num_points(n, q) - num_points(cut, q)
+    out = []
+    for top in range(1, cut):
+        if top + cut > n:
+            continue
+        target = min_partition_size(cut, top, q)
+
+        def extend(d, left_count, left_points, counts):
+            if d == 0:
+                if left_count == 0 and left_points == 0 and counts[top] >= 1:
+                    out.append(
+                        PartitionType.of({cut: 1, **{
+                            dd: c for dd, c in counts.items() if c
+                        }})
+                    )
+                return
+            theta = num_points(d, q)
+            for c in range(left_count + 1):
+                pts = c * theta
+                if pts > left_points:
+                    break
+                counts[d] = c
+                extend(d - 1, left_count - c, left_points - pts, counts)
+            counts[d] = 0
+
+        extend(top, target, rest, dict.fromkeys(range(1, top + 1), 0))
+    return tuple(out)
+
+
+def check_no_minimum_supertail(
+    n,
+    cut,
+    q,
+    *,
+    budget=None,
+    time_limit=None,
+    point_limit=ORACLE_POINT_LIMIT,
+):
+    """Exhaustively confirm that no partition of V(n,q), n < 2*cut, has a
+    minimum-size supertail at the cut.
+
+    Two independent passes.  First, every exact type that survives the
+    point-count and dimension constraints is searched directly.  Second, a
+    sweep uses the structure the regime forces: a partition in which the
+    cut occurs has exactly one member of dimension >= cut (two would
+    overfill n < 2*cut) and its other members have dimension at most
+    n - cut (disjointness), so enumerating extensions of every
+    cut-subspace by small members up to size 1 + max sigma(cut, top)
+    covers all candidates.  Either pass finding a partition refutes the
+    claim; the report carries both tallies.
+    """
+    if not 1 <= cut < n:
+        raise BadRange(f"need 1 <= cut < n, got cut={cut}, n={n}")
+    if not n < 2 * cut:
+        raise HypothesisNotMet(
+            "only the n < 2*cut regime forces a unique member above the cut"
+        )
+    _check_point_limit(n, q, point_limit)
+    if budget is None:
+        budget = default_budget(ORACLE_NODE_BUDGET)
+    counters = {"nodes": 0}
+    type_hits = 0
+    candidates = _tail_type_candidates(n, cut, q)
+    for ptype in candidates:
+        stream = enumerate_partitions(
+            n,
+            q,
+            cut,
+            type_filter=ptype,
+            count_limit=1,
+            budget=budget,
+            time_limit=time_limit,
+            point_limit=point_limit,
+            stats=counters,
+        )
+        for _ in stream:
+            type_hits += 1
+
+    max_tail_dim = min(cut - 1, n - cut)
+    targets = [
+        min_partition_size(cut, top, q) for top in range(1, max_tail_dim + 1)
+    ]
+    sweep_partitions = 0
+    sweep_hits = 0
+    if targets:
+        limit = 1 + max(targets)
+        field = make_field(q)
+        for M in all_subspaces(n, cut, field):
+            for P in enumerate_partitions(
+                n,
+                q,
+                max_tail_dim,
+                size_limit=limit,
+                seed=[M],
+                budget=budget,
+                time_limit=time_limit,
+                point_limit=point_limit,
+                stats=counters,
+            ):
+                sweep_partitions += 1
+                st = supertail(P, cut)
+                if st.size == min_partition_size(cut, st.top_dim, q):
+                    sweep_hits += 1
+    return ImpossibilityReport(
+        n,
+        cut,
+        q,
+        candidates,
+        type_hits,
+        sweep_partitions,
+        sweep_hits,
+        counters["nodes"],
+    )
+
+
+@dataclass(frozen=True)
+class ConjectureCase:
+    type_str: str
+    cut: int
+    tail_top: int
+    size: int
+    bound: int
+    conditions: tuple
+    classification: str
+    union_dim: object
+
+
+@dataclass(frozen=True)
+class ConjectureFindings:
+    n: int
+    q: int
+    cut_range: tuple
+    partitions_examined: int
+    cases_examined: int
+    narrow_cases: int
+    minimum_narrow_cases: int
+    condition_counts: tuple   # per side condition, over minimum narrow cases
+    class_counts: tuple       # ((classification, count), ...) over all cases
+    open_cases: tuple         # minimum narrow cases with no side condition
+    counterexamples: tuple    # open cases whose union breaks the conjecture
+    violations: tuple         # proven conclusions that failed (expect empty)
+
+    @property
+    def ok(self):
+        return not self.counterexamples and not self.violations
+
+
+def conjecture_search(
+    n,
+    q,
+    cut_range=None,
+    *,
+    max_dim=None,
+    budget=None,
+    time_limit=None,
+    point_limit=ORACLE_POINT_LIMIT,
+):
+    """Sweep every partition of V(n,q) (member dimensions up to max_dim,
+    default n-1) and record how each supertail in cut_range behaves.
+
+    A case is a (partition, occurring cut) pair with members below the cut.
+    Narrow cases (cut < 2 * top tail dimension) of minimum size are the
+    conjecture's territory: when none of the three side conditions holds
+    the case is reported as open, and open cases whose union is not a
+    spread or near-spread are counterexamples.  Findings are reported,
+    never asserted.
+    """
+    if max_dim is None:
+        max_dim = n - 1
+    if cut_range is None:
+        cut_range = range(2, n)
+    cuts = tuple(cut_range)
+    if not cuts:
+        return ConjectureFindings(
+            n, q, cuts, 0, 0, 0, 0, (0, 0, 0), (), (), (), ()
+        )
+    partitions = 0
+    cases = 0
+    narrow = 0
+    minimum_narrow = 0
+    condition_counts = [0, 0, 0]
+    class_counts = {}
+    open_cases = []
+    counterexamples = []
+    violations = []
+    for P in enumerate_partitions(
+        n,
+        q,
+        max_dim,
+        budget=budget,
+        time_limit=time_limit,
+        point_limit=point_limit,
+    ):
+        partitions += 1
+        dims = P.dims()
+        for cut in dims[1:]:
+            if cut not in cuts:
+                continue
+            cases += 1
+            report = analyze_supertail(P, cut, mode="explore")
+            cls = report.classification.value
+            class_counts[cls] = class_counts.get(cls, 0) + 1
+            for text in report.violations:
+                violations.append(f"{P.type()} cut {cut}: {text}")
+            if not report.narrow_gap:
+                continue
+            narrow += 1
+            if not report.is_minimum:
+                continue
+            minimum_narrow += 1
+            held = [holds for _, holds in report.conditions]
+            for i, h in enumerate(held):
+                condition_counts[i] += h
+            if any(held):
+                continue
+            case = ConjectureCase(
+                str(P.type()),
+                cut,
+                report.tail_top,
+                report.size,
+                report.bound,
+                tuple(held),
+                cls,
+                report.union_dim,
+            )
+            open_cases.append(case)
+            if report.classification not in (
+                TailClass.SPREAD,
+                TailClass.TWO_DIM,
+            ):
+                counterexamples.append(case)
+    return ConjectureFindings(
+        n,
+        q,
+        cuts,
+        partitions,
+        cases,
+        narrow,
+        minimum_narrow,
+        tuple(condition_counts),
+        tuple(sorted(class_counts.items())),
+        tuple(open_cases),
+        tuple(counterexamples),
+        tuple(violations),
+    )

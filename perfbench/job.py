@@ -1,9 +1,11 @@
 """Run one set-up or one job of a workload in this fresh interpreter.
 
     python3 perfbench/job.py WORKLOAD (setup | INDEX) --seed N --workdir DIR
-                             [--toy] [--trace]
+                             [--toy] [--trace] [--baseline]
 
-The package is imported from ``src/`` of the checkout this file sits in.
+The package is imported from ``src/`` of the checkout this file sits in,
+or with ``--baseline`` from ``perfbench/baseline/``, the frozen copy that
+each measured job is timed against.
 The last line of standard output is one JSON object: ``ok``, ``seconds``
 (the set-up or job body, without interpreter start and import), ``rss_mb``
 (peak RSS of this process), ``detail``, ``wrappers`` (tracing wrappers
@@ -21,6 +23,7 @@ import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
+BASELINE = os.path.join(HERE, "baseline")
 
 
 def main(argv=None):
@@ -31,14 +34,16 @@ def main(argv=None):
     ap.add_argument("--workdir", required=True)
     ap.add_argument("--toy", action="store_true")
     ap.add_argument("--trace", action="store_true")
+    ap.add_argument("--baseline", action="store_true")
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, SRC)
+    src = BASELINE if args.baseline else SRC
+    sys.path.insert(0, src)
     import vspart
     import vspart.cli  # noqa: F401  (the package does not import it)
 
-    if not os.path.abspath(vspart.__file__).startswith(SRC + os.sep):
-        raise SystemExit(f"vspart imported from {vspart.__file__}, not {SRC}")
+    if not os.path.abspath(vspart.__file__).startswith(src + os.sep):
+        raise SystemExit(f"vspart imported from {vspart.__file__}, not {src}")
 
     import workloads
     from tracer import Tracer, count_wrappers

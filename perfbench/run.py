@@ -8,9 +8,12 @@ Every set-up and every job runs in its own fresh interpreter, so the
 per-ambient caches start cold, as they do for each command a user types.
 One caller runs the jobs closed loop, one at a time, with one thread.
 
-``--trace 0`` sets up SETUP_REPEATS times, then runs passes over the
-workload's jobs while the next pass is expected to end within ``--seconds``
-(at least one pass), and reports the end-to-end metrics.  ``--trace 1``
+``--trace 0`` sets up SETUP_REPEATS times, then runs the workload's jobs
+round-robin while the next job is expected to end within ``--seconds``
+(each job at least once), and reports the end-to-end metrics.  Each job
+runs back to back with the same job on the frozen copy of the package in
+``perfbench/baseline/``, first one then the other in turn, so that both
+meet the same state of a shared host.  ``--trace 1``
 sets up once traced, runs one untraced pass and one traced pass, and
 reports the per-layer metrics.  Every job's output is checked; any failed
 or wrong job makes the result incorrect and the exit code 1.
@@ -22,6 +25,7 @@ full record is also written to ``perfbench/results/``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -114,23 +118,28 @@ class Runner:
         self.toy = toy
         self.deadline = time.perf_counter() + RUN_DEADLINE_S
         self.children = []
-        self.env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
-                        PYTHONDONTWRITEBYTECODE="1")
 
-    def run(self, step, trace=False):
+    def run(self, step, trace=False, baseline=False):
+        # The baseline builds and reads its own corpus, so a later change
+        # of the file format cannot break it.
+        workdir = self.workdir + ("-baseline" if baseline else "")
         cmd = [sys.executable, os.path.join(HERE, "job.py"), self.workload,
-               str(step), "--seed", str(self.seed), "--workdir", self.workdir]
+               str(step), "--seed", str(self.seed), "--workdir", workdir]
         if self.toy:
             cmd.append("--toy")
         if trace:
             cmd.append("--trace")
+        if baseline:
+            cmd.append("--baseline")
         start = time.perf_counter()
         timeout = self.deadline - start
         try:
             if timeout <= 0:
                 raise subprocess.TimeoutExpired(cmd, 0)
             proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=timeout, cwd=ROOT, env=self.env)
+                                  timeout=timeout, cwd=ROOT,
+                                  env=dict(os.environ,
+                                           PYTHONDONTWRITEBYTECODE="1"))
         except subprocess.TimeoutExpired:
             child = {"ok": False, "seconds": None, "rss_mb": None,
                      "detail": {"error": "run deadline reached"},
@@ -147,12 +156,39 @@ class Runner:
         child["wall"] = time.perf_counter() - start
         child["step"] = step
         child["traced"] = trace
+        child["baseline"] = baseline
         self.children.append(child)
         return child
 
     def run_pass(self, trace=False):
         n = len(workloads.jobs(self.workload, self.workdir, self.toy))
         return [self.run(i, trace) for i in range(n)]
+
+    def repeat(self, seconds):
+        """Run the jobs round-robin, each paired with the same job on the
+        baseline, until the next pair is expected to end after ``seconds``
+        or a job fails; every job runs at least once.  Returns the
+        (program, baseline) pairs of each job, in job order."""
+        n = len(workloads.jobs(self.workload, self.workdir, self.toy))
+        pairs = [[] for _ in range(n)]
+        start = time.perf_counter()
+        for i in itertools.count():
+            step = i % n
+            if i >= n:
+                last = pairs[step][-1]
+                if (time.perf_counter() - start + last[0]["wall"]
+                        + last[1]["wall"] > seconds):
+                    break
+            if i % 2:
+                base = self.run(step, baseline=True)
+                prog = self.run(step)
+            else:
+                prog = self.run(step)
+                base = self.run(step, baseline=True)
+            pairs[step].append((prog, base))
+            if not (prog["ok"] and base["ok"]):
+                break
+        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +202,35 @@ def _seconds(jobs):
     return sum(j["seconds"] for j in jobs)
 
 
-def end_to_end(setups, passes):
-    setup_times = [c["wall"] for c in setups]
-    pass_times = [t for t in map(_seconds, passes) if t is not None]
-    rss = [c["rss_mb"] for p in passes for c in p if c["rss_mb"] is not None]
+def end_to_end(setups, pairs):
+    """``wall_vs_baseline`` is the workload's job time over the time of the
+    same jobs on the baseline.  For each job it takes the median, over the
+    job's pairs, of program time over baseline time; the jobs' ratios are
+    then weighted by their baseline times.  Wall time alone drifts by up
+    to 2x from minute to minute on a shared host, and the two runs of a
+    pair drift together, so the ratio spreads far less from run to run."""
+    setup = statistics.median(c["wall"] for c in setups)
+    done = [[(p, b) for p, b in job
+             if p["seconds"] is not None and b["seconds"] is not None]
+            for job in pairs]
+    if not done or not all(done):
+        return {"wall_vs_baseline": (None, "ratio"), "setup_s": (setup, "s"),
+                "peak_rss_mb": (None, "MB"), "wall_s": (None, "s")}
+    ratios, weights, walls = [], [], []
+    for job in done:
+        ratios.append(statistics.median(p["seconds"] / b["seconds"]
+                                        for p, b in job))
+        weights.append(statistics.median(b["seconds"] for _, b in job))
+        walls.append(statistics.median(p["seconds"] for p, _ in job))
     return {
-        "wall_s": (statistics.median(pass_times) if pass_times else None, "s"),
-        "setup_s": (statistics.median(setup_times), "s"),
-        "peak_rss_mb": (max(rss) if rss else None, "MB"),
+        "wall_vs_baseline": (
+            sum(r * w for r, w in zip(ratios, weights)) / sum(weights),
+            "ratio"),
+        "setup_s": (setup, "s"),
+        "peak_rss_mb": (max(p["rss_mb"] for job in done for p, _ in job),
+                        "MB"),
+        # Printed and recorded, not gated: see the docstring.
+        "wall_s": (sum(walls), "s"),
     }
 
 
@@ -310,19 +367,16 @@ def run_workload(workload, seed, seconds, trace, toy=False):
     try:
         if not trace:
             setups = [runner.run("setup") for _ in range(SETUP_REPEATS)]
-            passes = []
+            setups.append(runner.run("setup", baseline=True))
+            pairs = []
             if all(c["ok"] for c in setups):
-                start = time.perf_counter()
-                while True:
-                    begun = time.perf_counter()
-                    passes.append(runner.run_pass())
-                    now = time.perf_counter()
-                    if now - start + (now - begun) > seconds:
-                        break
-            metrics = end_to_end(setups, passes)
-            record["passes"] = len(passes)
+                pairs = runner.repeat(seconds)
+            metrics = end_to_end(setups[:-1], pairs)
+            record["repetitions"] = [len(job) for job in pairs]
             record["missing"] = sorted(k for k, (v, _) in metrics.items()
                                        if v is None)
+            wall = metrics.pop("wall_s")
+            record["wall_s"] = wall[0]
             metrics = {k: v for k, v in metrics.items() if v[0] is not None}
         else:
             setup = runner.run("setup", trace=True)
@@ -332,11 +386,12 @@ def run_workload(workload, seed, seconds, trace, toy=False):
                 traced = runner.run_pass(trace=True)
             metrics, missing, layers = per_layer(
                 [setup] + traced, untraced, traced)
-            record["passes"] = 2
+            record["repetitions"] = [2] * len(traced)
             record["missing"] = missing
             record["layer_self_s"] = layers
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir + "-baseline", ignore_errors=True)
     steal_end = steal_ticks()
     env["loadavg_end"] = loadavg()
     env["steal_ticks"] = (None if steal_start is None or steal_end is None
@@ -387,9 +442,11 @@ def main(argv=None):
     path = write_record(record)
     print(f"workload {record['workload']}  seed {record['seed']} "
           f"(seed {'moves the inputs' if record['seed_used'] else 'ignored: fixed problem'})  "
-          f"passes {record['passes']}")
+          f"repetitions of each job {record['repetitions']}")
     for name, m in record["metrics"].items():
         print(f"  {name:34s} {m['value']:>14.6f} {m['unit']}")
+    if record.get("wall_s") is not None:
+        print(f"  {'(wall_s, not gated)':34s} {record['wall_s']:>14.6f} s")
     for name in record["missing"]:
         print(f"  {name:34s} {'absent':>14s}")
     print(f"  {'error_rate':34s} {record['error_rate']:>14.6f} "

@@ -31,7 +31,7 @@ import workloads  # noqa: E402
 
 STABLE_COUNTS = ("search.nodes", "search.emitted", "spaces.points_calls",
                  "analysis.cases")
-END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+END_TO_END = ("wall_vs_baseline", "setup_s", "peak_rss_mb")
 
 
 def check_workload(name, problems):
