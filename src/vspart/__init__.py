@@ -40,7 +40,6 @@ from .errors import (
     NotPrimePower,
     StructureViolation,
     UnsupportedField,
-    ValidationFailure,
     VspartError,
 )
 from .fields import FiniteField, extension_field, make_field

@@ -96,13 +96,13 @@ def _cmd_verify(args):
     print(("ok " if dimension else "FAIL") + " dimension condition")
     failures += not dimension
 
-    size_report = verify_size_identity(P, threads=args.threads)
+    size_report = verify_size_identity(P)
     for line in size_report.lines():
         print(line)
     failures += not size_report.ok
 
     if args.all_identities:
-        inc = verify_incidence_identities(P, threads=args.threads)
+        inc = verify_incidence_identities(P)
         for line in inc.lines():
             print(line)
         failures += not inc.ok
@@ -255,14 +255,12 @@ def build_parser():
     v = sub.add_parser("verify", help="validate a partition file")
     v.add_argument("file")
     v.add_argument("--all-identities", action="store_true")
-    v.add_argument("--threads", type=int, default=1)
     v.set_defaults(func=_cmd_verify)
 
     a = sub.add_parser("analyze", help="supertail structure report")
     a.add_argument("file")
     a.add_argument("--cut", type=int, required=True)
     a.add_argument("--mode", choices=["assert", "explore"], default="assert")
-    a.add_argument("--threads", type=int, default=1)
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("sigma", help="minimum partition size")

@@ -61,10 +61,6 @@ class StructureViolation(VspartError, AssertionError):
     """An assert-mode structural check failed on a concrete instance."""
 
 
-class ValidationFailure(VspartError, ValueError):
-    """A partition file failed validation."""
-
-
 class FileFormatError(VspartError, ValueError):
     """A partition file could not be parsed."""
 

@@ -91,15 +91,15 @@ def partition_from_json(doc):
         p = int(doc["p"])
         e = int(doc["e"])
         modulus = doc["modulus"]
-        members = doc["members"]
+        if modulus is not None:
+            modulus = [int(c) for c in modulus]
+        members = [[int(c) for c in m] for m in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed partition document: {exc}")
-    if modulus is not None:
-        modulus = [int(c) for c in modulus]
     field = _field_from_header(q, p, e, modulus)
     if n < 1:
         raise FileFormatError(f"bad ambient dimension {n}")
-    subs = [_member_from_codes([int(c) for c in m], n, field) for m in members]
+    subs = [_member_from_codes(m, n, field) for m in members]
     if not subs:
         raise FileFormatError("partition document has no members")
     return SubspacePartition(n, field, subs)

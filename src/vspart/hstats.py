@@ -12,7 +12,6 @@ with theta(j) = 0 for j <= 0.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -96,7 +95,7 @@ class ProfileHistogram:
         return dict(self.classes)
 
 
-def _profile_vectors(P, threads=1):
+def _profile_vectors(P):
     """Profile count vector for every hyperplane, in canonical order."""
     dims = P.dims()
     members = _member_masks(P)
@@ -109,14 +108,11 @@ def _profile_vectors(P, threads=1):
                 counts[m.dim] += 1
         return tuple(counts[d] for d in dims)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(vec, [h for _, h in pairs]))
     return [vec(h) for _, h in pairs]
 
 
-def histogram(P, threads=1):
-    counter = Counter(_profile_vectors(P, threads))
+def histogram(P):
+    counter = Counter(_profile_vectors(P))
     classes = tuple(sorted(counter.items()))
     return ProfileHistogram(P.dims(), classes)
 
@@ -163,7 +159,7 @@ class IdentityReport:
         return out
 
 
-def verify_incidence_identities(P, threads=1):
+def verify_incidence_identities(P):
     """The four double-counting identities relating profile multiplicities
     to the type of the partition.
 
@@ -176,7 +172,7 @@ def verify_incidence_identities(P, threads=1):
     outside that window are reported as skipped.
     """
     n, q = P.n, P.field.q
-    hist = histogram(P, threads)
+    hist = histogram(P)
     ptype = P.type()
     checks = [
         IdentityCheck(
@@ -229,14 +225,14 @@ def verify_incidence_identities(P, threads=1):
 verify_heden_lehmann = verify_incidence_identities
 
 
-def verify_size_identity(P, threads=1):
+def verify_size_identity(P):
     """Every hyperplane sees the whole partition size through its profile:
     |P| = 1 + sum_d b_{H,d} q^d."""
     q = P.field.q
     size = P.size
     dims = P.dims()
     checks = []
-    for i, vec in enumerate(_profile_vectors(P, threads)):
+    for i, vec in enumerate(_profile_vectors(P)):
         rhs = 1 + sum(b * q ** d for d, b in zip(dims, vec))
         if rhs != size:
             checks.append(

@@ -13,9 +13,10 @@ pairs (subspace, contained point), so any partition whose largest dimension
 is t has an image of the same size containing that canonical member, which
 makes the seeding sound for size queries (it is NOT sound for counting).
 
-Budgets are node counts (and optional wall-clock limits); running out
-raises BudgetExceeded carrying a JSON-serializable checkpoint that
-enumerate_partitions can resume from.
+Both searches run on one backtracking engine, _exact_cover.  Budgets are
+node counts (and optional wall-clock limits) for the whole call, and
+running out raises BudgetExceeded.  Only enumerate_partitions attaches a
+checkpoint: a JSON-serializable frontier that it can resume from.
 """
 from __future__ import annotations
 
@@ -108,6 +109,88 @@ def load_checkpoint(path):
     return data
 
 
+def _exact_cover(cands, per_point, full, frames, covered, taken, *, budget,
+                 time_limit, stats, theta_max, size_limit=None, filt=None,
+                 counts=None):
+    """Backtrack from the frames stack, yielding at every exact cover of
+    full that extends covered (taken members so far).
+
+    A frame is [point, next position in per_point[point], chosen candidate
+    id or None]; each yield is the list of chosen ids, frame by frame.
+    size_limit prunes extensions that cannot finish within that many
+    members of at most theta_max points, and the consumer may send() a
+    tighter limit back after a cover.  With filt, counts (dimension to
+    members taken) caps each dimension at filt[dimension].  Every
+    disjoint extension attempt is a node, added to stats["nodes"]; past
+    budget nodes, or time_limit seconds (read every 1024 nodes),
+    BudgetExceeded is raised with the top frame positioned to retry that
+    attempt, so frames stays a resumable frontier.
+    """
+    nodes = 0
+    started = time.monotonic()
+    try:
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                mask, d, _ = cands[frame[2]]
+                covered &= ~mask
+                taken -= 1
+                if filt is not None:
+                    counts[d] -= 1
+                frame[2] = None
+            plist = per_point[frame[0]]
+            pos = frame[1]
+            while pos < len(plist):
+                cid = plist[pos]
+                mask, d, _ = cands[cid]
+                if mask & covered:
+                    pos += 1
+                    continue
+                nodes += 1
+                if nodes > budget or (
+                    time_limit is not None
+                    and nodes & _TIME_CHECK_MASK == 0
+                    and time.monotonic() - started > time_limit
+                ):
+                    frame[1] = pos
+                    spent = (
+                        f"{budget} nodes" if nodes > budget
+                        else f"{time_limit} seconds"
+                    )
+                    raise BudgetExceeded(f"search stopped after {spent}")
+                pos += 1
+                if filt is not None and counts[d] == filt[d]:
+                    continue
+                new_covered = covered | mask
+                if size_limit is not None:
+                    uncovered = (full & ~new_covered).bit_count()
+                    need = (uncovered + theta_max - 1) // theta_max
+                    if taken + 1 + need > size_limit:
+                        continue
+                frame[1] = pos
+                frame[2] = cid
+                covered = new_covered
+                taken += 1
+                if filt is not None:
+                    counts[d] += 1
+                if covered == full:
+                    tighter = yield [f[2] for f in frames]
+                    if tighter is not None:
+                        size_limit = tighter
+                    break
+                rest = full & ~covered
+                frames.append([(rest & -rest).bit_length() - 1, 0, None])
+                break
+            else:
+                frames.pop()
+    finally:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
+
+
+def _least_point(mask):
+    return (mask & -mask).bit_length() - 1
+
+
 def enumerate_partitions(
     n,
     q,
@@ -140,6 +223,8 @@ def enumerate_partitions(
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
     _check_point_limit(n, q, point_limit)
+    stats = {} if stats is None else stats
+    stats.setdefault("nodes", 0)
     field = make_field(q)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
@@ -151,20 +236,18 @@ def enumerate_partitions(
         return
     pi, cands, per_point = _prepare(n, field, dims)
     full = pi.full_mask
-    theta_max = max(num_points(d, q) for d in dims)
 
     options = {
         "n": n,
         "q": q,
         "max_dim": max_dim,
-        "type_filter": sorted(filt.items()) if filt else None,
+        "type_filter": [list(e) for e in sorted(filt.items())] if filt else None,
         "size_limit": size_limit,
         "count_limit": count_limit,
     }
     covered = 0
     taken = 0
     counts = dict.fromkeys(dims, 0)
-    capacity = sum(c * num_points(d, q) for d, c in filt.items()) if filt else None
     seed = list(seed) if seed else []
     for member in seed:
         mask = pi.mask_of(member)
@@ -178,26 +261,22 @@ def enumerate_partitions(
     if seed and covered == full:
         yield SubspacePartition(n, field, seed)
         return
+    free_points = (full & ~covered).bit_count()
     emitted = 0
     nodes_done = 0
-    frames = []
     if resume is not None:
         if resume.get("kind") != "partition-enumeration":
             raise FileFormatError("checkpoint is not an enumeration checkpoint")
-        opts = dict(resume.get("options", {}))
-        if opts.get("type_filter") is not None:
-            opts["type_filter"] = [tuple(e) for e in opts["type_filter"]]
-        want = dict(options)
-        if want["type_filter"] is not None:
-            want["type_filter"] = [tuple(e) for e in want["type_filter"]]
-        if opts != want:
+        if resume.get("options") != options:
             raise FileFormatError(
-                f"checkpoint options {opts} do not match the call {want}"
+                f"checkpoint options {resume.get('options')} do not match "
+                f"the call {options}"
             )
         state = resume.get("state", {})
         stack = state.get("stack", [])
         if not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
+        frames = []
         for point, pos in stack[:-1]:
             plist = per_point[point]
             if not 1 <= pos <= len(plist):
@@ -209,107 +288,57 @@ def enumerate_partitions(
             covered |= mask
             taken += 1
             counts[d] += 1
-            if capacity is not None:
-                capacity -= num_points(d, q)
             frames.append([point, pos, cid])
         point, pos = stack[-1]
         frames.append([point, pos, None])
         emitted = int(state.get("emitted", 0))
         nodes_done = int(state.get("nodes_done", 0))
     else:
-        low = (full & ~covered) & -(full & ~covered)
-        frames = [[low.bit_length() - 1, 0, None]]
+        frames = [[_least_point(full & ~covered), 0, None]]
+    # The filtered members must fill exactly the points the seed leaves.
+    if filt is not None and free_points != sum(
+        c * num_points(d, q) for d, c in filt.items()
+    ):
+        return
 
-    nodes = 0
-    started = time.monotonic()
-
-    def _checkpoint():
-        return {
+    nodes_before = stats["nodes"]
+    covers = _exact_cover(
+        cands,
+        per_point,
+        full,
+        frames,
+        covered,
+        taken,
+        budget=budget,
+        time_limit=time_limit,
+        stats=stats,
+        theta_max=max(num_points(d, q) for d in dims),
+        size_limit=size_limit,
+        filt=filt,
+        counts=counts,
+    )
+    try:
+        for chosen in covers:
+            emitted += 1
+            yield SubspacePartition(
+                n, field, seed + [cands[cid][2] for cid in chosen]
+            )
+            if count_limit is not None and emitted >= count_limit:
+                return
+    except BudgetExceeded as exc:
+        exc.checkpoint = {
             "version": CHECKPOINT_VERSION,
             "kind": "partition-enumeration",
             "options": options,
             "state": {
                 "stack": [[f[0], f[1]] for f in frames],
                 "emitted": emitted,
-                "nodes_done": nodes_done + nodes,
+                "nodes_done": nodes_done + stats["nodes"] - nodes_before,
             },
         }
-
-    try:
-        while frames:
-            frame = frames[-1]
-            if frame[2] is not None:
-                mask, d, _ = cands[frame[2]]
-                covered &= ~mask
-                taken -= 1
-                counts[d] -= 1
-                if capacity is not None:
-                    capacity += num_points(d, q)
-                frame[2] = None
-            plist = per_point[frame[0]]
-            pos = frame[1]
-            moved = False
-            while pos < len(plist):
-                cid = plist[pos]
-                mask, d, _ = cands[cid]
-                if mask & covered:
-                    pos += 1
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    frame[1] = pos
-                    raise BudgetExceeded(
-                        f"enumeration stopped after {nodes - 1} nodes",
-                        checkpoint=_checkpoint(),
-                    )
-                if (
-                    time_limit is not None
-                    and nodes & _TIME_CHECK_MASK == 0
-                    and time.monotonic() - started > time_limit
-                ):
-                    frame[1] = pos
-                    raise BudgetExceeded(
-                        f"enumeration stopped after {time_limit} seconds",
-                        checkpoint=_checkpoint(),
-                    )
-                pos += 1
-                if filt is not None and counts[d] + 1 > filt[d]:
-                    continue
-                uncovered = (full & ~(covered | mask)).bit_count()
-                if size_limit is not None:
-                    need = (uncovered + theta_max - 1) // theta_max
-                    if taken + 1 + need > size_limit:
-                        continue
-                if capacity is not None and capacity - num_points(d, q) < uncovered:
-                    continue
-                frame[1] = pos
-                frame[2] = cid
-                covered |= mask
-                taken += 1
-                counts[d] += 1
-                if capacity is not None:
-                    capacity -= num_points(d, q)
-                if covered == full:
-                    if filt is None or all(
-                        counts[d] == c for d, c in filt.items()
-                    ):
-                        emitted += 1
-                        yield SubspacePartition(
-                            n, field, seed + [cands[f[2]][2] for f in frames]
-                        )
-                        if count_limit is not None and emitted >= count_limit:
-                            return
-                    moved = True
-                    break
-                low = (full & ~covered) & -(full & ~covered)
-                frames.append([low.bit_length() - 1, 0, None])
-                moved = True
-                break
-            if not moved:
-                frames.pop()
+        raise
     finally:
-        if stats is not None:
-            stats["nodes"] = stats.get("nodes", 0) + nodes
+        covers.close()
 
 
 @dataclass(frozen=True)
@@ -343,74 +372,35 @@ def search_min_partition_size(
     field = make_field(q)
     if budget is None:
         budget = default_budget(ORACLE_NODE_BUDGET)
-    dims = list(range(t, 0, -1))
-    pi, cands, per_point = _prepare(n, field, dims)
+    pi, cands, per_point = _prepare(n, field, range(t, 0, -1))
     full = pi.full_mask
-    theta_t = num_points(t, q)
-
     root = _canonical_subspace(n, field, t)
-    root_mask = pi.mask_of(root)
-    covered = root_mask
-    taken = 1
-    best = None
-    best_members = None
-    nodes = 0
-    started = time.monotonic()
-    low = (full & ~covered) & -(full & ~covered)
-    frames = [[low.bit_length() - 1, 0, None]]
-    while frames:
-        frame = frames[-1]
-        if frame[2] is not None:
-            covered &= ~cands[frame[2]][0]
-            taken -= 1
-            frame[2] = None
-        plist = per_point[frame[0]]
-        pos = frame[1]
-        moved = False
-        while pos < len(plist):
-            cid = plist[pos]
-            mask, d, _ = cands[cid]
-            pos += 1
-            if mask & covered:
-                continue
-            nodes += 1
-            if nodes > budget or (
-                time_limit is not None
-                and nodes & _TIME_CHECK_MASK == 0
-                and time.monotonic() - started > time_limit
-            ):
-                raise BudgetExceeded(
-                    f"minimum-size search stopped after {nodes} nodes",
-                    checkpoint={
-                        "version": CHECKPOINT_VERSION,
-                        "kind": "min-size-search",
-                        "options": {"n": n, "t": t, "q": q},
-                        "state": {"best": best, "nodes": nodes},
-                    },
-                )
-            new_covered = covered | mask
-            uncovered = (full & ~new_covered).bit_count()
-            if best is not None:
-                bound = taken + 1 + (uncovered + theta_t - 1) // theta_t
-                if bound >= best:
-                    continue
-            frame[1] = pos
-            frame[2] = cid
-            covered = new_covered
-            taken += 1
-            if covered == full:
-                if best is None or taken < best:
-                    best = taken
-                    best_members = [root] + [cands[f[2]][2] for f in frames]
-                moved = True
-                break
-            rest = (full & ~covered) & -(full & ~covered)
-            frames.append([rest.bit_length() - 1, 0, None])
-            moved = True
+    covered = pi.mask_of(root)
+    stats = {}
+    covers = _exact_cover(
+        cands,
+        per_point,
+        full,
+        [[_least_point(full & ~covered), 0, None]],
+        covered,
+        1,
+        budget=budget,
+        time_limit=time_limit,
+        stats=stats,
+        theta_max=num_points(t, q),
+    )
+    # Every cover found is smaller than the last: the engine prunes to
+    # one member fewer after each.
+    chosen = next(covers)
+    while True:
+        members = [root] + [cands[cid][2] for cid in chosen]
+        try:
+            chosen = covers.send(len(members) - 1)
+        except StopIteration:
             break
-        if not moved:
-            frames.pop()
-    return SearchResult(best, SubspacePartition(n, field, best_members), nodes)
+    return SearchResult(
+        len(members), SubspacePartition(n, field, members), stats["nodes"]
+    )
 
 
 @dataclass(frozen=True)
@@ -495,21 +485,34 @@ def check_no_minimum_supertail(
     if budget is None:
         budget = default_budget(ORACLE_NODE_BUDGET)
     counters = {"nodes": 0}
+    started = time.monotonic()
+
+    def stream(max_dim, **options):
+        """One inner enumeration, limited to the budget and time left.
+        Most streams stop long before the engine's first clock read, so
+        the clock is also read here."""
+        time_left = None
+        if time_limit is not None:
+            time_left = time_limit - (time.monotonic() - started)
+            if time_left < 0:
+                raise BudgetExceeded(
+                    f"search stopped after {time_limit} seconds"
+                )
+        return enumerate_partitions(
+            n,
+            q,
+            max_dim,
+            budget=budget - counters["nodes"],
+            time_limit=time_left,
+            point_limit=point_limit,
+            stats=counters,
+            **options,
+        )
+
     type_hits = 0
     candidates = _tail_type_candidates(n, cut, q)
     for ptype in candidates:
-        stream = enumerate_partitions(
-            n,
-            q,
-            cut,
-            type_filter=ptype,
-            count_limit=1,
-            budget=budget,
-            time_limit=time_limit,
-            point_limit=point_limit,
-            stats=counters,
-        )
-        for _ in stream:
+        for _ in stream(cut, type_filter=ptype, count_limit=1):
             type_hits += 1
 
     max_tail_dim = min(cut - 1, n - cut)
@@ -522,17 +525,7 @@ def check_no_minimum_supertail(
         limit = 1 + max(targets)
         field = make_field(q)
         for M in all_subspaces(n, cut, field):
-            for P in enumerate_partitions(
-                n,
-                q,
-                max_tail_dim,
-                size_limit=limit,
-                seed=[M],
-                budget=budget,
-                time_limit=time_limit,
-                point_limit=point_limit,
-                stats=counters,
-            ):
+            for P in stream(max_tail_dim, size_limit=limit, seed=[M]):
                 sweep_partitions += 1
                 st = supertail(P, cut)
                 if st.size == min_partition_size(cut, st.top_dim, q):

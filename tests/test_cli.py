@@ -1,4 +1,6 @@
 """The command line surface, driven through main(argv)."""
+import json
+
 import pytest
 
 import vspart.cli as cli
@@ -79,6 +81,15 @@ def test_verify_missing_and_malformed_file(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_verify_malformed_members_entry(tmp_path, capsys):
+    doc = {"format": "vspart-partition", "version": 1, "n": 2, "q": 2,
+           "p": 2, "e": 1, "modulus": None, "members": [5]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_flags_invalid_partition(tmp_path, capsys):
@@ -222,7 +233,7 @@ def test_constructed_files_verify_with_all_identities(tmp_path, capsys):
         "construct", "minimal", "--n", "5", "--q", "2", "--t", "3",
         "--out", str(out),
     ]) == 0
-    assert main(["verify", str(out), "--all-identities", "--threads", "2"]) == 0
+    assert main(["verify", str(out), "--all-identities"]) == 0
     capsys.readouterr()
 
 

@@ -83,12 +83,6 @@ def test_histogram_frozen_values():
     assert hs.as_dict() == {(1,): 15}
 
 
-def test_histogram_threaded_equals_serial():
-    P = tailed_v6()
-    assert histogram(P, threads=2) == histogram(P, threads=1)
-    assert verify_incidence_identities(P, threads=2).ok
-
-
 def test_incidence_identities_on_corpus():
     for P in (spread(4, 2, F2), near_spread_v3(), tailed_v6(),
               minimal_partition(7, 3, F2), spread(4, 2, make_field(3))):

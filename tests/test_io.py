@@ -174,6 +174,14 @@ def test_malformed_json_documents():
             partition_from_json(v)
 
 
+@pytest.mark.parametrize("members", [[5], "ab", [[["x"]]]])
+def test_malformed_members_entries(members):
+    doc = partition_to_json(spread(4, 2, make_field(2)))
+    doc["members"] = members
+    with pytest.raises(FileFormatError):
+        partition_from_json(doc)
+
+
 def test_read_partition_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ this is not json", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Exhaustive enumeration, minimum-size search, and the sweep oracles."""
 import json
+from itertools import islice
 
 import pytest
 
@@ -194,6 +195,10 @@ def test_enumerate_stats_accumulate():
     before = counters["nodes"]
     list(enumerate_partitions(3, 2, 2, stats=counters))
     assert counters["nodes"] == 2 * before
+    empty = {}
+    assert list(enumerate_partitions(3, 2, 2, type_filter={2: 2},
+                                     stats=empty)) == []
+    assert empty == {"nodes": 0}
 
 
 def test_search_min_small_cases():
@@ -207,12 +212,29 @@ def test_search_min_small_cases():
 
 
 def test_search_min_budget_payload():
+    """The minimum-size search cannot resume, so it carries no checkpoint."""
     with pytest.raises(BudgetExceeded) as info:
         search_min_partition_size(4, 2, 2, budget=10)
+    assert info.value.checkpoint is None
+
+
+def test_time_limit_stops_both_searches():
+    """The clock is read every 1024 nodes, so a zero time limit stops both
+    searches early; the enumeration still leaves a checkpoint that
+    resumes the stream where it stopped."""
+    with pytest.raises(BudgetExceeded):
+        search_min_partition_size(5, 2, 2, time_limit=0)
+    collected = []
+    with pytest.raises(BudgetExceeded) as info:
+        for P in enumerate_partitions(5, 2, 4, time_limit=0):
+            collected.append(P)
     ck = info.value.checkpoint
-    assert ck["kind"] == "min-size-search"
-    assert ck["options"] == {"n": 4, "t": 2, "q": 2}
-    assert ck["state"]["nodes"] >= 10
+    assert ck["kind"] == "partition-enumeration"
+    assert ck["state"]["nodes_done"] == 1024
+    want = len(collected) + 20
+    rest = enumerate_partitions(5, 2, 4, resume=ck)
+    collected += islice(rest, want - len(collected))
+    assert collected == list(islice(enumerate_partitions(5, 2, 4), want))
 
 
 def test_search_min_range_and_guard():
@@ -231,6 +253,16 @@ def test_impossibility_v52_cut3():
     assert rep.type_hits == 0
     assert rep.sweep_hits == 0
     assert rep.nodes > 0
+
+
+def test_impossibility_budget_covers_the_whole_call():
+    """The budget bounds the nodes of all inner streams together."""
+    rep = check_no_minimum_supertail(5, 3, 2)
+    with pytest.raises(BudgetExceeded):
+        check_no_minimum_supertail(5, 3, 2, budget=rep.nodes - 1)
+    assert check_no_minimum_supertail(5, 3, 2, budget=rep.nodes) == rep
+    with pytest.raises(BudgetExceeded):
+        check_no_minimum_supertail(5, 3, 2, time_limit=0)
 
 
 def test_impossibility_guards():
