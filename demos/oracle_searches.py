@@ -44,13 +44,16 @@ for n, t, q in [(4, 2, 2), (5, 3, 2), (3, 2, 3)]:
     assert res.size == formula
     assert validate(res.partition).ok
 
-# impossibility, certified two ways: no type solves the point count, and
-# the seeded sweep over all 3-subspaces finds no minimum tail either
+# impossibility: in V(5,2) the one member of dimension m >= 3 leaves
+# 2^m * theta(5-m) points to tail members of at most theta(5-m) points
+# each, so the tail has at least 2^m >= 8 members, more than
+# sigma(3, t) <= theta(3) = 7; the seeded sweep over all 3-subspaces
+# checks this by brute force and finds no partition at all
 report = check_no_minimum_supertail(5, 3, 2)
-print(f"V(5,2) cut 3: candidate types {len(report.candidate_types)}, "
-      f"sweep partitions {report.sweep_partitions}, "
+print(f"V(5,2) cut 3: sweep partitions {report.sweep_partitions}, "
       f"confirmed {report.confirmed}")
 assert report.confirmed
+assert report.sweep_partitions == 0
 
 # the conjecture sweep: every supertail of every partition of V(4,2),
 # classified; the narrow-gap open regime needs n >= 5 so it stays empty

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .enumeration import recognize_subspace
 from .errors import (
     EmptySupertail,
     HypothesisNotMet,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .hstats import beta_stats
 from .partitions import min_partition_size, supertail
-from .spaces import point_index
+from .spaces import num_points, point_index, span
 
 
 class TailClass(str, Enum):
@@ -76,17 +75,19 @@ def union_structure(members, n, field):
         if acc & mask:
             raise NotDisjoint("members share a point")
         acc |= mask
-    pts = set()
-    for m in members:
-        pts.update(m.points())
-    union = recognize_subspace(pts, n, field)
+    q = field.q
+    point_count = acc.bit_count()
+    # The span of the members holds every member, so the union is that
+    # span exactly when the two have the same number of points.
+    union = span([row for m in members for row in m.basis], n, field)
+    if num_points(union.dim, q) != point_count:
+        union = None
     counts = Counter(m.dim for m in members)
     dims = sorted(counts)
-    q = field.q
     detail = {
         "dims": tuple(dims),
         "counts": tuple(counts[d] for d in dims),
-        "point_count": len(pts),
+        "point_count": point_count,
         "union_dim": None if union is None else union.dim,
     }
     if union is None:

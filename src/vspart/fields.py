@@ -285,14 +285,15 @@ _FIELD_CACHE: dict = {}
 def make_field(q):
     """Return the cached GF(q) for a prime power q up to MAX_FIELD_ORDER.
 
-    Raises NotPrimePower for composite non-prime-power orders and
-    UnsupportedField for prime powers above the supported maximum.
+    Raises UnsupportedField for any order above the supported maximum,
+    checked before any arithmetic on q, and NotPrimePower for the other
+    orders that are not prime powers.
     """
-    p, e = _prime_power(q)
     if q > MAX_FIELD_ORDER:
         raise UnsupportedField(
             f"GF({q}) is above the supported maximum order {MAX_FIELD_ORDER}"
         )
+    p, e = _prime_power(q)
     if e == 1:
         key = ("p", p)
         if key not in _FIELD_CACHE:

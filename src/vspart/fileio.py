@@ -13,12 +13,16 @@ from __future__ import annotations
 import json
 
 from .errors import FileFormatError
-from .fields import extension_field, make_field
+from .fields import MAX_EXTENSION_ORDER, extension_field, make_field
 from .partitions import SubspacePartition
 from .spaces import span
 
 FORMAT_NAME = "vspart-partition"
 FORMAT_VERSION = 1
+# Readers refuse ambient spaces with more points than this: theta(4) over
+# GF(16), the largest space the package is meant to verify.  Bigger files
+# would start computations that do not finish.
+FILE_POINT_LIMIT = 4369
 
 
 def _field_header(field):
@@ -31,7 +35,12 @@ def _field_header(field):
 
 
 def _field_from_header(q, p, e, modulus):
-    if p < 2 or e < 1 or p**e != q:
+    # Bound q and e before computing p**e: p**e == q needs e < q.bit_length().
+    if not 2 <= q <= MAX_EXTENSION_ORDER:
+        raise FileFormatError(
+            f"field order {q} outside [2, {MAX_EXTENSION_ORDER}]"
+        )
+    if p < 2 or not 1 <= e < q.bit_length() or p**e != q:
         raise FileFormatError(f"inconsistent field header: q={q}, p={p}, e={e}")
     try:
         base = make_field(p)
@@ -50,6 +59,22 @@ def _field_from_header(q, p, e, modulus):
         raise
     except Exception as exc:
         raise FileFormatError(f"cannot reconstruct the field: {exc}")
+
+
+def _check_ambient(n, q):
+    """Reject an ambient dimension below 1 or a V(n,q) with more than
+    FILE_POINT_LIMIT points, counting points up one dimension at a time so
+    that a huge n costs no more than a few steps."""
+    if n < 1:
+        raise FileFormatError(f"bad ambient dimension {n}")
+    points = 0
+    for _ in range(n):
+        points = points * q + 1
+        if points > FILE_POINT_LIMIT:
+            raise FileFormatError(
+                f"V({n},{q}) has more than {FILE_POINT_LIMIT} points, "
+                f"the limit for partition files"
+            )
 
 
 def _member_codes(member):
@@ -94,11 +119,10 @@ def partition_from_json(doc):
         if modulus is not None:
             modulus = [int(c) for c in modulus]
         members = [[int(c) for c in m] for m in doc["members"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed partition document: {exc}")
     field = _field_from_header(q, p, e, modulus)
-    if n < 1:
-        raise FileFormatError(f"bad ambient dimension {n}")
+    _check_ambient(n, field.q)
     subs = [_member_from_codes(m, n, field) for m in members]
     if not subs:
         raise FileFormatError("partition document has no members")
@@ -157,8 +181,7 @@ def parse_partition(text):
             raise FileFormatError("modulus coefficients must be integers")
     field = _field_from_header(fields["q"], fields["p"], fields["e"], modulus)
     n = fields["n"]
-    if n < 1:
-        raise FileFormatError(f"bad ambient dimension {n}")
+    _check_ambient(n, field.q)
     subs = []
     for ln in lines:
         parts = ln.split()
@@ -189,12 +212,15 @@ def write_partition(P, path, form="text"):
 def read_partition(path):
     """Read a partition file, sniffing text versus JSON."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"partition file is not UTF-8 text: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also numbers too long to convert
             raise FileFormatError(f"invalid JSON partition file: {exc}")
         return partition_from_json(doc)
     return parse_partition(text)

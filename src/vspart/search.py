@@ -17,6 +17,11 @@ Both searches run on one backtracking engine, _exact_cover.  Budgets are
 node counts (and optional wall-clock limits) for the whole call, and
 running out raises BudgetExceeded.  Only enumerate_partitions attaches a
 checkpoint: a JSON-serializable frontier that it can resume from.
+
+check_no_minimum_supertail rests on a lemma, proved in its docstring:
+when n < 2*cut, a partition of V(n,q) has exactly one member of
+dimension >= cut, so its supertail at the cut has at least q^cut members,
+more than sigma_q(cut, t) <= theta(cut) allows.  Its sweep re-checks that.
 """
 from __future__ import annotations
 
@@ -405,6 +410,11 @@ def search_min_partition_size(
 
 @dataclass(frozen=True)
 class ImpossibilityReport:
+    """Tallies of check_no_minimum_supertail.  candidate_types is always
+    () and type_hits always 0: by the lemma proved there, no tail type can
+    meet the bound, so none is searched.  The fields stay for callers that
+    read them."""
+
     n: int
     cut: int
     q: int
@@ -419,40 +429,6 @@ class ImpossibilityReport:
         return self.type_hits == 0 and self.sweep_hits == 0
 
 
-def _tail_type_candidates(n, cut, q):
-    """Exact types a partition of V(n,q) with n < 2*cut could have while
-    carrying a minimum-size supertail at the cut: one member of dimension
-    cut (two cannot fit), plus a tail solving the point count exactly with
-    size sigma(cut, top dim)."""
-    rest = num_points(n, q) - num_points(cut, q)
-    out = []
-    for top in range(1, cut):
-        if top + cut > n:
-            continue
-        target = min_partition_size(cut, top, q)
-
-        def extend(d, left_count, left_points, counts):
-            if d == 0:
-                if left_count == 0 and left_points == 0 and counts[top] >= 1:
-                    out.append(
-                        PartitionType.of({cut: 1, **{
-                            dd: c for dd, c in counts.items() if c
-                        }})
-                    )
-                return
-            theta = num_points(d, q)
-            for c in range(left_count + 1):
-                pts = c * theta
-                if pts > left_points:
-                    break
-                counts[d] = c
-                extend(d - 1, left_count - c, left_points - pts, counts)
-            counts[d] = 0
-
-        extend(top, target, rest, dict.fromkeys(range(1, top + 1), 0))
-    return tuple(out)
-
-
 def check_no_minimum_supertail(
     n,
     cut,
@@ -462,18 +438,24 @@ def check_no_minimum_supertail(
     time_limit=None,
     point_limit=ORACLE_POINT_LIMIT,
 ):
-    """Exhaustively confirm that no partition of V(n,q), n < 2*cut, has a
-    minimum-size supertail at the cut.
+    """Confirm by exhaustive search that no partition of V(n,q) with
+    n < 2*cut has a supertail ST of minimum size sigma_q(cut, t) at the
+    cut, t being the top dimension of the tail.
 
-    Two independent passes.  First, every exact type that survives the
-    point-count and dimension constraints is searched directly.  Second, a
-    sweep uses the structure the regime forces: a partition in which the
-    cut occurs has exactly one member of dimension >= cut (two would
-    overfill n < 2*cut) and its other members have dimension at most
-    n - cut (disjointness), so enumerating extensions of every
-    cut-subspace by small members up to size 1 + max sigma(cut, top)
-    covers all candidates.  Either pass finding a partition refutes the
-    claim; the report carries both tallies.
+    Lemma: none exists.  The cut occurs, so some member M has dimension
+    m >= cut, and only one does: two disjoint ones would need 2*cut <= n.
+    Every other member is disjoint from M, so it has dimension at most
+    n - m < cut (it lies in ST) and at most theta(n-m) points, where
+    theta(k) = (q^k - 1)/(q - 1).  Covering the theta(n) - theta(m) =
+    q^m theta(n-m) points outside M therefore takes |ST| >= q^m >= q^cut
+    members.  But sigma_q(cut, t) <= theta(cut) <= q^cut - 1, because a
+    partition of V(cut,q) has at most one member per point.
+
+    The sweep checks the lemma by brute force: it extends every
+    cut-subspace by members of dimension at most min(cut-1, n-cut), up
+    to 1 + max_t sigma_q(cut, t) members in all, and tests each partition
+    found.  By the lemma it finds none, so sweep_partitions is 0.  The
+    budget and time limit cover the whole call.
     """
     if not 1 <= cut < n:
         raise BadRange(f"need 1 <= cut < n, got cut={cut}, n={n}")
@@ -486,35 +468,6 @@ def check_no_minimum_supertail(
         budget = default_budget(ORACLE_NODE_BUDGET)
     counters = {"nodes": 0}
     started = time.monotonic()
-
-    def stream(max_dim, **options):
-        """One inner enumeration, limited to the budget and time left.
-        Most streams stop long before the engine's first clock read, so
-        the clock is also read here."""
-        time_left = None
-        if time_limit is not None:
-            time_left = time_limit - (time.monotonic() - started)
-            if time_left < 0:
-                raise BudgetExceeded(
-                    f"search stopped after {time_limit} seconds"
-                )
-        return enumerate_partitions(
-            n,
-            q,
-            max_dim,
-            budget=budget - counters["nodes"],
-            time_limit=time_left,
-            point_limit=point_limit,
-            stats=counters,
-            **options,
-        )
-
-    type_hits = 0
-    candidates = _tail_type_candidates(n, cut, q)
-    for ptype in candidates:
-        for _ in stream(cut, type_filter=ptype, count_limit=1):
-            type_hits += 1
-
     max_tail_dim = min(cut - 1, n - cut)
     targets = [
         min_partition_size(cut, top, q) for top in range(1, max_tail_dim + 1)
@@ -525,20 +478,32 @@ def check_no_minimum_supertail(
         limit = 1 + max(targets)
         field = make_field(q)
         for M in all_subspaces(n, cut, field):
-            for P in stream(max_tail_dim, size_limit=limit, seed=[M]):
+            # Most streams stop long before the engine's first clock read,
+            # so the clock is also read here.
+            time_left = None
+            if time_limit is not None:
+                time_left = time_limit - (time.monotonic() - started)
+                if time_left < 0:
+                    raise BudgetExceeded(
+                        f"search stopped after {time_limit} seconds"
+                    )
+            for P in enumerate_partitions(
+                n,
+                q,
+                max_tail_dim,
+                size_limit=limit,
+                budget=budget - counters["nodes"],
+                time_limit=time_left,
+                point_limit=point_limit,
+                stats=counters,
+                seed=[M],
+            ):
                 sweep_partitions += 1
                 st = supertail(P, cut)
                 if st.size == min_partition_size(cut, st.top_dim, q):
                     sweep_hits += 1
     return ImpossibilityReport(
-        n,
-        cut,
-        q,
-        candidates,
-        type_hits,
-        sweep_partitions,
-        sweep_hits,
-        counters["nodes"],
+        n, cut, q, (), 0, sweep_partitions, sweep_hits, counters["nodes"]
     )
 
 

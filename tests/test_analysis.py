@@ -13,7 +13,7 @@ from vspart.analysis import (
     union_structure,
 )
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
-from vspart.enumeration import all_subspaces
+from vspart.enumeration import all_subspaces, recognize_subspace
 from vspart.errors import (
     EmptySupertail,
     HypothesisNotMet,
@@ -21,7 +21,8 @@ from vspart.errors import (
     StructureViolation,
 )
 from vspart.fields import make_field
-from vspart.partitions import SubspacePartition
+from vspart.partitions import SubspacePartition, supertail
+from vspart.search import enumerate_partitions
 from vspart.spaces import point_index, span
 
 F2 = make_field(2)
@@ -74,6 +75,22 @@ def test_union_structure_degenerate_shapes():
     assert union is None
     assert cls is TailClass.NOT_SUBSPACE
     assert detail["union_dim"] is None
+
+
+def test_union_structure_agrees_with_recognize_subspace_on_census():
+    """On all 1170 supertails of the V(4,2) census, the union decided from
+    the members' bases and point masks is the subspace (or None) that
+    recognize_subspace finds from the point set."""
+    tails = 0
+    for P in enumerate_partitions(4, 2, 3):
+        for cut in P.dims()[1:]:
+            members = supertail(P, cut).members
+            union, _, detail = union_structure(members, 4, F2)
+            pts = {v for m in members for v in m.points()}
+            assert union == recognize_subspace(pts, 4, F2)
+            assert detail["point_count"] == len(pts)
+            tails += 1
+    assert tails == 1170
 
 
 def test_union_structure_errors():

@@ -1,5 +1,6 @@
 """The command line surface, driven through main(argv)."""
 import json
+import time
 
 import pytest
 
@@ -8,8 +9,15 @@ from vspart.cli import main
 from vspart.constructions import beutelspacher, refine, spread
 from vspart.errors import BudgetExceeded
 from vspart.fields import make_field
-from vspart.fileio import read_partition, write_partition
+from vspart.fileio import (
+    format_partition,
+    partition_to_json,
+    read_partition,
+    write_partition,
+)
+from vspart.partitions import SubspacePartition
 from vspart.search import SearchResult, search_min_partition_size
+from vspart.spaces import full_space
 
 
 def test_construct_and_verify_spread(tmp_path, capsys):
@@ -90,6 +98,35 @@ def test_verify_malformed_members_entry(tmp_path, capsys):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_inputs_exit_at_once(tmp_path, capsys):
+    """A huge field order or extension degree and an ambient space above
+    the file point limit are refused before any work that grows with them:
+    exit 3 for the construct flag, exit 2 for files."""
+    started = time.monotonic()
+    assert main([
+        "construct", "spread", "--n", "2", "--t", "1", "--q", "1000000007",
+        "--out", str(tmp_path / "never.vspart"),
+    ]) == 3
+    good = format_partition(spread(4, 2, make_field(2)))
+    files = {
+        "big_q.vspart": good.replace("q 2", "q 1000000007").replace(
+            "p 2", "p 1000000007"
+        ),
+        "big_e.vspart": good.replace("e 1", "e 1000000000"),
+        "big_n.vspart": good.replace("n 4", "n 1000000000"),
+    }
+    F2 = make_field(2)
+    doc = partition_to_json(SubspacePartition(30, F2, [full_space(30, F2)]))
+    files["n30.json"] = json.dumps(doc)
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert main(["analyze", str(path), "--cut", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert time.monotonic() - started < 5
 
 
 def test_verify_flags_invalid_partition(tmp_path, capsys):

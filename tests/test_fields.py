@@ -144,6 +144,13 @@ def test_bad_orders_rejected():
         make_field(1)
     with pytest.raises(UnsupportedField):
         make_field(32)
+    # the range is checked before any arithmetic on q
+    with pytest.raises(UnsupportedField):
+        make_field(18)
+    with pytest.raises(UnsupportedField):
+        make_field(1000000007)
+    with pytest.raises(UnsupportedField):
+        make_field(10**100 + 267)
 
 
 def test_reducible_modulus_rejected():

@@ -1,12 +1,16 @@
 """Partition files: both encodings, sniffing, and malformed input."""
 import json
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vspart.constructions import beutelspacher, refine, spread
 from vspart.errors import FileFormatError
 from vspart.fields import extension_field, make_field
 from vspart.fileio import (
+    FILE_POINT_LIMIT,
     format_partition,
     parse_partition,
     partition_from_json,
@@ -14,6 +18,8 @@ from vspart.fileio import (
     read_partition,
     write_partition,
 )
+from vspart.partitions import SubspacePartition
+from vspart.spaces import full_space, num_points
 
 
 def corpus():
@@ -96,6 +102,11 @@ def test_malformed_text_inputs():
         good.replace(
             "vspart-partition 1\nn 4", "vspart-partition 1\nn 3"
         ),                                         # wrong row width
+        good.replace("q 2", "q 1000000007").replace(
+            "p 2", "p 1000000007"
+        ),                                         # prime field too large
+        good.replace("e 1", "e 1000000000"),       # huge extension degree
+        good.replace("n 4", "n 1000000000"),       # huge ambient dimension
     ]
     for text in cases:
         with pytest.raises(FileFormatError):
@@ -168,6 +179,15 @@ def test_malformed_json_documents():
     v = dict(doc)
     v["n"] = 0
     variants.append(v)
+    v = dict(doc)
+    v["q"] = v["p"] = 1000000007
+    variants.append(v)
+    v = dict(doc)
+    v["e"] = 1000000000
+    variants.append(v)
+    v = dict(doc)
+    v["n"] = 1000000000
+    variants.append(v)
     variants.append(["not", "an", "object"])
     for v in variants:
         with pytest.raises(FileFormatError):
@@ -187,3 +207,156 @@ def test_read_partition_bad_json(tmp_path):
     path.write_text("{ this is not json", encoding="utf-8")
     with pytest.raises(FileFormatError):
         read_partition(path)
+
+
+def test_read_partition_undecodable_files(tmp_path):
+    """A JSON number too long to convert and bytes that are not UTF-8 are
+    format errors, not raw ValueErrors."""
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1' + "0" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(FileFormatError):
+        read_partition(path)
+    path = tmp_path / "binary.vspart"
+    path.write_bytes(b"vspart-partition 1\n\xff\xfe\n")
+    with pytest.raises(FileFormatError):
+        read_partition(path)
+
+
+def whole_space(n, q):
+    """The one-member partition {V(n,q)}: a valid file of any size."""
+    F = make_field(q)
+    return SubspacePartition(n, F, [full_space(n, F)])
+
+
+def test_point_limit_on_both_readers():
+    """Both readers accept V(12,2) (4095 points) and V(4,16) (4369) and
+    refuse any ambient space with more points than FILE_POINT_LIMIT."""
+    assert FILE_POINT_LIMIT == num_points(4, 16)
+    for n, q in [(12, 2), (4, 16)]:
+        P = whole_space(n, q)
+        assert parse_partition(format_partition(P)) == P
+        assert partition_from_json(partition_to_json(P)) == P
+    for n, q in [(13, 2), (5, 16), (30, 2)]:
+        P = whole_space(n, q)
+        with pytest.raises(FileFormatError, match="points"):
+            parse_partition(format_partition(P))
+        with pytest.raises(FileFormatError, match="points"):
+            partition_from_json(partition_to_json(P))
+
+
+# -- fuzzing: every input parses to a partition or raises FileFormatError ---
+
+HUGE = st.sampled_from([10**9, 1000000007, 2**64, 10**100, -(10**9)])
+INTS = st.one_of(st.integers(-2, 20), HUGE, st.integers())
+SEEDS = [spread(4, 2, make_field(2)), spread(2, 1, make_field(4)),
+         beutelspacher(3, 1, make_field(3))]
+
+
+class TooSlow(BaseException):
+    """Raised by the alarm; a BaseException, so that no handler for
+    ordinary errors inside the reader can turn it into a format error."""
+
+
+def _too_slow(signum, frame):
+    raise TooSlow("the reader ran for more than 5 seconds")
+
+
+def _accepts_or_rejects(read, payload):
+    """read(payload) returns a partition or raises FileFormatError, and
+    does so within 5 seconds."""
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        P = read(payload)
+    except FileFormatError:
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(P, SubspacePartition)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid file with one token replaced, one line dropped, or one
+    line added."""
+    lines = format_partition(draw(st.sampled_from(SEEDS))).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["token", "drop", "add"]))
+    if action == "token":
+        parts = lines[i].split()
+        j = draw(st.integers(0, len(parts) - 1))
+        parts[j] = draw(st.one_of(INTS.map(str), st.text(max_size=4)))
+        lines[i] = " ".join(parts)
+    elif action == "drop":
+        del lines[i]
+    else:
+        word = draw(st.sampled_from(["member", "modulus", "n", "q", "e"]))
+        codes = draw(st.lists(INTS, max_size=8))
+        lines.insert(i, " ".join([word] + [str(c) for c in codes]))
+    return "\n".join(lines)
+
+
+@st.composite
+def built_texts(draw):
+    """Headers from arbitrary integers, biased toward consistent fields."""
+    q, p, e = draw(st.one_of(
+        st.sampled_from([(2, 2, 1), (3, 3, 1), (4, 2, 2), (9, 3, 2)]),
+        st.tuples(INTS, INTS, INTS),
+        HUGE.map(lambda big: (big, big, 1)),
+        HUGE.map(lambda big: (2, 2, big)),
+    ))
+    n = draw(st.one_of(st.integers(1, 5), INTS))
+    lines = ["vspart-partition 1", f"n {n}", f"q {q}", f"p {p}", f"e {e}"]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-1, 9), max_size=4))
+        lines.append(" ".join(["modulus"] + [str(c) for c in coeffs]))
+    for codes in draw(st.lists(st.lists(st.integers(-1, 9), max_size=10),
+                               max_size=5)):
+        lines.append(" ".join(["member"] + [str(c) for c in codes]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_texts(), built_texts(), st.text(max_size=40)))
+def test_fuzz_parse_partition(text):
+    _accepts_or_rejects(parse_partition, text)
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+# JSON numbers and strings that int() treats in special ways
+ODD_SCALARS = st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), 1e300, 2.5, "7", " 3 ", True]
+)
+DOC_KEYS = ["format", "version", "n", "q", "p", "e", "modulus", "members"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one entry replaced, dropped, or one member
+    code changed."""
+    doc = partition_to_json(draw(st.sampled_from(SEEDS)))
+    key = draw(st.sampled_from(DOC_KEYS))
+    action = draw(st.sampled_from(["replace", "drop", "code"]))
+    if action == "replace":
+        doc[key] = draw(st.one_of(INTS, ODD_SCALARS, JSON_VALUES))
+    elif action == "drop":
+        del doc[key]
+    else:
+        member = doc["members"][draw(st.integers(0, len(doc["members"]) - 1))]
+        member[draw(st.integers(0, len(member) - 1))] = draw(INTS)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_documents(), JSON_VALUES))
+def test_fuzz_partition_from_json(doc):
+    _accepts_or_rejects(partition_from_json, doc)
