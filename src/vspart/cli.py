@@ -153,6 +153,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_sigma(args):
+    make_field(args.q)
     formula = min_partition_size(args.n, args.t, args.q)
     print(f"sigma({args.n},{args.t};q={args.q}) = {formula}")
     if not args.oracle:

@@ -15,7 +15,7 @@ import json
 from .errors import FileFormatError
 from .fields import MAX_EXTENSION_ORDER, extension_field, make_field
 from .partitions import SubspacePartition
-from .spaces import span
+from .spaces import points_exceed, span
 
 FORMAT_NAME = "vspart-partition"
 FORMAT_VERSION = 1
@@ -63,18 +63,14 @@ def _field_from_header(q, p, e, modulus):
 
 def _check_ambient(n, q):
     """Reject an ambient dimension below 1 or a V(n,q) with more than
-    FILE_POINT_LIMIT points, counting points up one dimension at a time so
-    that a huge n costs no more than a few steps."""
+    FILE_POINT_LIMIT points."""
     if n < 1:
         raise FileFormatError(f"bad ambient dimension {n}")
-    points = 0
-    for _ in range(n):
-        points = points * q + 1
-        if points > FILE_POINT_LIMIT:
-            raise FileFormatError(
-                f"V({n},{q}) has more than {FILE_POINT_LIMIT} points, "
-                f"the limit for partition files"
-            )
+    if points_exceed(n, q, FILE_POINT_LIMIT):
+        raise FileFormatError(
+            f"V({n},{q}) has more than {FILE_POINT_LIMIT} points, "
+            f"the limit for partition files"
+        )
 
 
 def _member_codes(member):

@@ -6,6 +6,16 @@ in H.  Summing profile data over all hyperplanes double-counts incidences
 in two ways, which yields a family of exact identities; these are the
 workhorse consistency checks of the whole package.
 
+Incidences are counted from the member side, by duality.  The hyperplane
+ker(a) contains a member U exactly when the functional a lies in U^perp,
+the nullspace of U's basis.  So the point mask of U^perp, taken in the
+point index of V(n, q), has bit i set exactly when the i-th hyperplane in
+canonical functional order (the order of all_hyperplanes) contains U.
+Building these masks visits sum_U theta(n - dim U) points, against
+theta(n) * theta(n - 1) for the point masks of all hyperplanes.  Each
+member builds its mask once and keeps it.  hyperplane_masks, the
+hyperplane-side path, is kept as the reference the tests compare against.
+
 Throughout, theta(j) denotes the number of points of a j-dimensional space,
 with theta(j) = 0 for j <= 0.
 """
@@ -15,7 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .enumeration import all_hyperplanes, hyperplanes_containing
+from .enumeration import (
+    all_hyperplanes,
+    hyperplane_functional,
+    hyperplanes_containing,
+)
 from .errors import (
     BadRange,
     EmptySupertail,
@@ -24,7 +38,7 @@ from .errors import (
     NotAHyperplane,
 )
 from .partitions import supertail
-from .spaces import num_points, point_index
+from .spaces import nullspace, num_points, point_index
 
 
 def _theta(j, q):
@@ -47,9 +61,30 @@ def hyperplane_masks(n, field):
     return _HYPERPLANE_MASKS[key]
 
 
-def _member_masks(P):
-    pi = point_index(P.n, P.field)
-    return [(m, pi.mask_of(m)) for m in P.members]
+def _dual_mask(U):
+    """Bit mask of the hyperplanes that contain U: the point mask of U^perp,
+    built once per member and kept in its _dual_mask slot."""
+    if U._dual_mask is None:
+        pi = point_index(U.n, U.field)
+        U._dual_mask = pi.mask_of(nullspace(U.basis, U.n, U.field))
+    return U._dual_mask
+
+
+def _hyperplane_counts(P, dims):
+    """For each d in dims, the list over hyperplanes (canonical order) of
+    the number of d-members each hyperplane contains."""
+    total = num_points(P.n, P.field.q)
+    counts = {d: [0] * total for d in dims}
+    for m in P.members:
+        col = counts.get(m.dim)
+        if col is None:
+            continue
+        mask = _dual_mask(m)
+        while mask:
+            low = mask & -mask
+            col[low.bit_length() - 1] += 1
+            mask ^= low
+    return [counts[d] for d in dims]
 
 
 @dataclass(frozen=True)
@@ -71,12 +106,11 @@ def profile(P, H):
         raise NotAHyperplane("hyperplane from a different ambient")
     if H.dim != P.n - 1:
         raise NotAHyperplane(f"dimension {H.dim} in ambient {P.n}")
-    pi = point_index(P.n, P.field)
-    hmask = pi.mask_of(H)
+    bit = 1 << point_index(P.n, P.field).index[hyperplane_functional(H)]
     dims = P.dims()
     counts = {d: 0 for d in dims}
     for m in P.members:
-        if pi.mask_of(m) & ~hmask == 0:
+        if _dual_mask(m) & bit:
             counts[m.dim] += 1
     return HyperplaneProfile(dims, tuple(counts[d] for d in dims))
 
@@ -97,18 +131,10 @@ class ProfileHistogram:
 
 def _profile_vectors(P):
     """Profile count vector for every hyperplane, in canonical order."""
-    dims = P.dims()
-    members = _member_masks(P)
-    pairs = hyperplane_masks(P.n, P.field)
-
-    def vec(hmask):
-        counts = {d: 0 for d in dims}
-        for m, mask in members:
-            if mask & ~hmask == 0:
-                counts[m.dim] += 1
-        return tuple(counts[d] for d in dims)
-
-    return [vec(h) for _, h in pairs]
+    cols = _hyperplane_counts(P, P.dims())
+    if not cols:
+        return [()] * num_points(P.n, P.field.q)
+    return list(zip(*cols))
 
 
 def histogram(P):
@@ -119,11 +145,8 @@ def histogram(P):
 
 def incidence_sums_via_members(P):
     """For each occurring dimension d, the total number of (H, U) incidences
-    with U a d-member inside hyperplane H, counted member side.
-
-    Independent path: iterates hyperplanes through each member instead of
-    members inside each hyperplane.
-    """
+    with U a d-member inside hyperplane H, counted member side by listing
+    the hyperplanes through each member."""
     sums = {}
     for m in P.members:
         sums[m.dim] = sums.get(m.dim, 0) + len(hyperplanes_containing(m))
@@ -170,6 +193,14 @@ def verify_incidence_identities(P):
     (4) sum_b b_d b_e s_b = n_d n_e theta(n - d - e) for d != e.
     Identities (2) to (4) are stated for 1 <= d, e <= n - 2; dimensions
     outside that window are reported as skipped.
+
+    Identity (2) counts the hyperplanes through each member, and any
+    d-subspace lies in exactly theta(n - d) hyperplanes, so it holds for
+    every member list: it checks the incidence counting code, not the
+    partition, as (1) checks only the number of hyperplanes; the tests
+    check that code against the hyperplane-side masks.  Identities (3) and
+    (4) count hyperplanes through pairs of members, which span dimension
+    d + e only when the two meet trivially, so they check the partition.
     """
     n, q = P.n, P.field.q
     hist = histogram(P)
@@ -379,13 +410,9 @@ def alpha_histogram(P, family_dim):
     n, q = P.n, P.field.q
     if family_dim not in P.dims():
         raise BadRange(f"no members of dimension {family_dim}")
-    pi = point_index(P.n, P.field)
-    fam = [pi.mask_of(m) for m in P.members_of_dim(family_dim)]
-    counter = Counter()
-    for _, hmask in hyperplane_masks(n, P.field):
-        inside = sum(1 for mask in fam if mask & ~hmask == 0)
-        counter[inside] += 1
-    alpha = tuple(sorted(counter.items()))
+    fam = P.members_of_dim(family_dim)
+    (inside,) = _hyperplane_counts(P, (family_dim,))
+    alpha = tuple(sorted(Counter(inside).items()))
     x = sum(i * c for i, c in alpha)
     y = sum(comb(i, 2) * c for i, c in alpha)
     z = sum(c for _, c in alpha)

@@ -160,6 +160,12 @@ def validate(P):
     return ValidationReport(ok, uncovered, tuple(doubly), trivial)
 
 
+# Largest n the closed form accepts.  With q <= 16, sigma_q(n, t) then has
+# at most about 1205 digits, inside Python's 4300-digit limit for turning an
+# integer into text, and computing it takes no measurable time.
+SIGMA_MAX_N = 1000
+
+
 @dataclass(frozen=True)
 class SigmaParams:
     """The decomposition n = k*t + r with 0 <= r < t used throughout."""
@@ -174,6 +180,8 @@ class SigmaParams:
     def of(n, t, q):
         if not 1 <= t < n:
             raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+        if n > SIGMA_MAX_N:
+            raise BadRange(f"n = {n} is above the limit {SIGMA_MAX_N}")
         if q < 2:
             raise BadRange(f"q must be at least 2, got {q}")
         k, r = divmod(n, t)

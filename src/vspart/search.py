@@ -39,7 +39,7 @@ from .partitions import (
     min_partition_size,
     supertail,
 )
-from .spaces import num_points, point_index, span
+from .spaces import num_points, point_index, points_exceed, span
 
 ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
@@ -47,13 +47,16 @@ CHECKPOINT_VERSION = 1
 _TIME_CHECK_MASK = 0x3FF
 
 
-def _check_point_limit(n, q, point_limit):
-    pts = num_points(n, q)
-    if pts > point_limit:
+def _checked_field(n, q, point_limit):
+    """GF(q), once q is a supported order and V(n,q) has at most
+    point_limit points."""
+    field = make_field(q)
+    if points_exceed(n, q, point_limit):
         raise BadRange(
-            f"V({n},{q}) has {pts} points, above the search limit "
-            f"{point_limit}; pass point_limit to override"
+            f"V({n},{q}) has more than {point_limit} points, the search "
+            f"limit; pass point_limit to override"
         )
+    return field
 
 
 def _prepare(n, field, dims):
@@ -227,10 +230,9 @@ def enumerate_partitions(
     """
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
-    _check_point_limit(n, q, point_limit)
+    field = _checked_field(n, q, point_limit)
     stats = {} if stats is None else stats
     stats.setdefault("nodes", 0)
-    field = make_field(q)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
         return
@@ -373,8 +375,7 @@ def search_min_partition_size(
     """
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
-    _check_point_limit(n, q, point_limit)
-    field = make_field(q)
+    field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = default_budget(ORACLE_NODE_BUDGET)
     pi, cands, per_point = _prepare(n, field, range(t, 0, -1))
@@ -463,7 +464,7 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
-    _check_point_limit(n, q, point_limit)
+    field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = default_budget(ORACLE_NODE_BUDGET)
     counters = {"nodes": 0}
@@ -476,7 +477,6 @@ def check_no_minimum_supertail(
     sweep_hits = 0
     if targets:
         limit = 1 + max(targets)
-        field = make_field(q)
         for M in all_subspaces(n, cut, field):
             # Most streams stop long before the engine's first clock read,
             # so the clock is also read here.
@@ -561,6 +561,7 @@ def conjecture_search(
     """
     if max_dim is None:
         max_dim = n - 1
+    _checked_field(n, q, point_limit)
     if cut_range is None:
         cut_range = range(2, n)
     cuts = tuple(cut_range)

@@ -23,6 +23,18 @@ def num_points(dim, q):
     return (q ** dim - 1) // (q - 1)
 
 
+def points_exceed(dim, q, limit):
+    """Whether a space of the given dimension over GF(q), q >= 2, has more
+    than limit points.  Points are counted up one dimension at a time, so a
+    huge dimension costs no more than about log_q(limit) steps."""
+    points = 0
+    for _ in range(dim):
+        points = points * q + 1
+        if points > limit:
+            return True
+    return False
+
+
 def dot(field, u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
@@ -68,13 +80,16 @@ class Subspace:
     that the rows passed in are already in reduced row echelon form.
     """
 
-    __slots__ = ("field", "n", "basis", "_points", "_pivots")
+    __slots__ = ("field", "n", "basis", "_points", "_pivots", "_dual_mask")
 
     def __init__(self, field, n, basis):
         self.field = field
         self.n = n
         self.basis = basis
         self._points = None
+        # Mask of the hyperplanes containing this subspace, filled in and
+        # read by hstats.
+        self._dual_mask = None
         self._pivots = tuple(
             next(i for i, x in enumerate(row) if x) for row in basis
         )

@@ -5,8 +5,9 @@ import time
 import pytest
 
 import vspart.cli as cli
+import vspart.hstats as hstats
 from vspart.cli import main
-from vspart.constructions import beutelspacher, refine, spread
+from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.errors import BudgetExceeded
 from vspart.fields import make_field
 from vspart.fileio import (
@@ -103,12 +104,27 @@ def test_verify_malformed_members_entry(tmp_path, capsys):
 def test_oversized_inputs_exit_at_once(tmp_path, capsys):
     """A huge field order or extension degree and an ambient space above
     the file point limit are refused before any work that grows with them:
-    exit 3 for the construct flag, exit 2 for files."""
+    exit 3 for flags, exit 2 for files.  sigma also refuses the orders the
+    package cannot build, and each flag case is refused within a second."""
     started = time.monotonic()
     assert main([
         "construct", "spread", "--n", "2", "--t", "1", "--q", "1000000007",
         "--out", str(tmp_path / "never.vspart"),
     ]) == 3
+    for argv in (
+        ["sigma", "--n", "5", "--t", "2", "--q", "6"],
+        ["sigma", "--n", "5", "--t", "2", "--q", "1000000007"],
+        ["sigma", "--n", "20000", "--t", "3", "--q", "2"],
+        ["sigma", "--n", "1000000000", "--t", "2", "--q", "3"],
+        ["search", "partitions", "--n", "100000000", "--q", "3"],
+        ["search", "conjecture", "--n", "100000000", "--q", "3"],
+        ["search", "partitions", "--n", "3", "--q", "1"],
+        ["search", "conjecture", "--n", "3", "--q", "1"],
+    ):
+        one = time.monotonic()
+        assert main(argv) == 3, argv
+        assert time.monotonic() - one < 1, argv
+    assert "sigma(" not in capsys.readouterr().out
     good = format_partition(spread(4, 2, make_field(2)))
     files = {
         "big_q.vspart": good.replace("q 2", "q 1000000007").replace(
@@ -127,6 +143,20 @@ def test_oversized_inputs_exit_at_once(tmp_path, capsys):
         assert main(["analyze", str(path), "--cut", "2"]) == 2
     assert "error:" in capsys.readouterr().err
     assert time.monotonic() - started < 5
+
+
+def test_verify_path_builds_no_hyperplane_masks(tmp_path, capsys):
+    """verify and analyze count incidences from the members' duals, so
+    they never build the point masks of the hyperplanes."""
+    path = tmp_path / "min73.vspart"
+    write_partition(minimal_partition(7, 3, make_field(2)), path)
+    hstats._HYPERPLANE_MASKS.clear()
+    assert main(["verify", "--all-identities", str(path)]) == 0
+    assert main([
+        "analyze", str(path), "--cut", "3", "--mode", "explore",
+    ]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert hstats._HYPERPLANE_MASKS == {}
 
 
 def test_verify_flags_invalid_partition(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Hyperplane incidence statistics: profiles, identities, beta and alpha."""
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes
@@ -11,9 +15,11 @@ from vspart.errors import (
 )
 from vspart.fields import make_field
 from vspart.hstats import (
+    _profile_vectors,
     alpha_histogram,
     beta_stats,
     histogram,
+    hyperplane_masks,
     incidence_sums_via_members,
     profile,
     supertail_quotient,
@@ -23,8 +29,8 @@ from vspart.hstats import (
     verify_moment_identities,
     verify_size_identity,
 )
-from vspart.partitions import SubspacePartition
-from vspart.spaces import full_space, num_points, span
+from vspart.partitions import SubspacePartition, validate
+from vspart.spaces import full_space, num_points, point_index, span
 
 F2 = make_field(2)
 
@@ -226,3 +232,87 @@ def test_tail_implication_checks():
     P = refine(spread(4, 2, F2), 0, spread(2, 1, F2))
     with pytest.raises(HypothesisNotMet):
         tail_implication_checks(P, 2)
+
+
+AMBIENTS = [(n, 2) for n in range(2, 7)] + [(2, 3), (3, 3), (4, 3), (3, 4)]
+
+
+def _replacements(d, field):
+    """Partitions of V(d, q) with at least two members, from the builders,
+    with the split into points last so that chains keep large members."""
+    out = [minimal_partition(d, t, field) for t in range(d - 1, 1, -1)]
+    out += [beutelspacher(d, k, field) for k in range(1, d // 2 + 1)]
+    out += [spread(d, t, field) for t in range(d - 1, 0, -1) if d % t == 0]
+    return out
+
+
+def _moved(Q, rows):
+    """Q under the linear map v -> v * rows, or Q itself when the rows are
+    singular."""
+    F, d = Q.field, Q.n
+    if span(rows, d, F).dim < d:
+        return Q
+    members = []
+    for U in Q.members:
+        images = []
+        for coeffs in U.basis:
+            v = [0] * d
+            for c, row in zip(coeffs, rows):
+                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+            images.append(tuple(v))
+        members.append(span(images, d, F))
+    return SubspacePartition(d, F, members)
+
+
+@st.composite
+def refined_partitions(draw):
+    """A partition of a small V(n, q) built from the one-member partition
+    {V} by a chain of refine calls, each splitting a member of dimension at
+    least 2 by a moved copy of a constructed partition of it."""
+    n, q = draw(st.sampled_from(AMBIENTS))
+    F = make_field(q)
+    P = SubspacePartition(n, F, [full_space(n, F)])
+    for _ in range(draw(st.integers(1, 4))):
+        splittable = [i for i, m in enumerate(P.members) if m.dim >= 2]
+        if not splittable:
+            break
+        index = draw(st.sampled_from(splittable))
+        d = P.members[index].dim
+        Q = draw(st.sampled_from(_replacements(d, F)))
+        entries = st.integers(0, q - 1)
+        rows = draw(st.lists(
+            st.tuples(*[entries] * d), min_size=d, max_size=d
+        ))
+        P = refine(P, index, _moved(Q, rows))
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=refined_partitions())
+def test_dual_counts_match_hyperplane_masks(P):
+    """Every count read from the members' dual masks equals the count of
+    members whose point mask lies inside each hyperplane's point mask."""
+    pi = point_index(P.n, P.field)
+    dims = P.dims()
+    members = [(m.dim, pi.mask_of(m)) for m in P.members]
+    pairs = hyperplane_masks(P.n, P.field)
+    reference = [
+        tuple(
+            sum(1 for dim, mask in members if dim == d and mask & ~hmask == 0)
+            for d in dims
+        )
+        for _, hmask in pairs
+    ]
+    assert validate(P).ok
+    assert _profile_vectors(P) == reference
+    h = histogram(P)
+    assert h.dims == dims
+    assert h.classes == tuple(sorted(Counter(reference).items()))
+    for i, d in enumerate(dims):
+        column = Counter(vec[i] for vec in reference)
+        assert alpha_histogram(P, d).alpha == tuple(sorted(column.items()))
+        assert verify_moment_identities(P, d).ok
+    for (H, _), vec in zip(pairs, reference):
+        assert profile(P, H).counts == vec
+    assert verify_incidence_identities(P).ok
+    assert verify_size_identity(P).ok
