@@ -7,11 +7,22 @@ avoid everything chosen so far.  Because the branch point is a function of
 the covered set, every partition is reached along exactly one path, so the
 enumeration emits each labeled partition once without a deduplication pass.
 
-The minimum-size search additionally fixes its first member to a canonical
-t-subspace through the least point.  The linear group is transitive on
-pairs (subspace, contained point), so any partition whose largest dimension
-is t has an image of the same size containing that canonical member, which
-makes the seeding sound for size queries (it is NOT sound for counting).
+A size limit prunes by a lookahead bound, stated and proved in
+_exact_cover: points that no still-disjoint candidate of the top
+dimension D contains must be covered by members of dimension below D,
+which cover fewer points.  The bound uses theta(k) = (q^k - 1)/(q - 1)
+only, never the closed formula for sigma, and it only cuts branches that
+hold no partition within the limit, so size-limited streams are the
+unbounded ones filtered on size, in the same order.
+
+The minimum-size search additionally pins its first two choices, which
+is sound for size queries (it is NOT sound for counting).  The linear
+group is transitive on t-subspaces, so any partition whose largest
+dimension is t has an image of the same size containing the canonical
+t-subspace L0.  The stabiliser of L0 and the least point p1 outside it is
+transitive on the t-subspaces through p1 that meet L0 trivially, so the
+member through p1 can be taken to be the first such candidate whenever
+it has dimension t (proof in search_min_partition_size).
 
 Both searches run on one backtracking engine, _exact_cover.  Budgets are
 node counts (and optional wall-clock limits) for the whole call, and
@@ -28,6 +39,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .analysis import analyze_supertail, TailClass
 from .enumeration import all_subspaces, default_budget
@@ -59,23 +71,65 @@ def _checked_field(n, q, point_limit):
     return field
 
 
-def _prepare(n, field, dims):
-    """Candidate subspaces of the given dimensions as point bitmasks,
-    plus per-point lists of candidate ids (dims in the order given,
-    lexicographic within a dimension)."""
-    pi = point_index(n, field)
-    cands = []
-    for d in dims:
-        for U in all_subspaces(n, d, field):
-            cands.append((pi.mask_of(U), d, U))
-    per_point = [[] for _ in pi.reps]
-    for cid, (mask, _, _) in enumerate(cands):
-        m = mask
-        while m:
-            low = m & -m
-            per_point[low.bit_length() - 1].append(cid)
-            m ^= low
-    return pi, cands, per_point
+class _Candidates:
+    """Candidate subspaces of the given dimensions as point bitmasks, plus
+    per-point lists of candidate ids (dims in the order given,
+    lexicographic within a dimension).
+
+    The lookahead tables describe the candidates of the largest
+    dimension D, the top candidates, as bitmasks over their ids counted
+    from the first of them: through[p] holds those containing point p
+    and clash[c] those meeting candidate c.  They are built on first
+    use, since only size-limited searches read them.
+    """
+
+    def __init__(self, n, field, dims):
+        self.pi = point_index(n, field)
+        self.cands = []
+        for d in dims:
+            for U in all_subspaces(n, d, field):
+                self.cands.append((self.pi.mask_of(U), d, U))
+        self.per_point = [[] for _ in self.pi.reps]
+        for cid, (mask, _, _) in enumerate(self.cands):
+            for p in _bits(mask):
+                self.per_point[p].append(cid)
+        top = max(dims)
+        self.theta_top = num_points(top, field.q)
+        self.theta_below = num_points(top - 1, field.q)
+        self._top_ids = [
+            cid for cid, (_, d, _) in enumerate(self.cands) if d == top
+        ]
+
+    @cached_property
+    def through(self):
+        through = [0] * len(self.per_point)
+        for bit, cid in enumerate(self._top_ids):
+            for p in _bits(self.cands[cid][0]):
+                through[p] |= 1 << bit
+        return through
+
+    @cached_property
+    def clash(self):
+        return [self._meeting(mask) for mask, _, _ in self.cands]
+
+    def _meeting(self, mask):
+        """The top candidates that meet the point set mask."""
+        met = 0
+        for p in _bits(mask):
+            met |= self.through[p]
+        return met
+
+    def live(self, covered):
+        """The top candidates disjoint from the point set covered."""
+        return ((1 << len(self._top_ids)) - 1) & ~self._meeting(covered)
+
+
+def _bits(mask):
+    """Positions of the set bits of mask, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _canonical_subspace(n, field, d):
@@ -117,23 +171,52 @@ def load_checkpoint(path):
     return data
 
 
-def _exact_cover(cands, per_point, full, frames, covered, taken, *, budget,
-                 time_limit, stats, theta_max, size_limit=None, filt=None,
-                 counts=None):
+def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
+                 stats, size_limit=None, filt=None, counts=None):
     """Backtrack from the frames stack, yielding at every exact cover of
-    full that extends covered (taken members so far).
+    the space that extends covered (taken members so far) by candidates
+    of tables, a _Candidates.
 
     A frame is [point, next position in per_point[point], chosen candidate
     id or None]; each yield is the list of chosen ids, frame by frame.
+    With filt, counts (dimension to members taken) caps each dimension at
+    filt[dimension].  Every disjoint extension attempt is a node, added
+    to stats["nodes"]; past budget nodes, or time_limit seconds (read
+    every 1024 nodes), BudgetExceeded is raised with the top frame
+    positioned to retry that attempt, so frames stays a resumable
+    frontier.
+
     size_limit prunes extensions that cannot finish within that many
-    members of at most theta_max points, and the consumer may send() a
-    tighter limit back after a cover.  With filt, counts (dimension to
-    members taken) caps each dimension at filt[dimension].  Every
-    disjoint extension attempt is a node, added to stats["nodes"]; past
-    budget nodes, or time_limit seconds (read every 1024 nodes),
-    BudgetExceeded is raised with the top frame positioned to retry that
-    attempt, so frames stays a resumable frontier.
+    members, and the consumer may then send() a tighter limit back after
+    a cover.  Let D be the top dimension, u the points left uncovered by
+    the extension, and F those of them on no live top candidate (live:
+    disjoint from everything covered).  Every member still to come has at
+    most theta(D) points, and the members covering F have dimension below
+    D, so at most theta(D-1) points each: at least x = ceil(|F| /
+    theta(D-1)) of them.  s such members and l others need s*theta(D-1)
+    + l*theta(D) >= u, so s + l >= x + ceil(max(0, u - x*theta(D-1)) /
+    theta(D)), and the extension is pruned when taken + 1 + that exceeds
+    size_limit.  The bound only cuts branches that hold no cover within
+    the limit, so the covers yielded and their order do not depend on
+    it.  To keep F cheap, each frame then carries a fourth entry: the
+    live top candidates before its choice.
     """
+    cands = tables.cands
+    per_point = tables.per_point
+    full = tables.pi.full_mask
+    theta_top = tables.theta_top
+    theta_below = tables.theta_below
+    if size_limit is not None:
+        through = tables.through
+        clash = tables.clash
+        base = covered
+        for frame in frames:
+            if frame[2] is not None:
+                base &= ~cands[frame[2]][0]
+        for frame in frames:
+            frame[3:] = [tables.live(base)]
+            if frame[2] is not None:
+                base |= cands[frame[2]][0]
     nodes = 0
     started = time.monotonic()
     try:
@@ -169,25 +252,41 @@ def _exact_cover(cands, per_point, full, frames, covered, taken, *, budget,
                 pos += 1
                 if filt is not None and counts[d] == filt[d]:
                     continue
-                new_covered = covered | mask
+                rest = full & ~(covered | mask)
+                live = None
                 if size_limit is not None:
-                    uncovered = (full & ~new_covered).bit_count()
-                    need = (uncovered + theta_max - 1) // theta_max
-                    if taken + 1 + need > size_limit:
+                    uncovered = rest.bit_count()
+                    spare = size_limit - taken - 1
+                    if -(-uncovered // theta_top) > spare:
                         continue
+                    live = frame[3] & ~clash[cid]
+                    if theta_below:
+                        stranded = 0
+                        r = rest
+                        while r:
+                            low = r & -r
+                            if not through[low.bit_length() - 1] & live:
+                                stranded += 1
+                            r ^= low
+                        if stranded:
+                            small = -(-stranded // theta_below)
+                            left = uncovered - small * theta_below
+                            if small + max(0, -(-left // theta_top)) > spare:
+                                continue
                 frame[1] = pos
                 frame[2] = cid
-                covered = new_covered
+                covered |= mask
                 taken += 1
                 if filt is not None:
                     counts[d] += 1
-                if covered == full:
+                if not rest:
                     tighter = yield [f[2] for f in frames]
                     if tighter is not None:
                         size_limit = tighter
                     break
-                rest = full & ~covered
-                frames.append([(rest & -rest).bit_length() - 1, 0, None])
+                frames.append(
+                    [(rest & -rest).bit_length() - 1, 0, None, live]
+                )
                 break
             else:
                 frames.pop()
@@ -241,7 +340,8 @@ def enumerate_partitions(
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
     if not dims:
         return
-    pi, cands, per_point = _prepare(n, field, dims)
+    tables = _Candidates(n, field, dims)
+    pi, cands, per_point = tables.pi, tables.cands, tables.per_point
     full = pi.full_mask
 
     options = {
@@ -310,16 +410,13 @@ def enumerate_partitions(
 
     nodes_before = stats["nodes"]
     covers = _exact_cover(
-        cands,
-        per_point,
-        full,
+        tables,
         frames,
         covered,
         taken,
         budget=budget,
         time_limit=time_limit,
         stats=stats,
-        theta_max=max(num_points(d, q) for d in dims),
         size_limit=size_limit,
         filt=filt,
         counts=counts,
@@ -367,33 +464,64 @@ def search_min_partition_size(
     """Minimum size of a partition of V(n,q) whose largest member has
     dimension exactly t, by seeded branch and bound.
 
-    The first member is pinned to the canonical t-subspace through the
-    least point (sound for the minimum by transitivity of the linear group
-    on (subspace, point) pairs); afterwards the search branches on the
-    least uncovered point with candidates of dimension at most t, larger
-    dimensions first, pruning on size + ceil(uncovered / theta(t)).
+    The first member is pinned to L0, the canonical t-subspace (sound
+    for the minimum since GL(n,q) is transitive on t-subspaces).  The
+    search then branches on the least uncovered point with candidates of
+    dimension at most t, larger dimensions first.  After each cover it
+    asks for one member fewer, pruning by the lookahead bound of
+    _exact_cover: with theta(k) points in a k-subspace, points on no
+    live t-candidate need members of at most theta(t-1) points.
+
+    The second member is pinned too.  Let p1 be the least point outside
+    L0, the first branch point.  Of the t-dimensional candidates through
+    p1 only the first one disjoint from L0, K, is kept; smaller ones all
+    stay.  Claim: the stabiliser G of L0 and p1 = <v1> in GL(n,q) is
+    transitive on the t-subspaces M through p1 with M meet L0 = 0.  So a
+    partition containing L0 whose member through p1 has dimension t has
+    an image under G, of the same size and type, containing L0 and K.
+
+    Proof.  Fix a complement C of L0 containing v1, and let pi: V -> C
+    be the projection along L0.  As M meets L0 trivially, pi is
+    injective on M, so M is the graph {w + f(w) : w in W} of a linear map
+    f: W -> L0, where W = pi(M) is a t-subspace of C; and f(v1) = 0,
+    since v1 is in M and in C.  Extend f to a linear F: C -> L0 with
+    F(v1) = 0 and let u(c + l) = c + l - F(c) for c in C, l in L0.  The
+    unipotent u fixes L0 pointwise and v1, and maps M onto W.  For a
+    second such M', with W' = pi(M'), some g in GL(C) fixes v1 and maps
+    W onto W': extend v1 to bases of W and W', then both to bases of
+    C.  Extended by the identity on L0, g is in G, and u'^-1 g u maps M
+    onto M'.  (When 2t > n no such M exists, and only smaller candidates
+    remain at p1.)
     """
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
     field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = default_budget(ORACLE_NODE_BUDGET)
-    pi, cands, per_point = _prepare(n, field, range(t, 0, -1))
-    full = pi.full_mask
+    tables = _Candidates(n, field, range(t, 0, -1))
+    cands = tables.cands
+    full = tables.pi.full_mask
     root = _canonical_subspace(n, field, t)
-    covered = pi.mask_of(root)
+    covered = tables.pi.mask_of(root)
+    p1 = _least_point(full & ~covered)
+    plist = tables.per_point[p1]
+    second = next(
+        (c for c in plist if cands[c][1] == t and not cands[c][0] & covered),
+        None,
+    )
+    tables.per_point[p1] = [c for c in plist if c == second or cands[c][1] < t]
     stats = {}
+    # A partition has at most one member per point, so the first limit
+    # prunes nothing.
     covers = _exact_cover(
-        cands,
-        per_point,
-        full,
-        [[_least_point(full & ~covered), 0, None]],
+        tables,
+        [[p1, 0, None]],
         covered,
         1,
         budget=budget,
         time_limit=time_limit,
         stats=stats,
-        theta_max=num_points(t, q),
+        size_limit=num_points(n, q),
     )
     # Every cover found is smaller than the last: the engine prunes to
     # one member fewer after each.
@@ -477,8 +605,10 @@ def check_no_minimum_supertail(
     sweep_hits = 0
     if targets:
         limit = 1 + max(targets)
+        tables = _Candidates(n, field, range(1, max_tail_dim + 1))
+        full = tables.pi.full_mask
         for M in all_subspaces(n, cut, field):
-            # Most streams stop long before the engine's first clock read,
+            # Most searches stop long before the engine's first clock read,
             # so the clock is also read here.
             time_left = None
             if time_limit is not None:
@@ -487,18 +617,21 @@ def check_no_minimum_supertail(
                     raise BudgetExceeded(
                         f"search stopped after {time_limit} seconds"
                     )
-            for P in enumerate_partitions(
-                n,
-                q,
-                max_tail_dim,
-                size_limit=limit,
+            covered = tables.pi.mask_of(M)
+            for chosen in _exact_cover(
+                tables,
+                [[_least_point(full & ~covered), 0, None]],
+                covered,
+                1,
                 budget=budget - counters["nodes"],
                 time_limit=time_left,
-                point_limit=point_limit,
                 stats=counters,
-                seed=[M],
+                size_limit=limit,
             ):
                 sweep_partitions += 1
+                P = SubspacePartition(
+                    n, field, [M] + [tables.cands[cid][2] for cid in chosen]
+                )
                 st = supertail(P, cut)
                 if st.size == min_partition_size(cut, st.top_dim, q):
                     sweep_hits += 1

@@ -84,6 +84,42 @@ def test_enumerate_size_and_count_limits():
     assert first3 == list(enumerate_partitions(3, 2, 2))[:3]
 
 
+LINE4 = span([(0, 0, 1, 0), (0, 0, 0, 1)], 4, F2)
+LINE3 = span([(0, 1, 0), (0, 0, 1)], 3, make_field(3))
+
+
+@pytest.mark.parametrize(
+    "n, q, max_dim, type_filter, seed",
+    [
+        (4, 2, 2, None, None),
+        (4, 2, 3, None, None),
+        (3, 3, 2, None, None),
+        (4, 2, 2, {1: 6, 2: 3}, None),
+        (4, 2, 3, {1: 8, 3: 1}, None),
+        (3, 3, 2, {1: 9, 2: 1}, None),
+        (4, 2, 2, None, [LINE4]),
+        (4, 2, 3, None, [LINE4]),
+        (3, 3, 2, None, [LINE3]),
+        (4, 2, 3, {1: 3, 2: 3}, [LINE4]),
+        (3, 3, 2, {1: 9}, [LINE3]),
+    ],
+)
+def test_size_limit_prune_is_sound(n, q, max_dim, type_filter, seed):
+    """A size-limited stream is the unbounded stream filtered on size, in
+    the same order, at every limit: the prune never cuts a partition."""
+    everything = list(enumerate_partitions(
+        n, q, max_dim, type_filter=type_filter, seed=seed
+    ))
+    sizes = [P.size for P in everything]
+    assert sizes
+    for limit in range(min(sizes) - 1, max(sizes) + 1):
+        bounded = list(enumerate_partitions(
+            n, q, max_dim, type_filter=type_filter, seed=seed,
+            size_limit=limit,
+        ))
+        assert bounded == [P for P in everything if P.size <= limit], limit
+
+
 def test_enumerate_seeded():
     """Fixing one member: exactly 56 * 5 / 35 = 8 spreads contain any
     given 2-subspace."""
@@ -123,27 +159,29 @@ def test_enumerate_rejects_bad_ranges():
 
 
 def test_enumerate_budget_resume_stream():
-    """A budget of 40 nodes splits the spread enumeration into several
-    sessions; stitching the sessions reproduces the one-shot stream."""
-    one_shot = list(enumerate_partitions(4, 2, 2, type_filter={2: 5}))
-    collected = []
-    resume = None
-    sessions = 0
-    while True:
-        stream = enumerate_partitions(
-            4, 2, 2, type_filter={2: 5}, budget=40, resume=resume
-        )
-        try:
-            for P in stream:
-                collected.append(P)
-        except BudgetExceeded as exc:
-            resume = exc.checkpoint
-            sessions += 1
-            assert resume["kind"] == "partition-enumeration"
-            continue
-        break
-    assert sessions >= 2
-    assert collected == one_shot
+    """A budget of 40 nodes splits the spread enumeration, and a
+    size-limited one, into several sessions; stitching the sessions
+    reproduces the one-shot stream."""
+    for options in ({"type_filter": {2: 5}}, {"size_limit": 8}):
+        one_shot = list(enumerate_partitions(4, 2, 2, **options))
+        collected = []
+        resume = None
+        sessions = 0
+        while True:
+            stream = enumerate_partitions(
+                4, 2, 2, budget=40, resume=resume, **options
+            )
+            try:
+                for P in stream:
+                    collected.append(P)
+            except BudgetExceeded as exc:
+                resume = exc.checkpoint
+                sessions += 1
+                assert resume["kind"] == "partition-enumeration"
+                continue
+            break
+        assert sessions >= 2
+        assert collected == one_shot
 
 
 def test_checkpoint_file_round_trip(tmp_path):
@@ -211,10 +249,32 @@ def test_search_min_small_cases():
         assert res.nodes > 0
 
 
+def test_search_min_agrees_with_brute_force():
+    """The two pinned members and the lookahead bound lose no minimum:
+    the search matches the smallest partition with top dimension t in the
+    full enumeration."""
+    for n, q in [(3, 2), (4, 2), (3, 3)]:
+        for t in range(1, n):
+            smallest = min(
+                P.size
+                for P in enumerate_partitions(n, q, t)
+                if max(P.dims()) == t
+            )
+            assert search_min_partition_size(n, t, q).size == smallest
+
+
+def test_search_min_oracle_node_count():
+    """Node counts repeat exactly, so losing the second pin or the
+    lookahead bound shows here: each alone leaves over a million nodes."""
+    res = search_min_partition_size(5, 2, 2)
+    assert res.size == 13
+    assert res.nodes <= 300_000
+
+
 def test_search_min_budget_payload():
     """The minimum-size search cannot resume, so it carries no checkpoint."""
     with pytest.raises(BudgetExceeded) as info:
-        search_min_partition_size(4, 2, 2, budget=10)
+        search_min_partition_size(5, 2, 2, budget=1000)
     assert info.value.checkpoint is None
 
 
