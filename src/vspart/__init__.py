@@ -72,7 +72,6 @@ from .partitions import (
     max_partial_spread_size,
     min_partition_size,
     supertail,
-    supertail_size_bound,
     validate,
 )
 from .search import (

@@ -57,7 +57,9 @@ class BoundReport:
 
 
 def check_supertail_bound(P, cut):
-    """Compare the tail size with its proven lower bound and report slack."""
+    """Compare the tail size with its proven lower bound, the minimum size
+    of a partition of V(cut, q) with largest dimension the tail's top, and
+    report slack."""
     st = supertail(P, cut)
     bound = min_partition_size(cut, st.top_dim, P.field.q)
     return BoundReport(cut, st.top_dim, st.size, bound, st.size - bound)

@@ -29,7 +29,6 @@ from .errors import (
 from .fields import make_field
 from .fileio import read_partition, write_partition
 from .hstats import (
-    beta_stats,
     verify_incidence_identities,
     verify_moment_identities,
     verify_size_identity,

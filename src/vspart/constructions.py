@@ -10,7 +10,6 @@ short tail remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BadRange, NotAPartitionOfMember, NotDivisible
 from .fields import extension_field
@@ -20,7 +19,7 @@ from .partitions import (
     min_partition_size,
     validate,
 )
-from .spaces import span
+from .spaces import full_space, span
 
 
 def _digits(code, q, width):
@@ -29,13 +28,6 @@ def _digits(code, q, width):
         out.append(code % q)
         code //= q
     return tuple(out)
-
-
-def _projective_reps(m, q):
-    """Vectors of V(m, q) with first nonzero coordinate 1, one per point."""
-    for lead in range(m):
-        for rest in product(range(q), repeat=m - 1 - lead):
-            yield (0,) * lead + (1,) + rest
 
 
 def spread(n, t, field):
@@ -51,7 +43,7 @@ def spread(n, t, field):
     m = n // t
     members = []
     basis_codes = [q ** j for j in range(t)]  # the polynomial basis of B
-    for w in _projective_reps(m, B.q):
+    for w in full_space(m, B).points():
         rows = []
         for beta in basis_codes:
             row = []

@@ -7,24 +7,19 @@ deterministic and documented so downstream searches are reproducible.
 """
 from __future__ import annotations
 
-import os
 from itertools import combinations, product
 
 from .errors import BadRange, BudgetExceeded, NotAHyperplane
-from .spaces import Subspace, num_points, nullspace, span, zero_subspace
+from .spaces import (
+    Subspace,
+    num_points,
+    nullspace,
+    point_index,
+    span,
+    zero_subspace,
+)
 
 ENUMERATION_BUDGET = 10 ** 8
-BUDGET_ENV_VAR = "VSPART_BUDGET"
-
-
-def default_budget(fallback):
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRange(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def gaussian_binomial(n, d, q):
@@ -43,12 +38,11 @@ def all_subspaces(n, d, field, budget=None):
     """Yield every d-dimensional subspace of V(n, q) once.
 
     Raises BudgetExceeded up front when the exact count is beyond the
-    budget (ENUMERATION_BUDGET by default, overridable through the
-    VSPART_BUDGET environment variable).
+    budget (ENUMERATION_BUDGET by default).
     """
     if not 0 <= d <= n:
         raise BadRange(f"dimension {d} out of range for ambient {n}")
-    limit = budget if budget is not None else default_budget(ENUMERATION_BUDGET)
+    limit = budget if budget is not None else ENUMERATION_BUDGET
     total = gaussian_binomial(n, d, field.q)
     if total > limit:
         raise BudgetExceeded(
@@ -80,8 +74,6 @@ def all_subspaces(n, d, field, budget=None):
 def all_hyperplanes(n, field):
     """The num_points(n, q) hyperplanes of V(n, q), as kernels of the
     canonical functionals, in representative order."""
-    from .spaces import point_index
-
     pi = point_index(n, field)
     return [nullspace([a], n, field) for a in pi.reps]
 

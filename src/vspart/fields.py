@@ -7,6 +7,15 @@ code are the coefficients of the element in the polynomial basis
 first.  All operations go through dense lookup tables built once per field,
 so arithmetic in inner loops is a couple of list indexes.
 
+An extension of a field with k elements builds every table from one digit
+recurrence: a code a is its constant digit a0 = a % k plus x times the code
+a' = a // k.  Sums, negatives, base-scalar multiples and digits of a come
+digit by digit from those of a'; x * a shifts the digits up and folds the
+top digit back through x^t = -(m_0 + ... + m_{t-1} x^(t-1)); and
+a * b = b0 * a + x * (a * b') fills each multiplication row from its own
+earlier entries.  Polynomial remainders (``_pmod``) serve only the
+irreducibility test of a modulus.
+
 Fields are cached singletons: two calls to :func:`make_field` with the same
 order return the same object, which makes identity comparison safe.
 
@@ -55,7 +64,7 @@ def _prime_power(q):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over an existing field, used only while building tables
+# polynomial helpers over an existing field, used by the irreducibility test
 # ---------------------------------------------------------------------------
 
 def _ptrim(u):
@@ -63,18 +72,6 @@ def _ptrim(u):
     while i > 0 and u[i - 1] == 0:
         i -= 1
     return u[:i]
-
-
-def _pmul(u, v, K):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return _ptrim(tuple(out))
 
 
 def _pmod(u, m, K):
@@ -168,43 +165,30 @@ class FiniteField:
         self._neg = [(-a) % p for a in range(p)]
 
     def _build_extension_tables(self):
-        K = self.base
-        k = K.q
-        q = self.q
-        t = self.degree
-        digits = []
-        for a in range(q):
-            c, ds = a, []
-            for _ in range(t):
-                ds.append(c % k)
-                c //= k
-            digits.append(tuple(ds))
-        self._digit_cache = digits
-
-        def encode(poly):
-            code = 0
-            for i, c in enumerate(poly):
-                code += c * k ** i
-            return code
-
-        self._add = [
-            [
-                encode([K.add(x, y) for x, y in zip(digits[a], digits[b])])
-                for b in range(q)
-            ]
-            for a in range(q)
-        ]
-        self._neg = [encode([K.neg(x) for x in digits[a]]) for a in range(q)]
-        m = self.modulus
+        K, k, q, t = self.base, self.base.q, self.q, self.degree
+        top = q // k  # place value of the highest digit
+        # Row a of every table follows from row a' = a // k, built earlier.
+        digits, add, neg = [(0,) * t], [list(range(q))], [0]
+        scaled = [[0] for _ in range(k)]  # scaled[c][a] = c * a, c in K
+        for a in range(1, q):
+            a0, a1 = a % k, a // k
+            digits.append((a0,) + digits[a1][:-1])
+            add_a0, add_a1 = K._add[a0], add[a1]
+            add.append([add_a0[b % k] + k * add_a1[b // k] for b in range(q)])
+            neg.append(K._neg[a0] + k * neg[a1])
+            for c in range(k):
+                scaled[c].append(K._mul[c][a0] + k * scaled[c][a1])
+        # x^t = -(m_0 + ... + m_{t-1} x^(t-1)) takes the digit x*a shifts out.
+        xt = sum(K._neg[m] * k ** i for i, m in enumerate(self.modulus[:t]))
+        times_x = [add[(a % top) * k][scaled[a // top][xt]] for a in range(q)]
         mul = []
         for a in range(q):
-            pa = _ptrim(digits[a])
-            row = []
-            for b in range(q):
-                prod = _pmod(_pmul(pa, _ptrim(digits[b]), K), m, K)
-                row.append(encode(prod))
+            row = [0] * q
+            for b in range(1, q):  # a * b = b0 * a + x * (a * b')
+                row[b] = add[scaled[b % k][a]][times_x[row[b // k]]]
             mul.append(row)
-        self._mul = mul
+        self._digit_cache = digits
+        self._add, self._neg, self._mul = add, neg, mul
 
     def _build_inverses(self):
         q = self.q

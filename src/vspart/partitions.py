@@ -13,7 +13,6 @@ from .errors import (
     BadCut,
     BadRange,
     DimensionMismatch,
-    EmptySupertail,
 )
 from .spaces import num_points, point_index
 
@@ -237,16 +236,6 @@ def supertail(P, cut, strict=True):
     members = tuple(m for m in P.members if m.dim < cut)
     top = max((m.dim for m in members), default=0)
     return Supertail(cut, top, members)
-
-
-def supertail_size_bound(P, cut):
-    """The proven lower bound for the size of the cut's supertail: the
-    minimum size of a partition of V(d_s, q) with largest dimension d_{s-1}.
-    """
-    st = supertail(P, cut)
-    if not st.members:
-        raise EmptySupertail(f"no members below dimension {cut}")
-    return min_partition_size(cut, st.top_dim, P.field.q)
 
 
 def drake_freeman_bound(n, d, q):

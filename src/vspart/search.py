@@ -42,8 +42,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analysis import analyze_supertail, TailClass
-from .enumeration import all_subspaces, default_budget
-from .errors import BadRange, BudgetExceeded, FileFormatError, HypothesisNotMet
+from .enumeration import all_subspaces
+from .errors import (
+    BadRange,
+    BudgetExceeded,
+    DimensionMismatch,
+    FileFormatError,
+    HypothesisNotMet,
+)
 from .fields import make_field
 from .partitions import (
     PartitionType,
@@ -146,8 +152,10 @@ def _normalize_filter(type_filter):
     if type_filter is None:
         return None
     if isinstance(type_filter, PartitionType):
-        return dict(type_filter.entries)
+        type_filter = type_filter.entries
     filt = {int(d): int(c) for d, c in dict(type_filter).items()}
+    if not filt:
+        raise BadRange("the type filter names no dimension")
     for d, c in filt.items():
         if d < 1 or c < 1:
             raise BadRange(f"bad type filter entry {d}^{c}")
@@ -316,11 +324,12 @@ def enumerate_partitions(
     """Stream every subspace partition of V(n,q) with member dimensions in
     [1, max_dim], each exactly once, in a fixed deterministic order.
 
-    type_filter restricts to one exact type (a PartitionType or a dict
-    mapping dimension to count); size_limit caps the member count;
-    count_limit stops the stream after that many partitions.  seed is a
-    list of pairwise disjoint members every emitted partition must extend;
-    seed dimensions are exempt from max_dim and the type filter only
+    type_filter restricts to one exact type (a nonempty PartitionType or
+    dict mapping dimension to count); size_limit caps the member count;
+    count_limit (at least 1) stops the stream after that many partitions.
+    seed is a list of pairwise disjoint subspaces of V(n,q), over the
+    field make_field(q), that every emitted partition must extend; seed
+    dimensions are exempt from max_dim and the type filter only
     constrains the non-seed members.  The budget counts extension
     attempts; exhausting it (or time_limit seconds) raises BudgetExceeded
     whose .checkpoint resumes the stream via the resume argument with
@@ -329,6 +338,8 @@ def enumerate_partitions(
     """
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
+    if count_limit is not None and count_limit < 1:
+        raise BadRange(f"count_limit must be at least 1, got {count_limit}")
     field = _checked_field(n, q, point_limit)
     stats = {} if stats is None else stats
     stats.setdefault("nodes", 0)
@@ -336,7 +347,7 @@ def enumerate_partitions(
     if filt is not None and max(filt) > max_dim:
         return
     if budget is None:
-        budget = default_budget(ORACLE_NODE_BUDGET)
+        budget = ORACLE_NODE_BUDGET
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
     if not dims:
         return
@@ -357,6 +368,11 @@ def enumerate_partitions(
     counts = dict.fromkeys(dims, 0)
     seed = list(seed) if seed else []
     for member in seed:
+        if member.n != n or member.field is not field:
+            raise DimensionMismatch(
+                f"seed member lives in V({member.n},{member.field.q}), "
+                f"not in V({n},{q})"
+            )
         mask = pi.mask_of(member)
         if mask & covered:
             raise BadRange("seed members are not pairwise disjoint")
@@ -497,7 +513,7 @@ def search_min_partition_size(
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
     field = _checked_field(n, q, point_limit)
     if budget is None:
-        budget = default_budget(ORACLE_NODE_BUDGET)
+        budget = ORACLE_NODE_BUDGET
     tables = _Candidates(n, field, range(t, 0, -1))
     cands = tables.cands
     full = tables.pi.full_mask
@@ -594,7 +610,7 @@ def check_no_minimum_supertail(
         )
     field = _checked_field(n, q, point_limit)
     if budget is None:
-        budget = default_budget(ORACLE_NODE_BUDGET)
+        budget = ORACLE_NODE_BUDGET
     counters = {"nodes": 0}
     started = time.monotonic()
     max_tail_dim = min(cut - 1, n - cut)

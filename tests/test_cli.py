@@ -247,6 +247,13 @@ def test_search_partitions(capsys):
     assert "[1^7]" in text
 
 
+def test_search_partitions_count_limit_below_one(capsys):
+    assert main([
+        "search", "partitions", "--n", "3", "--q", "2", "--count-limit", "0",
+    ]) == 3
+    assert "partitions of V(3,2)" not in capsys.readouterr().out
+
+
 def test_search_partitions_checkpoint_cycle(tmp_path, capsys):
     """Budgeted sessions write a checkpoint, resume from it, and clean it
     up on completion, reproducing the one-shot tally."""

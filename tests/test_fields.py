@@ -1,4 +1,6 @@
 """Exhaustive checks of the lookup-table field arithmetic."""
+import random
+
 import pytest
 
 from vspart.errors import BadRange, NotPrimePower, UnsupportedField
@@ -133,6 +135,66 @@ def test_tower_gf16_over_gf4():
     for a in F16.elements():
         for b in F16.elements():
             assert F16.mul(a, b) == F16.mul(b, a)
+
+
+# Every tower GF(b^t) over a supported GF(b) that fits the extension cap.
+TOWERS = [
+    (b, t) for b in SUPPORTED_ORDERS for t in range(2, 9) if b ** t <= 256
+]
+
+
+def _schoolbook(F):
+    """add, neg and mul of F on coefficient lists modulo F.modulus, from the
+    base field's public operations only."""
+    K, k, t, m = F.base, F.base.q, F.degree, F.modulus
+
+    def digits(a):
+        return [a // k ** i % k for i in range(t)]
+
+    def code(u):
+        return sum(c * k ** i for i, c in enumerate(u))
+
+    def add(a, b):
+        return code([K.add(x, y) for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return code([K.neg(x) for x in digits(a)])
+
+    def mul(a, b):
+        prod = [0] * (2 * t - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] = K.add(prod[i + j], K.mul(x, y))
+        for d in range(2 * t - 2, t - 1, -1):  # x^d = x^(d-t) * x^t
+            lead = prod[d]
+            for j in range(t):
+                prod[d - t + j] = K.add(
+                    prod[d - t + j], K.neg(K.mul(lead, m[j]))
+                )
+        return code(prod[:t])
+
+    return add, neg, mul
+
+
+@pytest.mark.parametrize("b, t", TOWERS, ids=[f"{b}^{t}" for b, t in TOWERS])
+def test_tower_tables_match_schoolbook_arithmetic(b, t):
+    """Every table of GF(b^t) agrees with polynomial arithmetic modulo its
+    modulus: on all pairs up to 64 elements, and above that on every
+    product by a basis element x^j plus a seeded sample of pairs."""
+    F = extension_field(make_field(b), t)
+    add, neg, mul = _schoolbook(F)
+    q = F.q
+    if q <= 64:
+        pairs = [(a, c) for a in range(q) for c in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(a, b ** j) for a in range(q) for j in range(t)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
+    for a, c in pairs:
+        assert F.mul(a, c) == mul(a, c), (a, c)
+        assert F.add(a, c) == add(a, c), (a, c)
+    for a in range(q):
+        assert F.neg(a) == neg(a), a
 
 
 def test_bad_orders_rejected():

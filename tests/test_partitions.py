@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vspart.analysis import check_supertail_bound
 from vspart.constructions import beutelspacher, refine, spread
 from vspart.errors import BadCut, BadRange, DimensionMismatch
 from vspart.fields import make_field
@@ -15,7 +16,6 @@ from vspart.partitions import (
     max_partial_spread_size,
     min_partition_size,
     supertail,
-    supertail_size_bound,
     validate,
 )
 from vspart.spaces import full_space, span, zero_subspace
@@ -171,9 +171,10 @@ def test_supertail_size_bound():
     Q = beutelspacher(3, 1, F)
     R = refine(P, 0, Q)
     assert R.dims() == (1, 2, 3)
-    assert supertail_size_bound(R, 3) == min_partition_size(3, 2, 2) == 5
+    rep = check_supertail_bound(R, 3)
+    assert rep.bound == min_partition_size(3, 2, 2) == 5
     with pytest.raises(BadCut):
-        supertail_size_bound(spread(4, 2, F), 2)
+        check_supertail_bound(spread(4, 2, F), 2)
 
 
 def test_drake_freeman_bound():

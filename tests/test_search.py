@@ -8,11 +8,12 @@ from vspart.enumeration import all_subspaces
 from vspart.errors import (
     BadRange,
     BudgetExceeded,
+    DimensionMismatch,
     FileFormatError,
     HypothesisNotMet,
 )
 from vspart.fields import make_field
-from vspart.partitions import min_partition_size, validate
+from vspart.partitions import PartitionType, min_partition_size, validate
 from vspart.search import (
     check_no_minimum_supertail,
     conjecture_search,
@@ -82,6 +83,32 @@ def test_enumerate_size_and_count_limits():
     assert all(P.size <= 5 for P in sized)
     first3 = list(enumerate_partitions(3, 2, 2, count_limit=3))
     assert first3 == list(enumerate_partitions(3, 2, 2))[:3]
+
+
+@pytest.mark.parametrize("count_limit", [0, -3])
+def test_enumerate_count_limit_below_one(count_limit):
+    stats = {}
+    stream = enumerate_partitions(
+        3, 2, 2, count_limit=count_limit, stats=stats
+    )
+    with pytest.raises(BadRange):
+        next(stream)
+    assert stats == {}
+
+
+@pytest.mark.parametrize("type_filter", [{}, PartitionType.of({})])
+def test_enumerate_empty_type_filter(type_filter):
+    with pytest.raises(BadRange):
+        list(enumerate_partitions(3, 2, 2, type_filter=type_filter))
+
+
+def test_enumerate_seed_from_another_ambient():
+    plane = span([(1, 0, 0, 0), (0, 1, 0, 0)], 4, F2)
+    with pytest.raises(DimensionMismatch):
+        list(enumerate_partitions(3, 2, 2, seed=[plane]))
+    line = span([(0, 1, 0), (0, 0, 1)], 3, F2)
+    with pytest.raises(DimensionMismatch):
+        list(enumerate_partitions(3, 3, 2, seed=[line]))
 
 
 LINE4 = span([(0, 0, 1, 0), (0, 0, 0, 1)], 4, F2)
