@@ -7,13 +7,15 @@ avoid everything chosen so far.  Because the branch point is a function of
 the covered set, every partition is reached along exactly one path, so the
 enumeration emits each labeled partition once without a deduplication pass.
 
-A size limit prunes by a lookahead bound, stated and proved in
-_exact_cover: points that no still-disjoint candidate of the top
-dimension D contains must be covered by members of dimension below D,
-which cover fewer points.  The bound uses theta(k) = (q^k - 1)/(q - 1)
-only, never the closed formula for sigma, and it only cuts branches that
-hold no partition within the limit, so size-limited streams are the
-unbounded ones filtered on size, in the same order.
+A size limit prunes by a counting bound, proved in _exact_cover: the
+members still to come hold exactly the uncovered points, each has one of
+the candidate dimensions, and those through a point that no
+still-disjoint candidate of the top dimension D contains have dimension
+below D.  A table built once per search gives the fewest members that
+can do that by point counts alone.  The table uses theta(k) =
+(q^k - 1)/(q - 1) only, never the closed formula for sigma, and it only
+cuts branches that hold no partition within the limit, so size-limited
+streams are the unbounded ones filtered on size, in the same order.
 
 The minimum-size search additionally pins its first two choices, which
 is sound for size queries (it is NOT sound for counting).  The linear
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,8 +88,9 @@ class _Candidates:
     The lookahead tables describe the candidates of the largest
     dimension D, the top candidates, as bitmasks over their ids counted
     from the first of them: through[p] holds those containing point p
-    and clash[c] those meeting candidate c.  They are built on first
-    use, since only size-limited searches read them.
+    and clash[c] those meeting candidate c.  fewest counts members by
+    their point numbers alone.  All three are built on first use, since
+    only size-limited searches read them.
     """
 
     def __init__(self, n, field, dims):
@@ -100,8 +104,7 @@ class _Candidates:
             for p in _bits(mask):
                 self.per_point[p].append(cid)
         top = max(dims)
-        self.theta_top = num_points(top, field.q)
-        self.theta_below = num_points(top - 1, field.q)
+        self._thetas = [num_points(d, field.q) for d in sorted(set(dims))]
         self._top_ids = [
             cid for cid, (_, d, _) in enumerate(self.cands) if d == top
         ]
@@ -117,6 +120,31 @@ class _Candidates:
     @cached_property
     def clash(self):
         return [self._meeting(mask) for mask, _, _ in self.cands]
+
+    @cached_property
+    def fewest(self):
+        """fewest[u][f] is the least number of members, each of a candidate
+        dimension, that hold exactly u points with at least f of them in
+        members below the top dimension; len(per_point) + 1 where none
+        do.  Each row is nondecreasing in f."""
+        total = len(self.per_point)
+        impossible = total + 1
+        *below, top = self._thetas
+        # small[s]: fewest members below the top holding exactly s points
+        small = [0] + [impossible] * total
+        for s in range(1, total + 1):
+            small[s] = min([small[s - w] + 1 for w in below if w <= s],
+                           default=impossible)
+        fewest = []
+        for u in range(total + 1):
+            row = [impossible] * (u + 1)
+            best = impossible
+            for f in range(u, -1, -1):
+                if (u - f) % top == 0:
+                    best = min(best, small[f] + (u - f) // top)
+                row[f] = best
+            fewest.append(row)
+        return fewest
 
     def _meeting(self, mask):
         """The top candidates that meet the point set mask."""
@@ -148,18 +176,46 @@ def _canonical_subspace(n, field, d):
     return span(rows, n, field)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalize_filter(type_filter):
     if type_filter is None:
         return None
     if isinstance(type_filter, PartitionType):
         type_filter = type_filter.entries
-    filt = {int(d): int(c) for d, c in dict(type_filter).items()}
+    try:
+        filt = dict(type_filter)
+    except (TypeError, ValueError) as exc:
+        raise BadRange(
+            f"the type filter {type_filter!r} does not map dimensions to "
+            f"counts"
+        ) from exc
     if not filt:
         raise BadRange("the type filter names no dimension")
     for d, c in filt.items():
-        if d < 1 or c < 1:
+        if not (_is_int(d) and _is_int(c)) or d < 1 or c < 1:
             raise BadRange(f"bad type filter entry {d}^{c}")
     return filt
+
+
+def _check_limits(budget=None, time_limit=None, size_limit=None,
+                  count_limit=None):
+    """Refuse a limit of the wrong type before any table is built: budget,
+    size_limit and count_limit must be ints, count_limit at least 1, and
+    time_limit an int or a float other than NaN.  None means no limit."""
+    for name, value in (("budget", budget), ("size_limit", size_limit),
+                        ("count_limit", count_limit)):
+        if value is not None and not _is_int(value):
+            raise BadRange(f"{name} must be an integer, got {value!r}")
+    if time_limit is not None and (
+        not (_is_int(time_limit) or isinstance(time_limit, float))
+        or time_limit != time_limit
+    ):
+        raise BadRange(f"time_limit must be a number, got {time_limit!r}")
+    if count_limit is not None and count_limit < 1:
+        raise BadRange(f"count_limit must be at least 1, got {count_limit}")
 
 
 def save_checkpoint(path, checkpoint):
@@ -198,25 +254,29 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     members, and the consumer may then send() a tighter limit back after
     a cover.  Let D be the top dimension, u the points left uncovered by
     the extension, and F those of them on no live top candidate (live:
-    disjoint from everything covered).  Every member still to come has at
-    most theta(D) points, and the members covering F have dimension below
-    D, so at most theta(D-1) points each: at least x = ceil(|F| /
-    theta(D-1)) of them.  s such members and l others need s*theta(D-1)
-    + l*theta(D) >= u, so s + l >= x + ceil(max(0, u - x*theta(D-1)) /
-    theta(D)), and the extension is pruned when taken + 1 + that exceeds
-    size_limit.  The bound only cuts branches that hold no cover within
-    the limit, so the covers yielded and their order do not depend on
-    it.  To keep F cheap, each frame then carries a fourth entry: the
-    live top candidates before its choice.
+    disjoint from everything covered).  The members still to come are
+    candidates, so they have candidate dimensions and hold exactly the u
+    points.  A member through a point of F has dimension below D, since
+    a top one would be a live top candidate, so at least |F| of the u
+    points lie in members below D.  Hence at least tables.fewest[u][|F|]
+    members are to come, and the extension is pruned when that exceeds
+    spare = size_limit - taken - 1.  The bound only cuts branches that
+    hold no cover within the limit, so the covers yielded and their order
+    do not depend on it.  As fewest[u] is nondecreasing, F is counted
+    only when fewest[u][u] > spare, and only until |F| passes the largest
+    f with fewest[u][f] <= spare.  To keep F cheap, each frame then
+    carries a fourth entry: the live top candidates before its choice.
     """
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    theta_top = tables.theta_top
-    theta_below = tables.theta_below
     if size_limit is not None:
+        # Past one member per point the limit cuts nothing, and fewest's
+        # "impossible" entry stays above every spare.
+        size_limit = min(size_limit, len(per_point))
         through = tables.through
         clash = tables.clash
+        fewest = tables.fewest
         base = covered
         for frame in frames:
             if frame[2] is not None:
@@ -263,24 +323,22 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                 rest = full & ~(covered | mask)
                 live = None
                 if size_limit is not None:
-                    uncovered = rest.bit_count()
                     spare = size_limit - taken - 1
-                    if -(-uncovered // theta_top) > spare:
+                    row = fewest[rest.bit_count()]
+                    if row[0] > spare:
                         continue
                     live = frame[3] & ~clash[cid]
-                    if theta_below:
+                    if row[-1] > spare:
+                        most = bisect_right(row, spare) - 1
                         stranded = 0
                         r = rest
-                        while r:
+                        while r and stranded <= most:
                             low = r & -r
                             if not through[low.bit_length() - 1] & live:
                                 stranded += 1
                             r ^= low
-                        if stranded:
-                            small = -(-stranded // theta_below)
-                            left = uncovered - small * theta_below
-                            if small + max(0, -(-left // theta_top)) > spare:
-                                continue
+                        if stranded > most:
+                            continue
                 frame[1] = pos
                 frame[2] = cid
                 covered |= mask
@@ -338,8 +396,8 @@ def enumerate_partitions(
     """
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
-    if count_limit is not None and count_limit < 1:
-        raise BadRange(f"count_limit must be at least 1, got {count_limit}")
+    _check_limits(budget=budget, time_limit=time_limit,
+                  size_limit=size_limit, count_limit=count_limit)
     field = _checked_field(n, q, point_limit)
     stats = {} if stats is None else stats
     stats.setdefault("nodes", 0)
@@ -388,7 +446,8 @@ def enumerate_partitions(
     emitted = 0
     nodes_done = 0
     if resume is not None:
-        if resume.get("kind") != "partition-enumeration":
+        if (not isinstance(resume, dict)
+                or resume.get("kind") != "partition-enumeration"):
             raise FileFormatError("checkpoint is not an enumeration checkpoint")
         if resume.get("options") != options:
             raise FileFormatError(
@@ -396,26 +455,47 @@ def enumerate_partitions(
                 f"the call {options}"
             )
         state = resume.get("state", {})
+        if not isinstance(state, dict):
+            raise FileFormatError("checkpoint state is not an object")
+        emitted = state.get("emitted", 0)
+        nodes_done = state.get("nodes_done", 0)
+        if not all(_is_int(c) and c >= 0 for c in (emitted, nodes_done)):
+            raise FileFormatError(
+                "checkpoint counts are not nonnegative integers"
+            )
         stack = state.get("stack", [])
-        if not stack:
+        if not isinstance(stack, list) or not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
         frames = []
-        for point, pos in stack[:-1]:
-            plist = per_point[point]
-            if not 1 <= pos <= len(plist):
-                raise FileFormatError("checkpoint frontier out of range")
-            cid = plist[pos - 1]
-            mask, d, _ = cands[cid]
-            if mask & covered:
-                raise FileFormatError("checkpoint frontier is not disjoint")
-            covered |= mask
-            taken += 1
-            counts[d] += 1
+        for entry in stack:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(map(_is_int, entry))):
+                raise FileFormatError(
+                    f"checkpoint frame {entry!r} is not a [point, position] "
+                    f"pair of integers"
+                )
+            point, pos = entry
+            free = full & ~covered
+            # The engine branches on the least uncovered point, and every
+            # frame below the last one holds its choice at pos - 1.
+            last = len(frames) == len(stack) - 1
+            if (not free or point != _least_point(free)
+                    or not (0 if last else 1) <= pos <= len(per_point[point])):
+                raise FileFormatError(
+                    f"checkpoint frame {entry!r} is off the frontier"
+                )
+            cid = None if last else per_point[point][pos - 1]
+            if cid is not None:
+                mask, d, _ = cands[cid]
+                if mask & covered or filt is not None and counts[d] == filt[d]:
+                    raise FileFormatError(
+                        f"checkpoint frame {entry!r} chooses a member that "
+                        f"does not fit"
+                    )
+                covered |= mask
+                taken += 1
+                counts[d] += 1
             frames.append([point, pos, cid])
-        point, pos = stack[-1]
-        frames.append([point, pos, None])
-        emitted = int(state.get("emitted", 0))
-        nodes_done = int(state.get("nodes_done", 0))
     else:
         frames = [[_least_point(full & ~covered), 0, None]]
     # The filtered members must fill exactly the points the seed leaves.
@@ -484,9 +564,12 @@ def search_min_partition_size(
     for the minimum since GL(n,q) is transitive on t-subspaces).  The
     search then branches on the least uncovered point with candidates of
     dimension at most t, larger dimensions first.  After each cover it
-    asks for one member fewer, pruning by the lookahead bound of
-    _exact_cover: with theta(k) points in a k-subspace, points on no
-    live t-candidate need members of at most theta(t-1) points.
+    asks for one member fewer, pruning by the counting bound of
+    _exact_cover: the uncovered points must be held exactly by members
+    of theta(1), ..., theta(t) points, and those on no live t-candidate
+    by members of fewer than theta(t).  (For t = 2 in V(5,2), a lines
+    and b points need 3a + b = 31, so a + b is 11 when b = 1 and at least
+    13 otherwise: once two points are stranded, 12 members cannot do.)
 
     The second member is pinned too.  Let p1 be the least point outside
     L0, the first branch point.  Of the t-dimensional candidates through
@@ -511,6 +594,7 @@ def search_min_partition_size(
     """
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+    _check_limits(budget=budget, time_limit=time_limit)
     field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = ORACLE_NODE_BUDGET
@@ -608,6 +692,7 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
+    _check_limits(budget=budget, time_limit=time_limit)
     field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = ORACLE_NODE_BUDGET
@@ -710,6 +795,7 @@ def conjecture_search(
     """
     if max_dim is None:
         max_dim = n - 1
+    _check_limits(budget=budget, time_limit=time_limit)
     _checked_field(n, q, point_limit)
     if cut_range is None:
         cut_range = range(2, n)

@@ -279,6 +279,37 @@ def test_search_partitions_checkpoint_cycle(tmp_path, capsys):
     assert "1212 partitions" not in text
 
 
+@pytest.mark.parametrize("path, value", [
+    (("state", "stack", 0, 0), "7"),
+    (("state", "stack", -1, 0), 10**6),
+    (("state",), [[[0, 1]], 0]),
+    (("state", "emitted"), "many"),
+    (("state", "stack", 0), [0]),
+], ids=["text-point", "far-point", "list-state", "text-emitted",
+        "one-element-entry"])
+def test_search_partitions_rejects_spoiled_checkpoint(
+    tmp_path, capsys, path, value
+):
+    """A checkpoint whose state does not describe a frontier of the
+    search exits 2 before resuming."""
+    ck = tmp_path / "v42.ckpt"
+    argv = [
+        "search", "partitions", "--n", "4", "--q", "2", "--max-dim", "2",
+        "--budget", "400", "--checkpoint", str(ck),
+    ]
+    assert main(argv) == 5
+    doc = json.loads(ck.read_text(encoding="utf-8"))
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    ck.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error: checkpoint" in capsys.readouterr().err
+
+
 def test_search_conjecture(capsys):
     assert main(["search", "conjecture", "--n", "3", "--q", "2"]) == 0
     text = capsys.readouterr().out

@@ -1,9 +1,13 @@
 """Exhaustive enumeration, minimum-size search, and the sweep oracles."""
 import json
-from itertools import islice
+from functools import cache
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vspart.search as search
 from vspart.enumeration import all_subspaces
 from vspart.errors import (
     BadRange,
@@ -15,6 +19,7 @@ from vspart.errors import (
 from vspart.fields import make_field
 from vspart.partitions import PartitionType, min_partition_size, validate
 from vspart.search import (
+    _Candidates,
     check_no_minimum_supertail,
     conjecture_search,
     enumerate_partitions,
@@ -102,6 +107,57 @@ def test_enumerate_empty_type_filter(type_filter):
         list(enumerate_partitions(3, 2, 2, type_filter=type_filter))
 
 
+@pytest.mark.parametrize(
+    "type_filter",
+    [{2: "a"}, [1, 2], 5, "ab", {2: float("inf")}, {2: 4.5}, {None: 1}],
+)
+def test_enumerate_malformed_type_filter(type_filter):
+    with pytest.raises(BadRange):
+        list(enumerate_partitions(3, 2, 2, type_filter=type_filter))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(enumerate_partitions(4, 2, 2, budget="10")),
+    lambda: list(enumerate_partitions(4, 2, 2, size_limit="3")),
+    lambda: list(enumerate_partitions(4, 2, 2, count_limit="3")),
+    lambda: list(enumerate_partitions(4, 2, 2, time_limit="3")),
+    lambda: list(enumerate_partitions(4, 2, 2, budget=True)),
+    lambda: list(enumerate_partitions(4, 2, 2, size_limit=3.0)),
+    lambda: list(enumerate_partitions(4, 2, 2, time_limit=float("nan"))),
+    lambda: search_min_partition_size(4, 2, 2, budget="10"),
+    lambda: search_min_partition_size(4, 2, 2, time_limit="3"),
+    lambda: check_no_minimum_supertail(5, 3, 2, budget=10.0),
+    lambda: check_no_minimum_supertail(5, 3, 2, time_limit=[3]),
+    lambda: conjecture_search(3, 2, budget="10"),
+    lambda: conjecture_search(3, 2, time_limit="3"),
+], ids=[
+    "enumerate-budget", "enumerate-size", "enumerate-count",
+    "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
+    "enumerate-nan-time", "minimum-budget", "minimum-time",
+    "impossibility-float-budget", "impossibility-list-time",
+    "conjecture-budget", "conjecture-time",
+])
+def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
+    """A limit of the wrong type is refused before any candidate table
+    is built, so even a time limit is checked without searching."""
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("candidate tables built")
+
+    monkeypatch.setattr(search, "_Candidates", no_tables)
+    with pytest.raises(BadRange):
+        call()
+
+
+def test_numeric_arguments_of_the_right_type_still_work():
+    assert len(list(enumerate_partitions(
+        3, 2, 2, budget=10**6, time_limit=60, size_limit=10**100,
+        count_limit=10**9,
+    ))) == 8
+    assert len(list(enumerate_partitions(3, 2, 2, time_limit=60.5))) == 8
+    assert search_min_partition_size(3, 2, 2, time_limit=5).size == 5
+
+
 def test_enumerate_seed_from_another_ambient():
     plane = span([(1, 0, 0, 0), (0, 1, 0, 0)], 4, F2)
     with pytest.raises(DimensionMismatch):
@@ -113,6 +169,7 @@ def test_enumerate_seed_from_another_ambient():
 
 LINE4 = span([(0, 0, 1, 0), (0, 0, 0, 1)], 4, F2)
 LINE3 = span([(0, 1, 0), (0, 0, 1)], 3, make_field(3))
+POINT4 = span([(0, 0, 0, 1)], 4, F2)
 
 
 @pytest.mark.parametrize(
@@ -129,6 +186,7 @@ LINE3 = span([(0, 1, 0), (0, 0, 1)], 3, make_field(3))
         (3, 3, 2, None, [LINE3]),
         (4, 2, 3, {1: 3, 2: 3}, [LINE4]),
         (3, 3, 2, {1: 9}, [LINE3]),
+        (4, 2, 3, {1: 7, 3: 1}, [POINT4]),
     ],
 )
 def test_size_limit_prune_is_sound(n, q, max_dim, type_filter, seed):
@@ -145,6 +203,54 @@ def test_size_limit_prune_is_sound(n, q, max_dim, type_filter, seed):
             size_limit=limit,
         ))
         assert bounded == [P for P in everything if P.size <= limit], limit
+
+
+def _fewest_by_count_vectors(n, q, dims):
+    """fewest from every vector of member counts, one count per dimension:
+    best[u][f] over the vectors holding u points, at least f of them
+    below the top dimension."""
+    total = (q**n - 1) // (q - 1)
+    thetas = [(q**d - 1) // (q - 1) for d in dims]
+    top = max(thetas)
+    best = [[total + 1] * (u + 1) for u in range(total + 1)]
+    for counts in product(*(range(total // w + 1) for w in thetas)):
+        u = sum(c * w for c, w in zip(counts, thetas))
+        if u > total:
+            continue
+        below = sum(c * w for c, w in zip(counts, thetas) if w < top)
+        for f in range(below + 1):
+            best[u][f] = min(best[u][f], sum(counts))
+    return best
+
+
+AMBIENTS = [(4, 2), (3, 3), (5, 2)]
+DIM_SETS = [(1, 2), (1, 2, 3), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("n, q", AMBIENTS)
+@pytest.mark.parametrize("dims", DIM_SETS)
+def test_fewest_matches_count_vectors(n, q, dims):
+    tables = _Candidates(n, make_field(q), dims)
+    assert tables.fewest == _fewest_by_count_vectors(n, q, dims)
+
+
+@pytest.mark.parametrize("n, q", AMBIENTS)
+@pytest.mark.parametrize("dims", DIM_SETS)
+def test_fewest_never_below_the_ceiling_bound(n, q, dims):
+    """The ceiling bound the table replaced: x = ceil(f / theta(D-1))
+    members below the top D, then ceil of what is left over theta(D)."""
+    theta = lambda d: (q**d - 1) // (q - 1)
+    top, below = theta(max(dims)), theta(max(dims) - 1)
+    fewest = _Candidates(n, make_field(q), dims).fewest
+    for u, row in enumerate(fewest):
+        for f, value in enumerate(row):
+            x = -(-f // below)
+            ceiling = x + -(-max(0, u - x * below) // top)
+            assert value >= ceiling, (u, f)
+    if (n, q, dims) == (5, 2, (1, 2)):
+        # 31 points with two in single points: 3a + b = 31 and b >= 2
+        # need b >= 4, so 13 members; the ceiling bound says 12.
+        assert fewest[31][2] == 13
 
 
 def test_enumerate_seeded():
@@ -253,6 +359,81 @@ def test_checkpoint_file_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def _checkpoint_after(budget, options):
+    try:
+        for _ in enumerate_partitions(4, 2, 2, budget=budget, **options):
+            pass
+    except BudgetExceeded as exc:
+        return exc.checkpoint
+    raise AssertionError(f"a budget of {budget} should not finish the search")
+
+
+RESUMABLE = [{"type_filter": {2: 5}}, {"size_limit": 8}, {}]
+CHECKPOINTS = [_checkpoint_after(40, options) for options in RESUMABLE]
+
+
+@cache
+def _stream(which):
+    return set(enumerate_partitions(4, 2, 2, **RESUMABLE[which]))
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.integers(),
+              st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def spoiled_checkpoints(draw):
+    """A budgeted checkpoint with its state, a counter, a frame or one
+    coordinate replaced, or a frame dropped or added."""
+    which = draw(st.integers(0, len(RESUMABLE) - 1))
+    doc = json.loads(json.dumps(CHECKPOINTS[which]))
+    state = doc["state"]
+    stack = state["stack"]
+    i = draw(st.integers(0, len(stack) - 1))
+    action = draw(st.sampled_from(
+        ["state", "field", "frame", "coordinate", "drop", "add"]
+    ))
+    if action == "state":
+        doc["state"] = draw(JSON_VALUES)
+    elif action == "field":
+        key = draw(st.sampled_from(["stack", "emitted", "nodes_done"]))
+        state[key] = draw(JSON_VALUES)
+    elif action == "frame":
+        stack[i] = draw(JSON_VALUES)
+    elif action == "coordinate":
+        stack[i][draw(st.integers(0, 1))] = draw(
+            st.one_of(st.integers(-2, 40), JSON_VALUES)
+        )
+    elif action == "drop":
+        del stack[i]
+    else:
+        stack.insert(i, draw(st.lists(st.integers(-1, 20), max_size=3)))
+    return which, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(spoiled_checkpoints())
+def test_fuzz_resume_checkpoint(case):
+    """A spoiled checkpoint resumes a stream of the same search or raises
+    FileFormatError before resuming."""
+    which, doc = case
+    stream = enumerate_partitions(
+        4, 2, 2, budget=300, resume=doc, **RESUMABLE[which]
+    )
+    try:
+        for P in islice(stream, 5):
+            assert P in _stream(which)
+    except (FileFormatError, BudgetExceeded):
+        pass
+
+
 def test_enumerate_stats_accumulate():
     counters = {}
     list(enumerate_partitions(3, 2, 2, stats=counters))
@@ -292,10 +473,11 @@ def test_search_min_agrees_with_brute_force():
 
 def test_search_min_oracle_node_count():
     """Node counts repeat exactly, so losing the second pin or the
-    lookahead bound shows here: each alone leaves over a million nodes."""
+    lookahead bound shows here: each alone leaves over a million nodes,
+    and the ceiling bound that the member-count table replaced 270,055."""
     res = search_min_partition_size(5, 2, 2)
     assert res.size == 13
-    assert res.nodes <= 300_000
+    assert res.nodes <= 80_000
 
 
 def test_search_min_budget_payload():
