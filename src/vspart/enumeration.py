@@ -75,7 +75,7 @@ def all_hyperplanes(n, field):
     """The num_points(n, q) hyperplanes of V(n, q), as kernels of the
     canonical functionals, in representative order."""
     pi = point_index(n, field)
-    return [nullspace([a], n, field) for a in pi.reps]
+    return [nullspace([pi.unrank(i)], n, field) for i in range(pi.size)]
 
 
 def hyperplane_functional(H):

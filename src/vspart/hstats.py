@@ -11,10 +11,14 @@ ker(a) contains a member U exactly when the functional a lies in U^perp,
 the nullspace of U's basis.  So the point mask of U^perp, taken in the
 point index of V(n, q), has bit i set exactly when the i-th hyperplane in
 canonical functional order (the order of all_hyperplanes) contains U.
-Building these masks visits sum_U theta(n - dim U) points, against
-theta(n) * theta(n - 1) for the point masks of all hyperplanes.  Each
-member builds its mask once and keeps it.  hyperplane_masks, the
-hyperplane-side path, is kept as the reference the tests compare against.
+Building these masks walks sum_U theta(n - dim U) points, one row
+addition each (see spaces), against theta(n) * theta(n - 1) for the point
+masks of all hyperplanes.  Each member builds its mask once and keeps it.
+The counts per hyperplane come from adding the masks of one dimension as
+binary numbers, about two big-integer operations per member, then
+splitting the log2(n_d) + 1 digit masks into positions once.
+hyperplane_masks, the hyperplane-side path, is kept as the reference the
+tests compare against.
 
 Throughout, theta(j) denotes the number of points of a j-dimensional space,
 with theta(j) = 0 for j <= 0.
@@ -28,7 +32,6 @@ from math import comb
 from .enumeration import (
     all_hyperplanes,
     hyperplane_functional,
-    hyperplanes_containing,
 )
 from .errors import (
     BadRange,
@@ -70,21 +73,38 @@ def _dual_mask(U):
     return U._dual_mask
 
 
+# _BYTE_BITS[b]: positions of the set bits of the byte b
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+
+
 def _hyperplane_counts(P, dims):
     """For each d in dims, the list over hyperplanes (canonical order) of
-    the number of d-members each hyperplane contains."""
-    total = num_points(P.n, P.field.q)
-    counts = {d: [0] * total for d in dims}
-    for m in P.members:
-        col = counts.get(m.dim)
-        if col is None:
-            continue
-        mask = _dual_mask(m)
-        while mask:
-            low = mask & -mask
-            col[low.bit_length() - 1] += 1
-            mask ^= low
-    return [counts[d] for d in dims]
+    the number of d-members each hyperplane contains.
+
+    The dual masks are summed as binary numbers one bit per hyperplane:
+    planes[k] holds bit k of every count, and each mask is added with a
+    ripple carry.  Only the final planes are split into bit positions,
+    a byte at a time."""
+    out = []
+    for d in dims:
+        planes = []
+        for m in P.members_of_dim(d):
+            carry = _dual_mask(m)
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        col = [0] * num_points(P.n, P.field.q)
+        for k, plane in enumerate(planes):
+            data = plane.to_bytes((plane.bit_length() + 7) // 8, "little")
+            for i, byte in enumerate(data):
+                for j in _BYTE_BITS[byte]:
+                    col[8 * i + j] += 1 << k
+        out.append(col)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,7 +126,7 @@ def profile(P, H):
         raise NotAHyperplane("hyperplane from a different ambient")
     if H.dim != P.n - 1:
         raise NotAHyperplane(f"dimension {H.dim} in ambient {P.n}")
-    bit = 1 << point_index(P.n, P.field).index[hyperplane_functional(H)]
+    bit = 1 << point_index(P.n, P.field).rank(hyperplane_functional(H))
     dims = P.dims()
     counts = {d: 0 for d in dims}
     for m in P.members:
@@ -141,16 +161,6 @@ def histogram(P):
     counter = Counter(_profile_vectors(P))
     classes = tuple(sorted(counter.items()))
     return ProfileHistogram(P.dims(), classes)
-
-
-def incidence_sums_via_members(P):
-    """For each occurring dimension d, the total number of (H, U) incidences
-    with U a d-member inside hyperplane H, counted member side by listing
-    the hyperplanes through each member."""
-    sums = {}
-    for m in P.members:
-        sums[m.dim] = sums.get(m.dim, 0) + len(hyperplanes_containing(m))
-    return sums
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def validate(P):
     while probe:
         bit = probe & -probe
         owners = tuple(i for i, mask in enumerate(masks) if mask & bit)
-        doubly.append((pi.reps[bit.bit_length() - 1], owners))
+        doubly.append((pi.unrank(bit.bit_length() - 1), owners))
         probe &= probe - 1
     ok = not uncovered and not doubly and not trivial
     return ValidationReport(ok, uncovered, tuple(doubly), trivial)

@@ -99,7 +99,7 @@ class _Candidates:
         for d in dims:
             for U in all_subspaces(n, d, field):
                 self.cands.append((self.pi.mask_of(U), d, U))
-        self.per_point = [[] for _ in self.pi.reps]
+        self.per_point = [[] for _ in range(self.pi.size)]
         for cid, (mask, _, _) in enumerate(self.cands):
             for p in _bits(mask):
                 self.per_point[p].append(cid)

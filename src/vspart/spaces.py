@@ -5,10 +5,28 @@ echelon basis of its row space, which is unique, so equality and hashing are
 structural.  Point representatives (canonical generators of 1-subspaces) are
 the vectors whose first nonzero coordinate is 1, listed in lexicographic
 order.
+
+A point is ranked by arithmetic.  Let its representative have its leading 1
+at position i, with m = n - 1 - i codes after it.  The theta(m) points with
+fewer codes after the lead come first, so its rank is theta(m) plus the
+base-q value of those m codes.  With V the base-q value of the whole
+vector, that is V - (q^m - theta(m)): a constant per leading position, and
+V - 1 for q = 2.
+
+PointIndex._ranks walks the span of an echelon basis r_0, ..., r_{d-1},
+last row first.  Row k has its pivot entry 1 and zeros before the pivot
+and in every other pivot column, so r_k plus any combination of later rows
+already leads with 1 at the pivot of r_k.  These vectors are the points
+whose first nonzero coefficient is that of row k, and none needs scaling.
+Each vector of the walk is an earlier one plus c * r_k, which changes only
+the pivot of r_k (from 0 to c) and the free columns where r_k is nonzero,
+so its base-q value is updated from those columns alone.  In
+characteristic 2 the codes are bit strings and addition is XOR, so one
+XOR per point updates the whole value.
 """
 from __future__ import annotations
 
-from itertools import product
+from functools import cached_property
 
 from .errors import BadRange, DimensionMismatch
 
@@ -20,6 +38,8 @@ def num_points(dim, q):
     """
     if dim < 0:
         raise BadRange(f"dimension must be nonnegative, got {dim}")
+    if q < 2:
+        raise BadRange(f"field order must be at least 2, got {q}")
     return (q ** dim - 1) // (q - 1)
 
 
@@ -35,14 +55,14 @@ def points_exceed(dim, q, limit):
     return False
 
 
-def dot(field, u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+def _check_vector(vec, n, q):
+    if len(vec) != n:
+        raise DimensionMismatch(
+            f"vector of length {len(vec)} in ambient of dimension {n}"
+        )
+    for x in vec:
+        if not (isinstance(x, int) and 0 <= x < q):
+            raise BadRange(f"element code {x!r} outside GF({q})")
 
 
 def _rref(rows, n, field):
@@ -101,32 +121,13 @@ class Subspace:
     def points(self):
         """Canonical representatives of the 1-subspaces, sorted."""
         if self._points is None:
-            F, n, d = self.field, self.n, len(self.basis)
-            q = F.q
-            reps = []
-            # Coefficient vectors whose first nonzero entry is 1 hit every
-            # point exactly once because the basis is in echelon form.
-            for lead in range(d):
-                for rest in product(range(q), repeat=d - 1 - lead):
-                    coeffs = (0,) * lead + (1,) + rest
-                    v = [0] * n
-                    for c, row in zip(coeffs, self.basis):
-                        if c == 0:
-                            continue
-                        if c == 1:
-                            v = [F.add(x, y) for x, y in zip(v, row)]
-                        else:
-                            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-                    reps.append(tuple(v))
-            self._points = tuple(sorted(reps))
+            pi = point_index(self.n, self.field)
+            self._points = tuple(map(pi.unrank, sorted(pi._ranks(self))))
         return self._points
 
     def contains(self, vec):
-        if len(vec) != self.n:
-            raise DimensionMismatch(
-                f"vector of length {len(vec)} in ambient of dimension {self.n}"
-            )
         F = self.field
+        _check_vector(vec, self.n, F.q)
         v = list(vec)
         for row, pc in zip(self.basis, self._pivots):
             c = v[pc]
@@ -167,10 +168,7 @@ def _check_ambient(U, W):
 
 def span(vectors, n, field):
     for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient of dimension {n}"
-            )
+        _check_vector(v, n, field.q)
     return Subspace(field, n, _rref(vectors, n, field))
 
 
@@ -203,6 +201,8 @@ def intersect(U, W):
 
 def nullspace(rows, n, field):
     """Solution space of the homogeneous system with the given constraint rows."""
+    for row in rows:
+        _check_vector(row, n, field.q)
     reduced = _rref(rows, n, field)
     pivots = [next(i for i, x in enumerate(row) if x) for row in reduced]
     pivot_set = set(pivots)
@@ -222,20 +222,29 @@ class PointIndex:
     """Bit-indexed universe of the points of V(n, q).
 
     Point sets are carried as Python integers with bit i standing for the
-    i-th canonical representative; for q = 2 this matches packing vectors
-    into machine words, and for other q it is the same trick one index up.
+    point of rank i (see the module docstring).
     """
 
     def __init__(self, n, field):
         self.n = n
         self.field = field
-        self.reps = full_space(n, field).points()
-        self.index = {v: i for i, v in enumerate(self.reps)}
-        self.full_mask = (1 << len(self.reps)) - 1
+        q = field.q
+        self.size = num_points(n, q)
+        # place[j]: base-q value of a unit at coordinate j; shift[j]: base-q
+        # value minus rank of any representative led at coordinate j.
+        self._place = [q ** (n - 1 - j) for j in range(n)]
+        self._shift = [
+            w - num_points(n - 1 - j, q) for j, w in enumerate(self._place)
+        ]
+
+    @cached_property
+    def full_mask(self):
+        return (1 << self.size) - 1
 
     def rep_of(self, vec):
         """Canonical representative of the 1-subspace spanned by vec."""
         F = self.field
+        _check_vector(vec, self.n, F.q)
         lead = next((c for c in vec if c), 0)
         if lead == 0:
             raise BadRange("the zero vector spans no point")
@@ -244,21 +253,76 @@ class PointIndex:
         ic = F.inv(lead)
         return tuple(F.mul(ic, c) for c in vec)
 
+    def rank(self, vec):
+        """Rank of the point spanned by the nonzero vector vec."""
+        q, value, lead = self.field.q, 0, None
+        for j, x in enumerate(self.rep_of(vec)):
+            if lead is None and x:
+                lead = j
+            value = value * q + x
+        return value - self._shift[lead]
+
+    def unrank(self, i):
+        """Canonical representative of the point of rank i."""
+        if not 0 <= i < self.size:
+            raise BadRange(f"point rank {i} outside [0, {self.size})")
+        q, m, below = self.field.q, 0, 0
+        while below * q + 1 <= i:
+            below = below * q + 1
+            m += 1
+        rest, tail = i - below, []
+        for _ in range(m):
+            rest, x = divmod(rest, q)
+            tail.append(x)
+        return (0,) * (self.n - 1 - m) + (1,) + tuple(reversed(tail))
+
+    def _ranks(self, U):
+        """Ranks of the points of U, in walk order."""
+        F, q, place = U.field, U.field.q, self._place
+        if U.n != self.n or q != self.field.q:
+            raise DimensionMismatch(
+                f"subspace of V({U.n},{q}) in the point index of "
+                f"V({self.n},{self.field.q})"
+            )
+        out = []
+        later = [0]  # base-q values of the span of the rows after row k
+        for k in range(U.dim - 1, -1, -1):
+            row, p = U.basis[k], U._pivots[k]
+            free = [(place[j], x) for j, x in enumerate(row) if x and j > p]
+            grown = []
+            # Row 0 needs only c = 1: no row before it reads the span.
+            for c in range(1, q if k else 2):
+                mul = F._mul[c]
+                lift = c * place[p]
+                if F.p == 2:
+                    step = lift + sum(mul[x] * w for w, x in free)
+                    grown += [s ^ step for s in later]
+                    continue
+                steps = [(w, F._add[mul[x]]) for w, x in free]
+                for s in later:
+                    v = s + lift
+                    for w, add in steps:
+                        x = s // w % q
+                        v += (add[x] - x) * w
+                    grown.append(v)
+            shift = self._shift[p]
+            out += [v - shift for v in grown[: len(later)]]
+            if k:
+                later += grown
+        return out
+
     def mask_of(self, U):
-        m = 0
-        idx = self.index
-        for v in U.points():
-            m |= 1 << idx[v]
-        return m
+        mask = 0
+        for r in self._ranks(U):
+            mask |= 1 << r
+        return mask
 
     def vectors_of_mask(self, mask):
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(self.reps[i])
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(self.unrank(low.bit_length() - 1))
+            mask ^= low
         return tuple(out)
 
 

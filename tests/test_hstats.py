@@ -20,7 +20,6 @@ from vspart.hstats import (
     beta_stats,
     histogram,
     hyperplane_masks,
-    incidence_sums_via_members,
     profile,
     supertail_quotient,
     tail_implication_checks,
@@ -115,9 +114,15 @@ def test_identities_skip_out_of_window_dimensions():
 
 
 def test_dual_path_incidence_sums():
-    """Hyperplanes-through-member totals match the histogram moments."""
+    """Member-in-hyperplane totals from the hyperplane masks match the
+    histogram moments."""
     P = minimal_partition(7, 3, F2)
-    sums = incidence_sums_via_members(P)
+    pi = point_index(P.n, P.field)
+    sums = {}
+    for _, hmask in hyperplane_masks(P.n, P.field):
+        for m in P.members:
+            if pi.mask_of(m) & ~hmask == 0:
+                sums[m.dim] = sums.get(m.dim, 0) + 1
     assert sums == {2: 155, 3: 240}
     h = histogram(P)
     for i, d in enumerate(h.dims):
@@ -316,3 +321,54 @@ def test_dual_counts_match_hyperplane_masks(P):
         assert profile(P, H).counts == vec
     assert verify_incidence_identities(P).ok
     assert verify_size_identity(P).ok
+
+
+@st.composite
+def broken_partitions(draw):
+    """A refined partition spoiled one of three ways, with the way named:
+    a member swapped for a subspace of its dimension that meets another
+    member, a member listed twice, or a member dropped."""
+    P = draw(refined_partitions())
+    n, F, members = P.n, P.field, list(P.members)
+    i = draw(st.integers(0, len(members) - 1))
+    how = draw(st.sampled_from(("meet", "duplicate", "drop")))
+    if how == "duplicate":
+        members.append(members[i])
+    elif how == "drop":
+        del members[i]
+    else:
+        other = members[draw(st.sampled_from(
+            [j for j in range(len(members)) if j != i]))]
+        d = members[i].dim
+        extra = draw(st.lists(
+            st.tuples(*[st.integers(0, F.q - 1)] * n), max_size=d
+        ))
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        rows = [other.basis[0]]
+        for v in extra + units:
+            if span(rows + [v], n, F).dim <= d:
+                rows.append(v)
+        members[i] = span(rows, n, F)
+        assert members[i].dim == d
+    return how, SubspacePartition(n, F, members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=broken_partitions())
+def test_identities_catch_broken_partitions(case):
+    """Every spoiled partition fails validate and fails identity (3), (4)
+    or the size identity; identity (2) holds for any member list, so it
+    does not count.  A dropped member keeps (3) and (4), which count only
+    pairs of members, so the size identity must catch it."""
+    how, B = case
+    assert not validate(B).ok
+    failed = [
+        c.name for c in verify_incidence_identities(B).checks
+        if not c.ok and not c.skipped
+    ]
+    pairs = [name for name in failed
+             if name.startswith(("member pair incidences", "cross incidences"))]
+    size_ok = verify_size_identity(B).ok
+    assert pairs or not size_ok
+    if how == "drop":
+        assert not size_ok

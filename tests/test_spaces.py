@@ -10,7 +10,6 @@ from vspart.enumeration import all_subspaces
 from vspart.errors import BadRange, DimensionMismatch
 from vspart.fields import make_field
 from vspart.spaces import (
-    dot,
     full_space,
     intersect,
     nullspace,
@@ -20,6 +19,14 @@ from vspart.spaces import (
     subspace_sum,
     zero_subspace,
 )
+
+
+def _dot(F, u, v):
+    """Standard bilinear form, from the field's public operations."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
 
 
 def test_num_points_values():
@@ -124,7 +131,7 @@ def test_nullspace_is_orthogonal_complement():
     assert N.dim == 2
     for v in N.points():
         for r in rows:
-            assert dot(F, r, v) == 0
+            assert _dot(F, r, v) == 0
     # the double complement returns the original span
     NN = nullspace(N.basis, 4, F)
     assert NN == span(rows, 4, F)
@@ -152,6 +159,78 @@ def test_point_index_masks():
             assert bin(mask).count("1") == num_points(d, 2)
             back = pi.vectors_of_mask(mask)
             assert sorted(back) == sorted(U.points())
+
+
+# Largest n per q with q^n small enough to list every vector.
+DIFF_AMBIENTS = {2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3, 16: 3}
+
+
+@st.composite
+def random_subspaces(draw):
+    q = draw(st.sampled_from(sorted(DIFF_AMBIENTS)))
+    n = draw(st.integers(1, DIFF_AMBIENTS[q]))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=0, max_size=n
+    ))
+    return span(rows, n, make_field(q))
+
+
+@settings(max_examples=120, deadline=None)
+@given(U=random_subspaces())
+def test_point_layer_matches_listing_every_vector(U):
+    """mask_of, points, rank and unrank against a reference that lists all
+    q^n vectors and keeps those with leading code 1, in product order,
+    which is lexicographic."""
+    n, F = U.n, U.field
+    every = [
+        v for v in itertools.product(range(F.q), repeat=n)
+        if next((x for x in v if x), 0) == 1
+    ]
+    inside = [v for v in every if U.contains(v)]
+    position = {v: i for i, v in enumerate(every)}
+    pi = point_index(n, F)
+    assert pi.size == len(every)
+    assert U.points() == tuple(inside)
+    assert pi.mask_of(U) == sum(1 << position[v] for v in inside)
+    for i, v in enumerate(every):
+        assert pi.unrank(i) == v
+        assert pi.rank(v) == i
+    for v in inside:
+        for c in F.nonzero():
+            assert pi.rank(tuple(F.mul(c, x) for x in v)) == position[v]
+
+
+def test_bad_vectors_are_rejected():
+    F2, F3 = make_field(2), make_field(3)
+    with pytest.raises(BadRange):
+        span([(5, 0)], 2, F2)
+    with pytest.raises(BadRange):
+        span([(1, -1)], 2, F2)
+    with pytest.raises(BadRange):
+        span([(1, 1.0)], 2, F2)
+    with pytest.raises(DimensionMismatch):
+        span([(1, 0, 0)], 2, F2)
+    with pytest.raises(BadRange):
+        nullspace([(0, 3)], 2, F3)
+    with pytest.raises(BadRange):
+        full_space(2, F2).contains((0, 2))
+    pi = point_index(3, F3)
+    with pytest.raises(DimensionMismatch):
+        pi.rep_of((1, 0))
+    with pytest.raises(BadRange):
+        pi.rep_of((1, 3, 0))
+    with pytest.raises(BadRange):
+        pi.rank((0, 0, 0))
+    for i in (-1, num_points(3, 3)):
+        with pytest.raises(BadRange):
+            pi.unrank(i)
+    with pytest.raises(DimensionMismatch):
+        pi.mask_of(full_space(2, F3))
+    with pytest.raises(DimensionMismatch):
+        pi.mask_of(full_space(3, F2))
+    for q in (1, 0):
+        with pytest.raises(BadRange):
+            num_points(3, q)
 
 
 def test_point_index_is_cached():
