@@ -20,9 +20,7 @@ already leads with 1 at the pivot of r_k.  These vectors are the points
 whose first nonzero coefficient is that of row k, and none needs scaling.
 Each vector of the walk is an earlier one plus c * r_k, which changes only
 the pivot of r_k (from 0 to c) and the free columns where r_k is nonzero,
-so its base-q value is updated from those columns alone.  In
-characteristic 2 the codes are bit strings and addition is XOR, so one
-XOR per point updates the whole value.
+so its base-q value is updated from those columns alone.
 """
 from __future__ import annotations
 
@@ -294,10 +292,6 @@ class PointIndex:
             for c in range(1, q if k else 2):
                 mul = F._mul[c]
                 lift = c * place[p]
-                if F.p == 2:
-                    step = lift + sum(mul[x] * w for w, x in free)
-                    grown += [s ^ step for s in later]
-                    continue
                 steps = [(w, F._add[mul[x]]) for w, x in free]
                 for s in later:
                     v = s + lift
