@@ -36,7 +36,7 @@ print(f"spreads through one fixed plane: {len(seeded)}")
 assert len(seeded) == 8
 
 # the search oracle agrees with the closed form
-for n, t, q in [(4, 2, 2), (5, 3, 2), (3, 2, 3)]:
+for n, t, q in [(4, 2, 2), (5, 3, 2), (3, 2, 3), (6, 4, 2)]:
     res = search_min_partition_size(n, t, q)
     formula = min_partition_size(n, t, q)
     print(f"sigma({n},{t};q={q}): search {res.size}, formula {formula}, "

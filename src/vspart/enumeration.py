@@ -14,6 +14,7 @@ from .spaces import (
     Subspace,
     num_points,
     nullspace,
+    orthogonal,
     point_index,
     span,
     zero_subspace,
@@ -82,7 +83,7 @@ def hyperplane_functional(H):
     """The canonical functional whose kernel is the hyperplane H."""
     if H.dim != H.n - 1:
         raise NotAHyperplane(f"dimension {H.dim} in ambient {H.n}")
-    duals = nullspace(H.basis, H.n, H.field)
+    duals = orthogonal(H)
     return duals.points()[0]
 
 
@@ -92,7 +93,7 @@ def hyperplanes_containing(U):
     n, field = U.n, U.field
     if U.dim == n:
         return []
-    duals = nullspace(U.basis, n, field)
+    duals = orthogonal(U)
     return [nullspace([a], n, field) for a in duals.points()]
 
 

@@ -41,7 +41,7 @@ from .errors import (
     NotAHyperplane,
 )
 from .partitions import supertail
-from .spaces import nullspace, num_points, point_index
+from .spaces import num_points, orthogonal, point_index
 
 
 def _theta(j, q):
@@ -69,7 +69,7 @@ def _dual_mask(U):
     built once per member and kept in its _dual_mask slot."""
     if U._dual_mask is None:
         pi = point_index(U.n, U.field)
-        U._dual_mask = pi.mask_of(nullspace(U.basis, U.n, U.field))
+        U._dual_mask = pi.mask_of(orthogonal(U))
     return U._dual_mask
 
 

@@ -17,6 +17,12 @@ can do that by point counts alone.  The table uses theta(k) =
 cuts branches that hold no partition within the limit, so size-limited
 streams are the unbounded ones filtered on size, in the same order.
 
+A second size prune counts by hyperplanes, the argument behind the bound
+|ST| >= sigma_q(d, t): a d-member meets a hyperplane H in theta(d) or
+theta(d-1) points, so for one vector of member counts within the limit
+every |uncovered & H| must be a sum of such terms.  It is also proved in
+_exact_cover and also cuts no partition within the limit.
+
 The minimum-size search additionally pins its first two choices, which
 is sound for size queries (it is NOT sound for counting).  The linear
 group is transitive on t-subspaces, so any partition whose largest
@@ -54,6 +60,7 @@ from .errors import (
     HypothesisNotMet,
 )
 from .fields import make_field
+from .hstats import hyperplane_masks
 from .partitions import (
     PartitionType,
     SubspacePartition,
@@ -89,12 +96,15 @@ class _Candidates:
     dimension D, the top candidates, as bitmasks over their ids counted
     from the first of them: through[p] holds those containing point p
     and clash[c] those meeting candidate c.  fewest counts members by
-    their point numbers alone.  All three are built on first use, since
-    only size-limited searches read them.
+    their point numbers alone, and fits by how they meet hyperplanes.
+    All are built on first use, since only size-limited searches read
+    them.
     """
 
     def __init__(self, n, field, dims):
         self.pi = point_index(n, field)
+        self._dims = sorted(set(dims))
+        self._fits = {}
         self.cands = []
         for d in dims:
             for U in all_subspaces(n, d, field):
@@ -104,7 +114,7 @@ class _Candidates:
             for p in _bits(mask):
                 self.per_point[p].append(cid)
         top = max(dims)
-        self._thetas = [num_points(d, field.q) for d in sorted(set(dims))]
+        self._thetas = [num_points(d, field.q) for d in self._dims]
         self._top_ids = [
             cid for cid, (_, d, _) in enumerate(self.cands) if d == top
         ]
@@ -146,6 +156,46 @@ class _Candidates:
             fewest.append(row)
         return fewest
 
+    @cached_property
+    def hyperplanes(self):
+        """Point masks of the hyperplanes of V(n, q)."""
+        return [mask for _, mask in hyperplane_masks(self.pi.n, self.pi.field)]
+
+    def fits(self, u, spare):
+        """fits[h] is a bitmask over the count vectors a (a_d members of
+        each candidate dimension d, holding u points, at most spare of
+        them): bit i is set when members counted by the i-th vector can
+        meet a hyperplane in exactly h points, that is when h - sum a_d
+        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
+        see _exact_cover).  Kept per (u, spare)."""
+        # Beyond u // theta(least dimension) members, spare admits no
+        # further vector.
+        key = (u, min(spare, u // self._thetas[0]))
+        if key not in self._fits:
+            q = self.pi.field.q
+            steps = [(num_points(d - 1, q), q ** (d - 1)) for d in self._dims]
+            fits = [0] * (u + 1)
+            for bit, counts in enumerate(_count_vectors(self._thetas, *key)):
+                pairs = list(zip(counts, steps))[::-1]
+                base = sum(a * below for a, (below, _) in pairs)
+                for h in range(base, u + 1):
+                    v = h - base
+                    for a, (_, w) in pairs:
+                        v -= min(a, v // w) * w
+                    if not v:
+                        fits[h] |= 1 << bit
+            self._fits[key] = fits
+        return self._fits[key]
+
+    def hyperplanes_fit(self, rest, spare):
+        """Whether one vector of member counts, at most spare members in
+        all, fits |rest & H| for every hyperplane H (see _exact_cover)."""
+        fits = self.fits(rest.bit_count(), spare)
+        alive = -1
+        for h in set(map(int.bit_count, map(rest.__and__, self.hyperplanes))):
+            alive &= fits[h]
+        return alive != 0
+
     def _meeting(self, mask):
         """The top candidates that meet the point set mask."""
         met = 0
@@ -156,6 +206,19 @@ class _Candidates:
     def live(self, covered):
         """The top candidates disjoint from the point set covered."""
         return ((1 << len(self._top_ids)) - 1) & ~self._meeting(covered)
+
+
+def _count_vectors(thetas, u, spare):
+    """Every tuple of counts a, one per entry of thetas, with
+    sum a_i thetas[i] = u and sum a_i <= spare."""
+    if not thetas:
+        if not u:
+            yield ()
+        return
+    *below, w = thetas
+    for a in range(min(u // w, spare) + 1):
+        for head in _count_vectors(below, u - a * w, spare - a):
+            yield head + (a,)
 
 
 def _bits(mask):
@@ -266,6 +329,21 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     only when fewest[u][u] > spare, and only until |F| passes the largest
     f with fewest[u][f] <= spare.  To keep F cheap, each frame then
     carries a fourth entry: the live top candidates before its choice.
+
+    The hyperplane check refines this.  Say a_d members of dimension d are
+    to come, so sum a_d theta(d) = u and sum a_d <= spare.  A d-member
+    meets a hyperplane H in dimension d or d-1, so h_H = |rest & H| =
+    sum a_d theta(d-1) + sum x_d q^(d-1), x_d in [0, a_d] counting the
+    d-members inside H.  The extension is pruned when no vector a fits
+    every h_H (tables.fits).  Writing v as sum x_d q^(d-1) is decided
+    greedily, x_d = min(a_d, v // q^(d-1)) from the largest d down: if a
+    solution has a smaller x_D, its smaller terms sum to at least
+    q^(D-1); taken largest first, each partial sum is a multiple of the
+    next term, as q^(D-1) is, so one equals q^(D-1) and those terms trade
+    for one more q^(D-1).  The check runs only while spare < u, since
+    otherwise u single points, if points are candidates, fit every h_H.
+    stats also accumulates the prunes of each kind: "size_prunes" (the
+    table alone), "stranded_prunes" and "hyperplane_prunes".
     """
     cands = tables.cands
     per_point = tables.per_point
@@ -285,7 +363,7 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
             frame[3:] = [tables.live(base)]
             if frame[2] is not None:
                 base |= cands[frame[2]][0]
-    nodes = 0
+    nodes = size_prunes = stranded_prunes = hyperplane_prunes = 0
     started = time.monotonic()
     try:
         while frames:
@@ -324,8 +402,10 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                 live = None
                 if size_limit is not None:
                     spare = size_limit - taken - 1
-                    row = fewest[rest.bit_count()]
+                    u = rest.bit_count()
+                    row = fewest[u]
                     if row[0] > spare:
+                        size_prunes += 1
                         continue
                     live = frame[3] & ~clash[cid]
                     if row[-1] > spare:
@@ -338,7 +418,11 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                                 stranded += 1
                             r ^= low
                         if stranded > most:
+                            stranded_prunes += 1
                             continue
+                    if spare < u and not tables.hyperplanes_fit(rest, spare):
+                        hyperplane_prunes += 1
+                        continue
                 frame[1] = pos
                 frame[2] = cid
                 covered |= mask
@@ -357,7 +441,10 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
             else:
                 frames.pop()
     finally:
-        stats["nodes"] = stats.get("nodes", 0) + nodes
+        for key, value in (("nodes", nodes), ("size_prunes", size_prunes),
+                           ("stranded_prunes", stranded_prunes),
+                           ("hyperplane_prunes", hyperplane_prunes)):
+            stats[key] = stats.get(key, 0) + value
 
 
 def _least_point(mask):
@@ -392,7 +479,10 @@ def enumerate_partitions(
     attempts; exhausting it (or time_limit seconds) raises BudgetExceeded
     whose .checkpoint resumes the stream via the resume argument with
     identical options.  When a dict is passed as stats, its "nodes" entry
-    accumulates the extension attempts spent.
+    accumulates the extension attempts spent, and once the search runs,
+    "size_prunes", "stranded_prunes" and "hyperplane_prunes" the
+    extensions that size_limit cut by the member-count table, by points
+    on no live top candidate, and by hyperplane counts.
     """
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
@@ -569,7 +659,10 @@ def search_min_partition_size(
     of theta(1), ..., theta(t) points, and those on no live t-candidate
     by members of fewer than theta(t).  (For t = 2 in V(5,2), a lines
     and b points need 3a + b = 31, so a + b is 11 when b = 1 and at least
-    13 otherwise: once two points are stranded, 12 members cannot do.)
+    13 otherwise: once two points are stranded, 12 members cannot do.
+    Nor can a = 10, b = 1, by the hyperplane check: each line meets a
+    hyperplane in 1 or 3 points, so the 15 points of every hyperplane
+    would need the single point, which 16 hyperplanes miss.)
 
     The second member is pinned too.  Let p1 be the least point outside
     L0, the first branch point.  Of the t-dimensional candidates through

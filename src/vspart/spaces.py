@@ -199,21 +199,23 @@ def intersect(U, W):
 
 def nullspace(rows, n, field):
     """Solution space of the homogeneous system with the given constraint rows."""
-    for row in rows:
-        _check_vector(row, n, field.q)
-    reduced = _rref(rows, n, field)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in reduced]
-    pivot_set = set(pivots)
+    return orthogonal(span(rows, n, field))
+
+
+def orthogonal(U):
+    """U^perp, read off U's reduced basis (one vector per free column) and
+    reduced once."""
+    n, field = U.n, U.field
     basis = []
     for f in range(n):
-        if f in pivot_set:
+        if f in U._pivots:
             continue
         v = [0] * n
         v[f] = 1
-        for row, pc in zip(reduced, pivots):
+        for row, pc in zip(U.basis, U._pivots):
             v[pc] = field.neg(row[f])
-        basis.append(tuple(v))
-    return span(basis, n, field)
+        basis.append(v)
+    return Subspace(field, n, _rref(basis, n, field))
 
 
 class PointIndex:

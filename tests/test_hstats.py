@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vspart.spaces as spaces
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes
 from vspart.errors import (
@@ -15,6 +16,7 @@ from vspart.errors import (
 )
 from vspart.fields import make_field
 from vspart.hstats import (
+    _dual_mask,
     _profile_vectors,
     alpha_histogram,
     beta_stats,
@@ -290,6 +292,20 @@ def refined_partitions(draw):
         ))
         P = refine(P, index, _moved(Q, rows))
     return P
+
+
+def test_dual_masks_reduce_each_member_once(monkeypatch):
+    """U^perp is read off U's reduced basis, so each member's dual mask
+    takes one row reduction."""
+    members = minimal_partition(7, 3, F2).members
+    calls = []
+    rref = spaces._rref
+    monkeypatch.setattr(
+        spaces, "_rref", lambda *args: calls.append(1) or rref(*args)
+    )
+    for U in members:
+        _dual_mask(U)
+    assert len(calls) == len(members)
 
 
 @settings(max_examples=150, deadline=None)

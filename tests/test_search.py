@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vspart.search as search
-from vspart.enumeration import all_subspaces
+from vspart.enumeration import all_hyperplanes, all_subspaces
 from vspart.errors import (
     BadRange,
     BudgetExceeded,
@@ -27,7 +27,7 @@ from vspart.search import (
     save_checkpoint,
     search_min_partition_size,
 )
-from vspart.spaces import full_space, span
+from vspart.spaces import full_space, point_index, span
 
 F2 = make_field(2)
 
@@ -253,6 +253,93 @@ def test_fewest_never_below_the_ceiling_bound(n, q, dims):
         assert fewest[31][2] == 13
 
 
+@cache
+def _hyperplane_point_sets(n, q):
+    F = make_field(q)
+    pi = point_index(n, F)
+    return [
+        {p for p in range(pi.size) if H.contains(pi.unrank(p))}
+        for H in all_hyperplanes(n, F)
+    ]
+
+
+def _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare):
+    """Whether some vector of member counts, at most spare members in all,
+    meets every hyperplane in exactly its share of rest, trying every count
+    vector and every number x of d-members inside the hyperplane (each
+    meets it in theta(d) points when inside, theta(d-1) when not)."""
+    theta = lambda d: (q**d - 1) // (q - 1)
+    points = {p for p in range(theta(n)) if rest >> p & 1}
+    heights = {len(points & H) for H in _hyperplane_point_sets(n, q)}
+    u = len(points)
+    for counts in product(*(range(u // theta(d) + 1) for d in dims)):
+        if sum(counts) > spare or u != sum(
+            c * theta(d) for c, d in zip(counts, dims)
+        ):
+            continue
+        reach = {
+            sum(x * theta(d) + (c - x) * theta(d - 1)
+                for x, c, d in zip(xs, counts, dims))
+            for xs in product(*(range(c + 1) for c in counts))
+        }
+        if heights <= reach:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, q, max_dim", [(4, 2, 3), (3, 3, 2)])
+def test_hyperplane_check_accepts_every_union_of_members(n, q, max_dim):
+    """Any set S of members of a partition covers its union with |S|
+    members, so the check must let that state through."""
+    tables = _Candidates(n, make_field(q), range(1, max_dim + 1))
+    states = set()
+    for P in enumerate_partitions(n, q, max_dim):
+        unions = [(0, 0)]
+        for member in P.members:
+            mask = tables.pi.mask_of(member)
+            unions += [(rest | mask, k + 1) for rest, k in unions]
+        states.update(unions)
+    for rest, spare in states:
+        assert tables.hyperplanes_fit(rest, spare), (rest, spare)
+
+
+def test_hyperplane_check_refutes_ten_lines_and_a_point():
+    """V(5,2) with L0, K and one point placed leaves 24 points, which 9
+    members can only cover as 8 lines; every hyperplane would then hold
+    an even number of them, but those missing the point hold 13."""
+    F = F2
+    tables = _Candidates(5, F, (2, 1))
+    covered = tables.pi.mask_of(search._canonical_subspace(5, F, 2))
+    p1 = search._least_point(tables.pi.full_mask & ~covered)
+    K = next(mask for mask, d, _ in tables.cands
+             if d == 2 and mask >> p1 & 1 and not mask & covered)
+    covered |= K
+    covered |= 1 << search._least_point(tables.pi.full_mask & ~covered)
+    rest = tables.pi.full_mask & ~covered
+    assert not tables.hyperplanes_fit(rest, 12 - 3)
+    assert not _hyperplanes_fit_by_brute_force(5, 2, (1, 2), rest, 9)
+    assert tables.hyperplanes_fit(rest, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from([
+        (4, 2, (1, 2, 3)), (4, 2, (2, 3)), (4, 2, (2,)),
+        (3, 3, (1, 2)), (3, 3, (2,)),
+    ]),
+    data=st.data(),
+)
+def test_hyperplane_check_matches_brute_force(case, data):
+    n, q, dims = case
+    size = (q**n - 1) // (q - 1)
+    rest = data.draw(st.integers(0, (1 << size) - 1), label="rest")
+    spare = data.draw(st.integers(0, size), label="spare")
+    tables = _Candidates(n, make_field(q), dims)
+    assert tables.hyperplanes_fit(rest, spare) == (
+        _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare)
+    )
+
+
 def test_enumerate_seeded():
     """Fixing one member: exactly 56 * 5 / 35 = 8 spreads contain any
     given 2-subspace."""
@@ -447,6 +534,28 @@ def test_enumerate_stats_accumulate():
     assert empty == {"nodes": 0}
 
 
+def test_stats_count_size_prunes_by_reason():
+    """The 56 spreads are the partitions of V(4,2) with at most 5
+    members; each size prune is counted under its own reason."""
+    counters = {}
+    assert len(list(enumerate_partitions(4, 2, 3, size_limit=5,
+                                         stats=counters))) == 56
+    assert counters == {"nodes": 369, "size_prunes": 112,
+                        "stranded_prunes": 41, "hyperplane_prunes": 12}
+
+
+def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hyperplane table read without a size limit")
+
+    monkeypatch.setattr(_Candidates, "fits", refuse)
+    monkeypatch.setattr(_Candidates, "hyperplanes_fit", refuse)
+    counters = {}
+    assert len(list(enumerate_partitions(4, 2, 3, stats=counters))) == 1227
+    assert counters == {"nodes": 6231, "size_prunes": 0,
+                        "stranded_prunes": 0, "hyperplane_prunes": 0}
+
+
 def test_search_min_small_cases():
     for n, t, q in [(2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3)]:
         res = search_min_partition_size(n, t, q)
@@ -474,16 +583,26 @@ def test_search_min_agrees_with_brute_force():
 def test_search_min_oracle_node_count():
     """Node counts repeat exactly, so losing the second pin or the
     lookahead bound shows here: each alone leaves over a million nodes,
-    and the ceiling bound that the member-count table replaced 270,055."""
+    the ceiling bound that the member-count table replaced 270,055, and
+    the table without the hyperplane check 75,246."""
     res = search_min_partition_size(5, 2, 2)
     assert res.size == 13
-    assert res.nodes <= 80_000
+    assert res.nodes <= 1_000
+
+
+def test_search_min_settles_v62_top_dimension_4():
+    """Every 3- or 4-subspace meets L0, so 48 points are left to lines and
+    points; the hyperplanes refute 16 members at once, where point counts
+    alone do not."""
+    res = search_min_partition_size(6, 4, 2)
+    assert res.size == 17 == min_partition_size(6, 4, 2)
+    assert validate(res.partition).ok
 
 
 def test_search_min_budget_payload():
     """The minimum-size search cannot resume, so it carries no checkpoint."""
     with pytest.raises(BudgetExceeded) as info:
-        search_min_partition_size(5, 2, 2, budget=1000)
+        search_min_partition_size(5, 2, 2, budget=100)
     assert info.value.checkpoint is None
 
 
@@ -492,7 +611,7 @@ def test_time_limit_stops_both_searches():
     searches early; the enumeration still leaves a checkpoint that
     resumes the stream where it stopped."""
     with pytest.raises(BudgetExceeded):
-        search_min_partition_size(5, 2, 2, time_limit=0)
+        search_min_partition_size(5, 2, 3, time_limit=0)
     collected = []
     with pytest.raises(BudgetExceeded) as info:
         for P in enumerate_partitions(5, 2, 4, time_limit=0):
