@@ -234,14 +234,7 @@ def _cmd_search_conjecture(args):
     return EXIT_OK if findings.ok else EXIT_ASSERTION
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vspart",
-        description="Construct, verify, analyze, and search subspace "
-        "partitions of finite vector spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_construct(sub):
     c = sub.add_parser("construct", help="build a partition and write it")
     c.add_argument("kind", choices=["spread", "beutelspacher", "minimal"])
     c.add_argument("--n", type=int, required=True)
@@ -252,17 +245,23 @@ def build_parser():
     c.add_argument("--format", choices=["text", "json"], default="text")
     c.set_defaults(func=_cmd_construct)
 
+
+def _add_verify(sub):
     v = sub.add_parser("verify", help="validate a partition file")
     v.add_argument("file")
     v.add_argument("--all-identities", action="store_true")
     v.set_defaults(func=_cmd_verify)
 
+
+def _add_analyze(sub):
     a = sub.add_parser("analyze", help="supertail structure report")
     a.add_argument("file")
     a.add_argument("--cut", type=int, required=True)
     a.add_argument("--mode", choices=["assert", "explore"], default="assert")
     a.set_defaults(func=_cmd_analyze)
 
+
+def _add_sigma(sub):
     s = sub.add_parser("sigma", help="minimum partition size")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--t", type=int, required=True)
@@ -272,6 +271,8 @@ def build_parser():
     s.add_argument("--budget", type=int)
     s.set_defaults(func=_cmd_sigma)
 
+
+def _add_search(sub):
     se = sub.add_parser("search", help="exhaustive searches")
     sesub = se.add_subparsers(dest="search_kind", required=True)
 
@@ -293,12 +294,41 @@ def build_parser():
     sc.add_argument("--budget", type=int)
     sc.set_defaults(func=_cmd_search_conjecture)
 
+
+# Subcommands in the order they are listed in usage and help.
+_COMMANDS = {
+    "construct": _add_construct,
+    "verify": _add_verify,
+    "analyze": _add_analyze,
+    "sigma": _add_sigma,
+    "search": _add_search,
+}
+
+
+def build_parser(command=None):
+    """The command line parser.  With a command name, only that
+    subcommand's parser is built; the top-level usage still lists every
+    subcommand, so all usage, help and error texts read the same."""
+    parser = argparse.ArgumentParser(
+        prog="vspart",
+        description="Construct, verify, analyze, and search subspace "
+        "partitions of finite vector spaces.",
+    )
+    # With one command built, the metavar keeps every choice in the usage;
+    # the full parser keeps argparse's own name for the argument in errors.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, FileFormatError) as exc:

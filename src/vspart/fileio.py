@@ -5,8 +5,13 @@ golden files and diffs, and a JSON document with identical fields.  Both
 carry the field construction (characteristic, extension degree, modulus
 coefficients) so element codes mean the same thing to every reader, then
 one entry per member holding its canonical basis rows flattened
-row-major.  Reading reconstructs members by spanning the stored rows, so
-a write/read round trip is exactly the identity on canonical bases.
+row-major.  Reading takes the stored rows as the member's basis once it
+has checked that they are a canonical basis: every row is nonzero and
+leads with 1, the leads strictly increase, and every other row is 0 in
+each lead column.  That is exactly the reduced row echelon form, which
+is unique, so the check accepts the rows exactly when spanning them
+would give them back, and reading needs no elimination.  A write/read
+round trip is the identity on canonical bases.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import json
 from .errors import FileFormatError
 from .fields import MAX_EXTENSION_ORDER, extension_field, make_field
 from .partitions import SubspacePartition
-from .spaces import points_exceed, span
+from .spaces import Subspace, points_exceed
 
 FORMAT_NAME = "vspart-partition"
 FORMAT_VERSION = 1
@@ -85,11 +90,26 @@ def _member_from_codes(codes, n, field):
     for c in codes:
         if not 0 <= c < field.q:
             raise FileFormatError(f"element code {c} outside GF({field.q})")
-    rows = [tuple(codes[i : i + n]) for i in range(0, len(codes), n)]
-    member = span(rows, n, field)
-    if [list(r) for r in member.basis] != [list(r) for r in rows]:
+    rows = tuple(tuple(codes[i : i + n]) for i in range(0, len(codes), n))
+    if not _is_canonical(rows):
         raise FileFormatError("member rows are not a canonical basis")
-    return member
+    return Subspace(field, n, rows)
+
+
+def _is_canonical(rows):
+    """Whether rows are in reduced row echelon form with no zero row."""
+    leads = []
+    for row in rows:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or (leads and lead <= leads[-1]):
+            return False
+        leads.append(lead)
+    return all(
+        row[j] == 0
+        for i, row in enumerate(rows)
+        for k, j in enumerate(leads)
+        if k != i
+    )
 
 
 def partition_to_json(P):

@@ -16,7 +16,9 @@ addition each (see spaces), against theta(n) * theta(n - 1) for the point
 masks of all hyperplanes.  Each member builds its mask once and keeps it.
 The counts per hyperplane come from adding the masks of one dimension as
 binary numbers, about two big-integer operations per member, then
-splitting the log2(n_d) + 1 digit masks into positions once.
+splitting the log2(n_d) + 1 digit masks into positions once.  Each
+dimension's counts are kept on the partition, so the size, incidence and
+moment checks of one partition count each dimension once.
 hyperplane_masks, the hyperplane-side path, is kept as the reference the
 tests compare against.
 
@@ -79,7 +81,9 @@ _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 def _hyperplane_counts(P, dims):
     """For each d in dims, the list over hyperplanes (canonical order) of
-    the number of d-members each hyperplane contains.
+    the number of d-members each hyperplane contains.  Each list is built
+    once per partition and kept in its _counts slot; callers must not
+    change it.
 
     The dual masks are summed as binary numbers one bit per hyperplane:
     planes[k] holds bit k of every count, and each mask is added with a
@@ -87,6 +91,9 @@ def _hyperplane_counts(P, dims):
     a byte at a time."""
     out = []
     for d in dims:
+        if d in P._counts:
+            out.append(P._counts[d])
+            continue
         planes = []
         for m in P.members_of_dim(d):
             carry = _dual_mask(m)
@@ -103,6 +110,7 @@ def _hyperplane_counts(P, dims):
             for i, byte in enumerate(data):
                 for j in _BYTE_BITS[byte]:
                     col[8 * i + j] += 1 << k
+        P._counts[d] = col
         out.append(col)
     return out
 
@@ -272,13 +280,19 @@ def verify_size_identity(P):
     q = P.field.q
     size = P.size
     dims = P.dims()
-    checks = []
-    for i, vec in enumerate(_profile_vectors(P)):
+    vectors = _profile_vectors(P)
+    wrong = {}
+    for vec in set(vectors):
         rhs = 1 + sum(b * q ** d for d, b in zip(dims, vec))
         if rhs != size:
-            checks.append(
-                IdentityCheck(f"hyperplane {i} size identity", size, rhs, False)
-            )
+            wrong[vec] = rhs
+    checks = []
+    if wrong:
+        for i, vec in enumerate(vectors):
+            if vec in wrong:
+                checks.append(IdentityCheck(
+                    f"hyperplane {i} size identity", size, wrong[vec], False
+                ))
     checks.append(
         IdentityCheck(
             "size identity over all hyperplanes",

@@ -78,7 +78,7 @@ class SubspacePartition:
     with the same member set compare equal.
     """
 
-    __slots__ = ("n", "field", "members")
+    __slots__ = ("n", "field", "members", "_counts")
 
     def __init__(self, n, field, members):
         for m in members:
@@ -89,6 +89,9 @@ class SubspacePartition:
         self.n = n
         self.field = field
         self.members = tuple(sorted(members, key=lambda u: u.sort_key()))
+        # Per-hyperplane member counts by dimension, filled in and read by
+        # hstats.
+        self._counts = {}
 
     @property
     def size(self):

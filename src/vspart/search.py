@@ -267,7 +267,8 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
                   count_limit=None):
     """Refuse a limit of the wrong type before any table is built: budget,
     size_limit and count_limit must be ints, count_limit at least 1, and
-    time_limit an int or a float other than NaN.  None means no limit."""
+    time_limit an int or a float other than NaN; budget and time_limit
+    must not be negative.  None means no limit."""
     for name, value in (("budget", budget), ("size_limit", size_limit),
                         ("count_limit", count_limit)):
         if value is not None and not _is_int(value):
@@ -277,8 +278,11 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
         or time_limit != time_limit
     ):
         raise BadRange(f"time_limit must be a number, got {time_limit!r}")
-    if count_limit is not None and count_limit < 1:
-        raise BadRange(f"count_limit must be at least 1, got {count_limit}")
+    for name, value, least in (("budget", budget, 0),
+                               ("time_limit", time_limit, 0),
+                               ("count_limit", count_limit, 1)):
+        if value is not None and value < least:
+            raise BadRange(f"{name} must be at least {least}, got {value}")
 
 
 def save_checkpoint(path, checkpoint):

@@ -21,6 +21,16 @@ whose first nonzero coefficient is that of row k, and none needs scaling.
 Each vector of the walk is an earlier one plus c * r_k, which changes only
 the pivot of r_k (from 0 to c) and the free columns where r_k is nonzero,
 so its base-q value is updated from those columns alone.
+
+orthogonal(U) reads the reduced basis of U^perp off U's basis reduced
+from the right, with no second elimination.  Reduce U's d rows from the
+right (reverse the columns, reduce, reverse back): row u_i ends in 1 at
+column rho_i, and every other u_j is 0 there.  For each column c that is
+not a rho_i, put w_c = e_c - sum_i u_i[c] e_{rho_i}.  As u_j[rho_i] is
+1 for i = j and 0 otherwise, w_c . u_j = u_j[c] - u_j[c] = 0.  Since
+u_i[c] != 0 only when c < rho_i, w_c leads with 1 at c, and every other
+w is 0 at c.  So the n - d rows w_c are independent and span U^perp, and
+in increasing c they are already in reduced row echelon form.
 """
 from __future__ import annotations
 
@@ -65,6 +75,7 @@ def _check_vector(vec, n, q):
 
 def _rref(rows, n, field):
     """Unique reduced row echelon form of the row space, zero rows dropped."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     mat = [list(r) for r in rows if any(r)]
     rank = 0
     for col in range(n):
@@ -78,13 +89,15 @@ def _rref(rows, n, field):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         c = mat[rank][col]
         if c != 1:
-            ic = field.inv(c)
-            mat[rank] = [field.mul(ic, x) for x in mat[rank]]
+            scale = mul[inv[c]]
+            mat[rank] = [scale[x] for x in mat[rank]]
+        row = mat[rank]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                row = mat[rank]
-                mat[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[r], row)]
+            f = mat[r][col]
+            if r != rank and f != 0:
+                # x - f*y as x + (-f)*y
+                scale = mul[neg[f]]
+                mat[r] = [add[x][scale[y]] for x, y in zip(mat[r], row)]
         rank += 1
         if rank == len(mat):
             break
@@ -203,19 +216,22 @@ def nullspace(rows, n, field):
 
 
 def orthogonal(U):
-    """U^perp, read off U's reduced basis (one vector per free column) and
-    reduced once."""
-    n, field = U.n, U.field
+    """U^perp, read off U's basis reduced from the right (see the module
+    docstring): one reduction of U's d rows, none of U^perp's n - d."""
+    n, neg = U.n, U.field._neg
+    rev = _rref([row[::-1] for row in U.basis], n, U.field)
+    # rev[i] is u_i reversed; it leads with 1 at column n - 1 - rho_i.
+    ends = [n - 1 - next(j for j, x in enumerate(r) if x) for r in rev]
     basis = []
-    for f in range(n):
-        if f in U._pivots:
+    for c in range(n):
+        if c in ends:
             continue
-        v = [0] * n
-        v[f] = 1
-        for row, pc in zip(U.basis, U._pivots):
-            v[pc] = field.neg(row[f])
-        basis.append(v)
-    return Subspace(field, n, _rref(basis, n, field))
+        w = [0] * n
+        w[c] = 1
+        for r, rho in zip(rev, ends):
+            w[rho] = neg[r[n - 1 - c]]
+        basis.append(tuple(w))
+    return Subspace(U.field, n, tuple(basis))
 
 
 class PointIndex:

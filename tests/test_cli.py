@@ -1,4 +1,5 @@
 """The command line surface, driven through main(argv)."""
+import argparse
 import json
 import time
 
@@ -225,6 +226,15 @@ def test_sigma_oracle_budget(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_sigma_oracle_negative_budget(capsys):
+    """A negative budget is refused before the search starts."""
+    assert main([
+        "sigma", "--n", "5", "--t", "2", "--q", "2", "--oracle",
+        "--budget", "-5",
+    ]) == 3
+    assert "budget must be at least 0" in capsys.readouterr().err
+
+
 def test_sigma_oracle_disagreement(monkeypatch, capsys):
     """A wrong oracle answer must surface as an assertion failure."""
     real = search_min_partition_size
@@ -351,3 +361,65 @@ def test_budget_exceeded_error_path(monkeypatch, capsys):
     monkeypatch.setattr(cli, "conjecture_search", explode)
     assert main(["search", "conjecture", "--n", "3", "--q", "2"]) == 5
     assert "out of nodes" in capsys.readouterr().err
+
+
+def _subparsers(parser):
+    """Every subcommand's parser by name, nested ones as "search kind"."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out[name] = sub
+                for inner, p in _subparsers(sub).items():
+                    out[f"{name} {inner}"] = p
+    return out
+
+
+SUBCOMMANDS = [
+    "construct", "verify", "analyze", "sigma", "search",
+    "search partitions", "search conjecture",
+]
+
+
+def test_one_command_parser_reads_like_the_full_one():
+    """A parser built for one command prints the same usage and the same
+    help for that command as the parser built for all of them."""
+    full_parser = cli.build_parser()
+    full = _subparsers(full_parser)
+    assert sorted(full) == sorted(SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        one = cli.build_parser(name.split()[0])
+        assert sorted(_subparsers(one)) == sorted(
+            n for n in SUBCOMMANDS if n.split()[0] == name.split()[0]
+        )
+        assert one.format_usage() == full_parser.format_usage()
+        assert _subparsers(one)[name].format_help() == full[name].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    [*name.split(), "--bogus"] for name in SUBCOMMANDS
+] + [
+    ["construct", "spread", "--n", "4", "--q", "2", "--out", "x", "--bogus"],
+    ["verify", "f", "--bogus"],
+    ["analyze", "f", "--cut", "2", "--bogus"],
+    ["sigma", "--n", "5", "--t", "2", "--q", "2", "--bogus"],
+    ["sigma", "--n", "five", "--t", "2", "--q", "2"],
+    ["search", "partitions", "--n", "3", "--q", "2", "--bogus"],
+    ["search", "conjecture", "--n", "3", "--q", "2", "--bogus"],
+    ["search"], ["search", "nope"], ["verify", "-h"], ["search", "--help"],
+    ["nope"], [], ["--bogus", "verify"], ["-h"],
+])
+def test_parse_errors_read_like_the_full_parser(argv, monkeypatch, capsys):
+    """Every usage, help and error text, and the exit status, equal those
+    of the parser that holds every subcommand."""
+    with pytest.raises(SystemExit) as one:
+        main(list(argv))
+    got = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    with pytest.raises(SystemExit) as every:
+        main(list(argv))
+    want = capsys.readouterr()
+    assert one.value.code == every.value.code
+    assert (got.out, got.err) == (want.out, want.err)
+    assert got.out or got.err

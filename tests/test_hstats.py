@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vspart.hstats as hstats
 import vspart.spaces as spaces
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes
@@ -17,6 +18,7 @@ from vspart.errors import (
 from vspart.fields import make_field
 from vspart.hstats import (
     _dual_mask,
+    _hyperplane_counts,
     _profile_vectors,
     alpha_histogram,
     beta_stats,
@@ -384,7 +386,44 @@ def test_identities_catch_broken_partitions(case):
     ]
     pairs = [name for name in failed
              if name.startswith(("member pair incidences", "cross incidences"))]
-    size_ok = verify_size_identity(B).ok
-    assert pairs or not size_ok
+    size = verify_size_identity(B)
+    assert pairs or not size.ok
     if how == "drop":
-        assert not size_ok
+        assert not size.ok
+    # The failing hyperplanes are named, each with its own right-hand side,
+    # as counted from the hyperplanes' point masks.
+    pi = point_index(B.n, B.field)
+    members = [(m.dim, pi.mask_of(m)) for m in B.members]
+    expected = []
+    for i, (_, hmask) in enumerate(hyperplane_masks(B.n, B.field)):
+        rhs = 1 + sum(
+            B.field.q ** dim for dim, mask in members if mask & ~hmask == 0
+        )
+        if rhs != B.size:
+            expected.append((f"hyperplane {i} size identity", B.size, rhs))
+    named = [(c.name, c.lhs, c.rhs) for c in size.checks[:-1]]
+    assert named == expected
+
+
+@pytest.mark.parametrize("P", [tailed_v6(), minimal_partition(7, 3, F2)])
+def test_checks_count_each_dimension_once(P, monkeypatch):
+    """The size, incidence and moment checks share one count per
+    dimension, kept on the partition: each member's dual mask is read
+    once, and the kept counts equal those of a fresh partition built from
+    fresh copies of the same members."""
+    calls = []
+    dual = hstats._dual_mask
+    monkeypatch.setattr(
+        hstats, "_dual_mask", lambda U: calls.append(1) or dual(U)
+    )
+    assert verify_size_identity(P).ok
+    assert verify_incidence_identities(P).ok
+    for d in P.dims():
+        assert verify_moment_identities(P, d).ok
+    assert len(calls) == P.size
+    fresh = SubspacePartition(
+        P.n, P.field, [span(m.basis, P.n, P.field) for m in P.members]
+    )
+    assert sorted(P._counts) == list(P.dims())
+    for d in P.dims():
+        assert P._counts[d] == _hyperplane_counts(fresh, (d,))[0]

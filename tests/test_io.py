@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspart.constructions import beutelspacher, refine, spread
+import vspart.spaces as spaces
+from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.errors import FileFormatError
 from vspart.fields import extension_field, make_field
 from vspart.fileio import (
@@ -19,7 +20,7 @@ from vspart.fileio import (
     write_partition,
 )
 from vspart.partitions import SubspacePartition
-from vspart.spaces import full_space, num_points
+from vspart.spaces import full_space, num_points, span
 
 
 def corpus():
@@ -242,6 +243,66 @@ def test_point_limit_on_both_readers():
             parse_partition(format_partition(P))
         with pytest.raises(FileFormatError, match="points"):
             partition_from_json(partition_to_json(P))
+
+
+@st.composite
+def member_rows(draw):
+    """Rows for one member line: a canonical basis, or one spoiled by a
+    zero row, a lead other than 1, rows out of order, a row not reduced,
+    or arbitrary rows."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 4))
+    F = make_field(q)
+    vectors = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = list(span(draw(st.lists(vectors, max_size=n)), n, F).basis)
+    how = draw(st.sampled_from(
+        ("keep", "zero", "scale", "swap", "add", "arbitrary")
+    ))
+    if how == "zero" or not rows:
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * n)
+    elif how == "scale":
+        i, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(2, q))
+        rows[i] = tuple(F.mul(c % q, x) for x in rows[i])
+    elif how == "swap" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif how == "add" and len(rows) > 1:
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        c = draw(st.integers(1, q - 1))
+        rows[i] = tuple(F.add(x, F.mul(c, y)) for x, y in zip(rows[i], rows[j]))
+    elif how == "arbitrary":
+        rows = draw(st.lists(vectors, min_size=1, max_size=n + 1))
+    return F, n, tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=member_rows())
+def test_reader_accepts_exactly_the_canonical_bases(case):
+    """The reader's look at the rows agrees with spanning them: it raises
+    FileFormatError exactly when span(rows).basis != rows."""
+    F, n, rows = case
+    head = format_partition(whole_space(n, F.q)).splitlines()[:-1]
+    codes = " ".join(str(c) for row in rows for c in row)
+    text = "\n".join(head + ["member " + codes]) + "\n"
+    if span(rows, n, F).basis == rows:
+        assert parse_partition(text).members[0].basis == rows
+    else:
+        with pytest.raises(FileFormatError):
+            parse_partition(text)
+
+
+def test_reading_makes_no_row_reduction(tmp_path, monkeypatch):
+    """Stored rows are checked by looking at them, not by reducing them."""
+    P = minimal_partition(7, 3, make_field(2))
+    path = tmp_path / "v7.vspart"
+    write_partition(P, path)
+    calls = []
+    rref = spaces._rref
+    monkeypatch.setattr(
+        spaces, "_rref", lambda *args: calls.append(1) or rref(*args)
+    )
+    assert read_partition(path) == P
+    assert calls == []
 
 
 # -- fuzzing: every input parses to a partition or raises FileFormatError ---

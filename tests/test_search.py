@@ -130,16 +130,29 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: check_no_minimum_supertail(5, 3, 2, time_limit=[3]),
     lambda: conjecture_search(3, 2, budget="10"),
     lambda: conjecture_search(3, 2, time_limit="3"),
+    lambda: list(enumerate_partitions(4, 2, 3, budget=-1)),
+    lambda: list(enumerate_partitions(4, 2, 3, time_limit=-1)),
+    lambda: search_min_partition_size(5, 2, 2, budget=-5),
+    lambda: search_min_partition_size(5, 2, 2, time_limit=-1),
+    lambda: check_no_minimum_supertail(5, 3, 2, budget=-1),
+    lambda: check_no_minimum_supertail(5, 3, 2, time_limit=-0.5),
+    lambda: conjecture_search(3, 2, budget=-1),
+    lambda: conjecture_search(3, 2, time_limit=float("-inf")),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
     "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
     "enumerate-nan-time", "minimum-budget", "minimum-time",
     "impossibility-float-budget", "impossibility-list-time",
     "conjecture-budget", "conjecture-time",
+    "enumerate-negative-budget", "enumerate-negative-time",
+    "minimum-negative-budget", "minimum-negative-time",
+    "impossibility-negative-budget", "impossibility-negative-time",
+    "conjecture-negative-budget", "conjecture-negative-time",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
-    """A limit of the wrong type is refused before any candidate table
-    is built, so even a time limit is checked without searching."""
+    """A limit of the wrong type, or a negative budget or time limit, is
+    refused before any candidate table is built, so even a time limit is
+    checked without searching."""
 
     def no_tables(*args, **kwargs):
         raise AssertionError("candidate tables built")

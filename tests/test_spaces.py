@@ -14,6 +14,7 @@ from vspart.spaces import (
     intersect,
     nullspace,
     num_points,
+    orthogonal,
     point_index,
     span,
     subspace_sum,
@@ -276,3 +277,61 @@ def test_span_output_is_reduced_row_echelon():
         for other, j in enumerate(pivots):
             if other != r:
                 assert row[j] == 0
+
+
+# Largest n per q with q^n <= 5000.
+KERNEL_AMBIENTS = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3, 16: 3}
+
+
+@st.composite
+def kernel_cases(draw):
+    q = draw(st.sampled_from(sorted(KERNEL_AMBIENTS)))
+    n = draw(st.integers(1, KERNEL_AMBIENTS[q]))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=0, max_size=n
+    ))
+    return span(rows, n, make_field(q))
+
+
+def _reduced_echelon(rows):
+    """Pivots 1 and strictly increasing, pivot columns zero elsewhere."""
+    pivots = []
+    for row in rows:
+        j = next((i for i, x in enumerate(row) if x), None)
+        if j is None or row[j] != 1 or (pivots and j <= pivots[-1]):
+            return False
+        pivots.append(j)
+    return all(
+        row[j] == 0
+        for r, row in enumerate(rows)
+        for k, j in enumerate(pivots)
+        if k != r
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(U=kernel_cases())
+def test_orthogonal_matches_brute_force_kernel(U):
+    """orthogonal(U) against the kernel found by testing all q^n vectors
+    with a local dot product, and against the span of its basis closed
+    up by local field arithmetic."""
+    n, F = U.n, U.field
+    kernel = {
+        v for v in itertools.product(range(F.q), repeat=n)
+        if all(_dot(F, v, u) == 0 for u in U.basis)
+    }
+    W = orthogonal(U)
+    assert W.dim == n - U.dim
+    assert _reduced_echelon(W.basis)
+    spanned = {(0,) * n}
+    for w in W.basis:
+        spanned = {
+            tuple(F.add(x, F.mul(c, y)) for x, y in zip(s, w))
+            for s in spanned
+            for c in range(F.q)
+        }
+    assert spanned == kernel
+    assert W.points() == tuple(sorted(
+        v for v in kernel if next((x for x in v if x), 0) == 1
+    ))
+    assert orthogonal(W) == U
