@@ -6,21 +6,43 @@ in H.  Summing profile data over all hyperplanes double-counts incidences
 in two ways, which yields a family of exact identities; these are the
 workhorse consistency checks of the whole package.
 
-Incidences are counted from the member side, by duality.  The hyperplane
-ker(a) contains a member U exactly when the functional a lies in U^perp,
-the nullspace of U's basis.  So the point mask of U^perp, taken in the
-point index of V(n, q), has bit i set exactly when the i-th hyperplane in
-canonical functional order (the order of all_hyperplanes) contains U.
-Building these masks walks sum_U theta(n - dim U) points, one row
-addition each (see spaces), against theta(n) * theta(n - 1) for the point
-masks of all hyperplanes.  Each member builds its mask once and keeps it.
-The counts per hyperplane come from adding the masks of one dimension as
-binary numbers, about two big-integer operations per member, then
-splitting the log2(n_d) + 1 digit masks into positions once.  Each
-dimension's counts are kept on the partition, so the size, incidence and
-moment checks of one partition count each dimension once.
+Everything rests on the per-hyperplane counts b_{H,d}, kept on the
+partition one column per dimension, so the size, incidence, moment, beta
+and profile checks of one partition count each dimension once.  Column
+entry i belongs to the i-th hyperplane in canonical functional order (the
+order of all_hyperplanes): the kernel of the functional of point rank i.
+Two paths fill a column, chosen by the field order of the partition.
+
+Over GF(2) the counts come from the point side.  For a d-subspace U,
+d >= 1, and a functional a != 0, ker(a) & U is U or a hyperplane of U,
+and theta(d) - theta(d - 1) = 2^(d-1), so in points
+    |ker(a) & U| = theta(d - 1) + [U <= ker(a)] * 2^(d-1).
+Summing over the n_d listed d-members, whatever they are,
+    b_{ker a, d} = (sum_p m_d(p) [a.p = 0] - n_d theta(d - 1)) / 2^(d-1),
+where m_d(p) counts the listed d-members through the point p.  Nothing
+here assumes the members are disjoint or distinct, so the counts are
+exact for any member list, and broken partitions report what they are.
+The member point masks are added as binary numbers into bit planes M_k
+of m_d (a ripple carry per member).  Over GF(2) a point of rank r is the
+vector with binary value r + 1, and the functional of rank i has value
+a = i + 1, so the points with a.p = 1 are the XOR, over the set bits b
+of a, of the masks X_b of the points whose value has bit b set.  Walking
+a = 1, ..., 2^n - 1 in Gray order flips one bit per step, so each step
+updates that odd-side mask by one XOR, and then
+    sum_p m_d(p) [a.p = 0] = sum_k 2^k (|M_k| - |odd & M_k|).
+This walks each member's own theta(d) points once (the same masks serve
+validate and union_structure) and spends a few big-integer operations
+per hyperplane.
+
+For q > 2 incidences are counted from the member side, by duality.  The
+hyperplane ker(a) contains a member U exactly when a lies in U^perp, so
+the point mask of U^perp has bit i set exactly when the i-th hyperplane
+contains U.  Each member builds this mask once (one walk of theta(n - d)
+points) and keeps it; the masks of one dimension are added with the same
+ripple carry, and the digit masks are split into positions once.
+
 hyperplane_masks, the hyperplane-side path, is kept as the reference the
-tests compare against.
+tests compare both paths against.
 
 Throughout, theta(j) denotes the number of points of a j-dimensional space,
 with theta(j) = 0 for j <= 0.
@@ -79,40 +101,96 @@ def _dual_mask(U):
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
+def _add_mask(planes, mask):
+    """Add the 0/1 vector mask to the bit-sliced counts planes, in place:
+    planes[k] holds bit k of every count."""
+    carry = mask
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    planes.append(carry)
+
+
+_VALUE_BIT_MASKS: dict = {}
+
+
+def _value_bit_masks(n):
+    """X[b] for 0 <= b < n: the rank mask of the points of V(n, 2) whose
+    binary value r + 1 has bit b set, built by doubling one period of
+    2^b unset and 2^b set values."""
+    if n not in _VALUE_BIT_MASKS:
+        masks = []
+        for b in range(n):
+            run = 1 << b
+            pattern, width = ((1 << run) - 1) << run, 2 * run
+            while width < 1 << n:
+                pattern |= pattern << width
+                width *= 2
+            masks.append(pattern >> 1)
+        _VALUE_BIT_MASKS[n] = masks
+    return _VALUE_BIT_MASKS[n]
+
+
+def _point_side_counts(P, dims):
+    """Columns for dims over GF(2), from the point multiplicities of each
+    dimension and one Gray walk of the functionals (module docstring)."""
+    pi = point_index(P.n, P.field)
+    specs = []
+    for d in dims:
+        members = P.members_of_dim(d)
+        planes = []
+        for m in members:
+            _add_mask(planes, pi.mask_of(m))
+        total = sum(plane.bit_count() << k for k, plane in enumerate(planes))
+        const = total - len(members) * _theta(d - 1, 2)
+        specs.append(
+            ([0] * pi.size, const, tuple(enumerate(planes)), d - 1)
+        )
+    flips = _value_bit_masks(P.n)
+    odd = 0
+    for i in range(1, pi.size + 1):
+        odd ^= flips[(i & -i).bit_length() - 1]
+        a = i ^ i >> 1
+        for col, const, planes, shift in specs:
+            inside = const
+            for k, plane in planes:
+                inside -= (odd & plane).bit_count() << k
+            col[a - 1] = inside >> shift
+    return [col for col, *_ in specs]
+
+
+def _dual_counts(P, d):
+    """The column for d from the members' dual masks: the masks are added
+    as binary numbers, and only the final planes are split into bit
+    positions, a byte at a time."""
+    planes = []
+    for m in P.members_of_dim(d):
+        _add_mask(planes, _dual_mask(m))
+    col = [0] * num_points(P.n, P.field.q)
+    for k, plane in enumerate(planes):
+        data = plane.to_bytes((plane.bit_length() + 7) // 8, "little")
+        for i, byte in enumerate(data):
+            for j in _BYTE_BITS[byte]:
+                col[8 * i + j] += 1 << k
+    return col
+
+
 def _hyperplane_counts(P, dims):
     """For each d in dims, the list over hyperplanes (canonical order) of
     the number of d-members each hyperplane contains.  Each list is built
     once per partition and kept in its _counts slot; callers must not
-    change it.
-
-    The dual masks are summed as binary numbers one bit per hyperplane:
-    planes[k] holds bit k of every count, and each mask is added with a
-    ripple carry.  Only the final planes are split into bit positions,
-    a byte at a time."""
-    out = []
-    for d in dims:
-        if d in P._counts:
-            out.append(P._counts[d])
-            continue
-        planes = []
-        for m in P.members_of_dim(d):
-            carry = _dual_mask(m)
-            for k, plane in enumerate(planes):
-                planes[k] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        col = [0] * num_points(P.n, P.field.q)
-        for k, plane in enumerate(planes):
-            data = plane.to_bytes((plane.bit_length() + 7) // 8, "little")
-            for i, byte in enumerate(data):
-                for j in _BYTE_BITS[byte]:
-                    col[8 * i + j] += 1 << k
-        P._counts[d] = col
-        out.append(col)
-    return out
+    change it.  Over GF(2) the counts come from the point side, otherwise
+    from the members' duals (module docstring)."""
+    missing = [d for d in dims if d not in P._counts]
+    if missing:
+        if P.field.q == 2:
+            cols = _point_side_counts(P, missing)
+        else:
+            cols = [_dual_counts(P, d) for d in missing]
+        P._counts.update(zip(missing, cols))
+    return [P._counts[d] for d in dims]
 
 
 @dataclass(frozen=True)
@@ -130,17 +208,17 @@ class HyperplaneProfile:
 
 
 def profile(P, H):
+    """The counts b_{H,d} of H, read from the kept columns at the rank of
+    H's functional."""
     if H.n != P.n or H.field.q != P.field.q:
         raise NotAHyperplane("hyperplane from a different ambient")
     if H.dim != P.n - 1:
         raise NotAHyperplane(f"dimension {H.dim} in ambient {P.n}")
-    bit = 1 << point_index(P.n, P.field).rank(hyperplane_functional(H))
+    i = point_index(P.n, P.field).rank(hyperplane_functional(H))
     dims = P.dims()
-    counts = {d: 0 for d in dims}
-    for m in P.members:
-        if _dual_mask(m) & bit:
-            counts[m.dim] += 1
-    return HyperplaneProfile(dims, tuple(counts[d] for d in dims))
+    return HyperplaneProfile(
+        dims, tuple(col[i] for col in _hyperplane_counts(P, dims))
+    )
 
 
 @dataclass(frozen=True)
@@ -358,13 +436,11 @@ def beta_stats(P, cut):
         raise EmptySupertail(f"no members below dimension {cut}")
     n, q = P.n, P.field.q
     t = st.top_dim
-    dims = P.dims()
-    values = []
-    for vec in _profile_vectors(P):
-        beta = sum(
-            b * q ** d for d, b in zip(dims, vec) if d < cut
-        )
-        values.append(beta)
+    dims = [d for d in P.dims() if d < cut]
+    values = [0] * num_points(n, q)
+    for d, col in zip(dims, _hyperplane_counts(P, dims)):
+        weight = q ** d
+        values = [v + b * weight for v, b in zip(values, col)]
     beta0 = min(values)
     if len(st.members) < beta0 + 1:
         raise IdentityViolation(
@@ -378,9 +454,7 @@ def beta_stats(P, cut):
                 f"extremal tail must have beta0 = q^{t}, got {beta0}"
             )
         ptype = P.type()
-        total = sum(
-            ptype.count(d) * num_points(d, q) for d in dims if d < cut
-        )
+        total = sum(ptype.count(d) * num_points(d, q) for d in dims)
         num = (q - 1) * total + 1
         if num % q ** cut:
             raise IdentityViolation(

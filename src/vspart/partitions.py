@@ -78,7 +78,7 @@ class SubspacePartition:
     with the same member set compare equal.
     """
 
-    __slots__ = ("n", "field", "members", "_counts")
+    __slots__ = ("n", "field", "members", "_type", "_counts")
 
     def __init__(self, n, field, members):
         for m in members:
@@ -89,6 +89,7 @@ class SubspacePartition:
         self.n = n
         self.field = field
         self.members = tuple(sorted(members, key=lambda u: u.sort_key()))
+        self._type = None
         # Per-hyperplane member counts by dimension, filled in and read by
         # hstats.
         self._counts = {}
@@ -98,16 +99,26 @@ class SubspacePartition:
         return len(self.members)
 
     def type(self):
-        counts = {}
-        for m in self.members:
-            counts[m.dim] = counts.get(m.dim, 0) + 1
-        return PartitionType.of(counts)
+        """The partition's type, built on the first call and kept."""
+        if self._type is None:
+            counts = {}
+            for m in self.members:
+                counts[m.dim] = counts.get(m.dim, 0) + 1
+            self._type = PartitionType.of(counts)
+        return self._type
 
     def dims(self):
         return self.type().dims()
 
     def members_of_dim(self, d):
-        return tuple(m for m in self.members if m.dim == d)
+        """The d-members: a slice of the members, which are sorted by
+        dimension first."""
+        start = 0
+        for dim, count in self.type().entries:
+            if dim == d:
+                return self.members[start:start + count]
+            start += count
+        return ()
 
     def __eq__(self, other):
         if not isinstance(other, SubspacePartition):

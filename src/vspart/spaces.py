@@ -111,13 +111,18 @@ class Subspace:
     that the rows passed in are already in reduced row echelon form.
     """
 
-    __slots__ = ("field", "n", "basis", "_points", "_pivots", "_dual_mask")
+    __slots__ = (
+        "field", "n", "basis", "_points", "_pivots", "_mask", "_dual_mask"
+    )
 
     def __init__(self, field, n, basis):
         self.field = field
         self.n = n
         self.basis = basis
         self._points = None
+        # Point mask of this subspace, filled in and read by
+        # PointIndex.mask_of.
+        self._mask = None
         # Mask of the hyperplanes containing this subspace, filled in and
         # read by hstats.
         self._dual_mask = None
@@ -292,14 +297,17 @@ class PointIndex:
             tail.append(x)
         return (0,) * (self.n - 1 - m) + (1,) + tuple(reversed(tail))
 
-    def _ranks(self, U):
-        """Ranks of the points of U, in walk order."""
-        F, q, place = U.field, U.field.q, self._place
-        if U.n != self.n or q != self.field.q:
+    def _check(self, U):
+        if U.n != self.n or U.field.q != self.field.q:
             raise DimensionMismatch(
-                f"subspace of V({U.n},{q}) in the point index of "
+                f"subspace of V({U.n},{U.field.q}) in the point index of "
                 f"V({self.n},{self.field.q})"
             )
+
+    def _ranks(self, U):
+        """Ranks of the points of U, in walk order."""
+        self._check(U)
+        F, q, place = U.field, U.field.q, self._place
         out = []
         later = [0]  # base-q values of the span of the rows after row k
         for k in range(U.dim - 1, -1, -1):
@@ -324,10 +332,16 @@ class PointIndex:
         return out
 
     def mask_of(self, U):
-        mask = 0
-        for r in self._ranks(U):
-            mask |= 1 << r
-        return mask
+        """Point mask of U, built once per subspace and kept in its _mask
+        slot.  The ambient is checked first, so a kept mask is only ever
+        read by an index of U's own V(n, q)."""
+        self._check(U)
+        if U._mask is None:
+            mask = 0
+            for r in self._ranks(U):
+                mask |= 1 << r
+            U._mask = mask
+        return U._mask
 
     def vectors_of_mask(self, mask):
         out = []

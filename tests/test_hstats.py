@@ -1,12 +1,15 @@
 """Hyperplane incidence statistics: profiles, identities, beta and alpha."""
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vspart.enumeration as enumeration
 import vspart.hstats as hstats
 import vspart.spaces as spaces
+from vspart.cli import main
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes
 from vspart.errors import (
@@ -16,6 +19,7 @@ from vspart.errors import (
     NotAHyperplane,
 )
 from vspart.fields import make_field
+from vspart.fileio import write_partition
 from vspart.hstats import (
     _dual_mask,
     _hyperplane_counts,
@@ -36,6 +40,7 @@ from vspart.partitions import SubspacePartition, validate
 from vspart.spaces import full_space, num_points, point_index, span
 
 F2 = make_field(2)
+F3 = make_field(3)
 
 
 def near_spread_v3():
@@ -405,25 +410,134 @@ def test_identities_catch_broken_partitions(case):
     assert named == expected
 
 
-@pytest.mark.parametrize("P", [tailed_v6(), minimal_partition(7, 3, F2)])
+def _fresh(P):
+    """P rebuilt from fresh copies of its members, with nothing kept."""
+    return SubspacePartition(
+        P.n, P.field, [span(m.basis, P.n, P.field) for m in P.members]
+    )
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *args: calls.append(args) or inner(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("P", [
+    tailed_v6(), minimal_partition(7, 3, F2), minimal_partition(5, 3, F3),
+])
 def test_checks_count_each_dimension_once(P, monkeypatch):
     """The size, incidence and moment checks share one count per
-    dimension, kept on the partition: each member's dual mask is read
-    once, and the kept counts equal those of a fresh partition built from
-    fresh copies of the same members."""
-    calls = []
-    dual = hstats._dual_mask
-    monkeypatch.setattr(
-        hstats, "_dual_mask", lambda U: calls.append(1) or dual(U)
-    )
+    dimension, kept on the partition.  Over GF(2) the counts come from the
+    members' point masks, which validate already walked: no member's dual
+    is built, and each member's span is walked once in all.  For q > 2
+    each member's dual mask is read once.  The kept counts equal those of
+    a fresh partition built from fresh copies of the same members."""
+    P = _fresh(P)
+    orthogonal = [
+        _count_calls(monkeypatch, module, "orthogonal")
+        for module in (spaces, hstats, enumeration)
+    ]
+    dual = _count_calls(monkeypatch, hstats, "_dual_mask")
+    walks = _count_calls(monkeypatch, spaces.PointIndex, "_ranks")
+    assert validate(P).ok
     assert verify_size_identity(P).ok
     assert verify_incidence_identities(P).ok
     for d in P.dims():
         assert verify_moment_identities(P, d).ok
-    assert len(calls) == P.size
-    fresh = SubspacePartition(
-        P.n, P.field, [span(m.basis, P.n, P.field) for m in P.members]
-    )
+    if P.field.q == 2:
+        assert orthogonal == [[], [], []]
+        assert dual == []
+        walked = sorted(id(U) for _, U in walks)
+        assert walked == sorted(id(U) for U in P.members)
+    else:
+        assert len(dual) == P.size
+    fresh = _fresh(P)
     assert sorted(P._counts) == list(P.dims())
     for d in P.dims():
         assert P._counts[d] == _hyperplane_counts(fresh, (d,))[0]
+
+
+def _reference_vectors(P):
+    """Profile vectors of every hyperplane, counted by testing each
+    member's point mask against each hyperplane's point mask."""
+    pi = point_index(P.n, P.field)
+    members = [(m.dim, pi.mask_of(m)) for m in P.members]
+    return [
+        tuple(
+            sum(1 for dim, mask in members if dim == d and mask & ~hmask == 0)
+            for d in P.dims()
+        )
+        for _, hmask in hyperplane_masks(P.n, P.field)
+    ]
+
+
+def _moved_at_random(Q, seed):
+    """Q under a random element of GL(n, q) drawn from the seed."""
+    rng = random.Random(seed)
+    n, q = Q.n, Q.field.q
+    while True:
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
+        if span(rows, n, Q.field).dim == n:
+            return _moved(Q, rows)
+
+
+@pytest.mark.parametrize("n, t", [(8, 3), (9, 4)])
+def test_point_side_counts_match_hyperplane_masks(n, t):
+    """The GF(2) point-side counts equal the hyperplane-side reference on
+    moved minimal partitions of V(8, 2) and V(9, 2), and profile reads
+    the same vectors."""
+    P = _moved_at_random(minimal_partition(n, t, F2), f"{n}:{t}")
+    assert validate(P).ok
+    assert len(P.dims()) > 1
+    reference = _reference_vectors(P)
+    assert _profile_vectors(P) == reference
+    for (H, _), vec in zip(hyperplane_masks(n, F2), reference):
+        assert profile(P, H).counts == vec
+
+
+def _spoiled_v8():
+    """A moved minimal partition of V(8, 2) spoiled four ways, by name."""
+    P = _moved_at_random(minimal_partition(8, 3, F2), "spoiled")
+    members = list(P.members)
+    low, top = members[0], members[-1]
+    # A top-dimension member through a point of the lowest member.
+    meet = span([low.basis[0]] + list(top.basis[1:]), 8, F2)
+    if meet.dim < top.dim:
+        meet = span([low.basis[0]] + list(top.basis[:-1]), 8, F2)
+    assert meet.dim == top.dim and meet != top
+    return {
+        "duplicate": members + [top, top, low],
+        "overlap": members[:-1] + [meet],
+        "drop": members[1:-1],
+    }
+
+
+@pytest.mark.parametrize("how", ["duplicate", "overlap", "drop"])
+def test_point_side_counts_on_spoiled_members(how):
+    """The point-side identity holds for any member list, so duplicated,
+    overlapping and dropped members are counted exactly as the
+    hyperplane-side reference counts them."""
+    B = SubspacePartition(8, F2, _spoiled_v8()[how])
+    assert not validate(B).ok
+    assert _profile_vectors(B) == _reference_vectors(B)
+
+
+def test_gf2_cli_checks_build_no_duals(tmp_path, monkeypatch, capsys):
+    """verify --all-identities and analyze over GF(2) build no dual."""
+    path = tmp_path / "min73.vspart"
+    write_partition(minimal_partition(7, 3, F2), path)
+    orthogonal = [
+        _count_calls(monkeypatch, module, "orthogonal")
+        for module in (spaces, hstats, enumeration)
+    ]
+    dual = _count_calls(monkeypatch, hstats, "_dual_mask")
+    assert main(["verify", "--all-identities", str(path)]) == 0
+    assert main(["analyze", str(path), "--cut", "3", "--mode", "explore"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert orthogonal == [[], [], []]
+    assert dual == []
