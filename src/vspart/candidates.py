@@ -1,0 +1,182 @@
+"""Candidate tables of the exact-cover engine.
+
+The engine in search.py covers the points of V(n, q) by candidates, each
+a point bitmask with a dimension.  _Candidates holds such a list, in any
+order and from any source, with the tables the engine reads: the
+candidates through each point, and the size-limit lookahead tables
+proved in search._exact_cover.  _SubspaceCandidates fills the list with
+every subspace of some dimensions, walked from echelon shapes
+(enumeration.shape_masks), and makes a Subspace only for a candidate that
+an emitted cover names, decoded from its shape once and kept, so that
+covers streamed one after another share their member objects.
+"""
+from __future__ import annotations
+
+from functools import cache, cached_property
+
+from .enumeration import shape_basis, shape_masks
+from .spaces import Subspace, num_points, point_index
+
+
+class _Candidates:
+    """Candidates cands, a list of (point mask, dimension) pairs over the
+    point index pi, plus per-point lists of candidate ids in list order.
+
+    The lookahead tables describe the candidates of the largest
+    dimension D, the top candidates, as bitmasks over their ids counted
+    from the first of them: through[p] holds those containing point p
+    and clash[c] those meeting candidate c.  fewest counts members by
+    their point numbers alone, and fits by how they meet hyperplanes.
+    All are built on first use, since only size-limited searches read
+    them.
+    """
+
+    def __init__(self, pi, cands):
+        self.pi = pi
+        self.cands = cands
+        self._dims = sorted({d for _, d in cands})
+        self._fits = {}
+        self.per_point = [[] for _ in range(pi.size)]
+        for cid, (mask, _) in enumerate(cands):
+            for p in _bits(mask):
+                self.per_point[p].append(cid)
+        top = self._dims[-1]
+        self._thetas = [num_points(d, pi.field.q) for d in self._dims]
+        self._top_ids = [cid for cid, (_, d) in enumerate(cands) if d == top]
+
+    @cached_property
+    def through(self):
+        through = [0] * len(self.per_point)
+        for bit, cid in enumerate(self._top_ids):
+            for p in _bits(self.cands[cid][0]):
+                through[p] |= 1 << bit
+        return through
+
+    @cached_property
+    def clash(self):
+        return [self._meeting(mask) for mask, _ in self.cands]
+
+    @cached_property
+    def fewest(self):
+        """fewest[u][f] is the least number of members, each of a candidate
+        dimension, that hold exactly u points with at least f of them in
+        members below the top dimension; len(per_point) + 1 where none
+        do.  Each row is nondecreasing in f."""
+        total = len(self.per_point)
+        impossible = total + 1
+        *below, top = self._thetas
+        # small[s]: fewest members below the top holding exactly s points
+        small = [0] + [impossible] * total
+        for s in range(1, total + 1):
+            small[s] = min([small[s - w] + 1 for w in below if w <= s],
+                           default=impossible)
+        fewest = []
+        for u in range(total + 1):
+            row = [impossible] * (u + 1)
+            best = impossible
+            for f in range(u, -1, -1):
+                if (u - f) % top == 0:
+                    best = min(best, small[f] + (u - f) // top)
+                row[f] = best
+            fewest.append(row)
+        return fewest
+
+    @cached_property
+    def hyperplanes(self):
+        """Point masks of the hyperplanes of V(n, q), in shape order."""
+        return list(shape_masks(self.pi, self.pi.n - 1))
+
+    def fits(self, u, spare):
+        """fits[h] is a bitmask over the count vectors a (a_d members of
+        each candidate dimension d, holding u points, at most spare of
+        them): bit i is set when members counted by the i-th vector can
+        meet a hyperplane in exactly h points, that is when h - sum a_d
+        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
+        see search._exact_cover).  Kept per (u, spare)."""
+        # Beyond u // theta(least dimension) members, spare admits no
+        # further vector.
+        key = (u, min(spare, u // self._thetas[0]))
+        if key not in self._fits:
+            q = self.pi.field.q
+            steps = [(num_points(d - 1, q), q ** (d - 1)) for d in self._dims]
+            fits = [0] * (u + 1)
+            for bit, counts in enumerate(_count_vectors(self._thetas, *key)):
+                pairs = list(zip(counts, steps))[::-1]
+                base = sum(a * below for a, (below, _) in pairs)
+                for h in range(base, u + 1):
+                    v = h - base
+                    for a, (_, w) in pairs:
+                        v -= min(a, v // w) * w
+                    if not v:
+                        fits[h] |= 1 << bit
+            self._fits[key] = fits
+        return self._fits[key]
+
+    def hyperplanes_fit(self, rest, spare):
+        """Whether one vector of member counts, at most spare members in
+        all, fits |rest & H| for every hyperplane H (see
+        search._exact_cover).  Only the set of counts is read, so the
+        order of the hyperplanes does not matter."""
+        fits = self.fits(rest.bit_count(), spare)
+        alive = -1
+        for h in set(map(int.bit_count, map(rest.__and__, self.hyperplanes))):
+            alive &= fits[h]
+        return alive != 0
+
+    def _meeting(self, mask):
+        """The top candidates that meet the point set mask."""
+        met = 0
+        for p in _bits(mask):
+            met |= self.through[p]
+        return met
+
+    def live(self, covered):
+        """The top candidates disjoint from the point set covered."""
+        return ((1 << len(self._top_ids)) - 1) & ~self._meeting(covered)
+
+
+class _SubspaceCandidates(_Candidates):
+    """Every subspace of V(n, q) of the dimensions dims as a candidate:
+    dims in the order given, all_subspaces order within a dimension.
+    member(cid) is candidate cid as a Subspace, decoded from its shape on
+    first call and kept, with its point mask already filled in."""
+
+    def __init__(self, n, field, dims):
+        pi = point_index(n, field)
+        cands = []
+        # (first id, dimension) of each dimension's block of ids
+        blocks = []
+        for d in dims:
+            blocks.append((len(cands), d))
+            cands += [(mask, d) for mask in shape_masks(pi, d)]
+        super().__init__(pi, cands)
+
+        @cache
+        def member(cid):
+            start, d = max(b for b in blocks if b[0] <= cid)
+            U = Subspace(field, n, shape_basis(n, field.q, d, cid - start))
+            U._mask = cands[cid][0]
+            return U
+
+        self.member = member
+
+
+def _count_vectors(thetas, u, spare):
+    """Every tuple of counts a, one per entry of thetas, with
+    sum a_i thetas[i] = u and sum a_i <= spare."""
+    if not thetas:
+        if not u:
+            yield ()
+        return
+    *below, w = thetas
+    for a in range(min(u // w, spare) + 1):
+        for head in _count_vectors(below, u - a * w, spare - a):
+            yield head + (a,)
+
+
+def _bits(mask):
+    """Positions of the set bits of mask, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -4,6 +4,16 @@ Subspaces of a fixed dimension are generated from their reduced row echelon
 shape: choose the pivot columns, then run an odometer over the free entries.
 The stream order (pivot patterns lexicographic, free entries row-major) is
 deterministic and documented so downstream searches are reproducible.
+
+shape_masks walks the same shapes in the same order but yields point masks
+and builds no Subspace.  The free columns of row k are the columns after
+its pivot that are no later pivot, so rows k..d-1 of a shape are filled the
+same way whatever rows come before them.  The walk therefore fills rows
+last first: for each tuple of later pivots it keeps the point mask and the
+span values of every fill of those rows, and a shape with those later rows
+adds only the points its first row leads (PointIndex._row_step, the step of
+PointIndex._ranks).  shape_basis decodes the i-th shape back into its basis
+from its pivots and free codes, with no elimination.
 """
 from __future__ import annotations
 
@@ -55,13 +65,7 @@ def all_subspaces(n, d, field, budget=None):
         return
     q = field.q
     for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
+        free = _free_cells(pivots, n)
         base = [[0] * n for _ in range(d)]
         for i, pc in enumerate(pivots):
             base[i][pc] = 1
@@ -70,6 +74,88 @@ def all_subspaces(n, d, field, budget=None):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield Subspace(field, n, tuple(tuple(r) for r in rows))
+
+
+def _free_cells(pivots, n):
+    """The free entries (row, column) of an echelon shape, row-major: the
+    columns after each row's pivot that are no pivot."""
+    return [
+        (i, j)
+        for i, p in enumerate(pivots)
+        for j in range(p + 1, n)
+        if j not in pivots
+    ]
+
+
+def shape_masks(pi, d):
+    """Point mask of every d-subspace of pi's V(n, q), in all_subspaces
+    order, walked from echelon shapes with no Subspace built (see the
+    module docstring)."""
+    n, q = pi.n, pi.field.q
+    if not 0 <= d <= n:
+        raise BadRange(f"dimension {d} out of range for ambient {n}")
+    if d == 0:
+        yield 0
+        return
+    # later pivots -> (span values of every fill, q^len each, end to end;
+    # point mask of every fill)
+    known = {(): ([0], [0])}
+
+    def fills(pivots, spanned):
+        """The point mask of each fill of rows with these pivots, in
+        odometer order, paired with the base-q values of its span when
+        spanned."""
+        p, later = pivots[0], pivots[1:]
+        if later not in known:
+            values, masks = [], []
+            for mask, span_values in fills(later, True):
+                masks.append(mask)
+                values += span_values
+            known[later] = values, masks
+        values, masks = known[later]
+        size = len(values)
+        m = size // len(masks)
+        shift = pi._shift[p]
+        scalars = range(1, q) if spanned else (1,)
+        cols = [j for j in range(p + 1, n) if j not in later]
+        for codes in product(range(q), repeat=len(cols)):
+            entries = [(j, x) for j, x in zip(cols, codes) if x]
+            grown = pi._row_step(values, p, entries, scalars)
+            # grown[:size] (c = 1) are the points this row leads.
+            bits = [1 << (v - shift) for v in grown[:size]]
+            for i, mask in enumerate(masks):
+                a = i * m
+                mask |= sum(bits[a:a + m])
+                if spanned:
+                    yield mask, values[a:a + m] + [
+                        v for b in range(a, len(grown), size)
+                        for v in grown[b:b + m]
+                    ]
+                else:
+                    yield mask
+
+    for pivots in combinations(range(n), d):
+        yield from fills(pivots, False)
+
+
+def shape_basis(n, q, d, index):
+    """Reduced echelon basis of the index-th d-subspace of V(n, q) in
+    all_subspaces order: the free codes are the base-q digits of its
+    offset within its pivot pattern, the last free entry least."""
+    offset = index
+    for pivots in combinations(range(n), d):
+        free = _free_cells(pivots, n)
+        if 0 <= offset < q ** len(free):
+            break
+        offset -= q ** len(free)
+    else:
+        raise BadRange(f"no {d}-subspace of V({n},{q}) has index {index}")
+    rows = [[0] * n for _ in pivots]
+    for i, p in enumerate(pivots):
+        rows[i][p] = 1
+    for i, j in reversed(free):
+        offset, rows[i][j] = divmod(offset, q)
+    return tuple(map(tuple, rows))
 
 
 def all_hyperplanes(n, field):

@@ -32,7 +32,10 @@ transitive on the t-subspaces through p1 that meet L0 trivially, so the
 member through p1 can be taken to be the first such candidate whenever
 it has dimension t (proof in search_min_partition_size).
 
-Both searches run on one backtracking engine, _exact_cover.  Budgets are
+Both searches run on one backtracking engine, _exact_cover, over the
+candidate tables of candidates.py: every subspace of the member
+dimensions as a point mask, walked from its echelon shape, and a Subspace
+only for a member of an emitted partition.  Budgets are
 node counts (and optional wall-clock limits) for the whole call, and
 running out raises BudgetExceeded.  Only enumerate_partitions attaches a
 checkpoint: a JSON-serializable frontier that it can resume from.
@@ -48,10 +51,10 @@ import json
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .analysis import analyze_supertail, TailClass
-from .enumeration import all_subspaces
+from .candidates import _SubspaceCandidates
+from .enumeration import shape_basis, shape_masks
 from .errors import (
     BadRange,
     BudgetExceeded,
@@ -60,14 +63,13 @@ from .errors import (
     HypothesisNotMet,
 )
 from .fields import make_field
-from .hstats import hyperplane_masks
 from .partitions import (
     PartitionType,
     SubspacePartition,
     min_partition_size,
     supertail,
 )
-from .spaces import num_points, point_index, points_exceed, span
+from .spaces import Subspace, num_points, points_exceed, span
 
 ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
@@ -85,148 +87,6 @@ def _checked_field(n, q, point_limit):
             f"limit; pass point_limit to override"
         )
     return field
-
-
-class _Candidates:
-    """Candidate subspaces of the given dimensions as point bitmasks, plus
-    per-point lists of candidate ids (dims in the order given,
-    lexicographic within a dimension).
-
-    The lookahead tables describe the candidates of the largest
-    dimension D, the top candidates, as bitmasks over their ids counted
-    from the first of them: through[p] holds those containing point p
-    and clash[c] those meeting candidate c.  fewest counts members by
-    their point numbers alone, and fits by how they meet hyperplanes.
-    All are built on first use, since only size-limited searches read
-    them.
-    """
-
-    def __init__(self, n, field, dims):
-        self.pi = point_index(n, field)
-        self._dims = sorted(set(dims))
-        self._fits = {}
-        self.cands = []
-        for d in dims:
-            for U in all_subspaces(n, d, field):
-                self.cands.append((self.pi.mask_of(U), d, U))
-        self.per_point = [[] for _ in range(self.pi.size)]
-        for cid, (mask, _, _) in enumerate(self.cands):
-            for p in _bits(mask):
-                self.per_point[p].append(cid)
-        top = max(dims)
-        self._thetas = [num_points(d, field.q) for d in self._dims]
-        self._top_ids = [
-            cid for cid, (_, d, _) in enumerate(self.cands) if d == top
-        ]
-
-    @cached_property
-    def through(self):
-        through = [0] * len(self.per_point)
-        for bit, cid in enumerate(self._top_ids):
-            for p in _bits(self.cands[cid][0]):
-                through[p] |= 1 << bit
-        return through
-
-    @cached_property
-    def clash(self):
-        return [self._meeting(mask) for mask, _, _ in self.cands]
-
-    @cached_property
-    def fewest(self):
-        """fewest[u][f] is the least number of members, each of a candidate
-        dimension, that hold exactly u points with at least f of them in
-        members below the top dimension; len(per_point) + 1 where none
-        do.  Each row is nondecreasing in f."""
-        total = len(self.per_point)
-        impossible = total + 1
-        *below, top = self._thetas
-        # small[s]: fewest members below the top holding exactly s points
-        small = [0] + [impossible] * total
-        for s in range(1, total + 1):
-            small[s] = min([small[s - w] + 1 for w in below if w <= s],
-                           default=impossible)
-        fewest = []
-        for u in range(total + 1):
-            row = [impossible] * (u + 1)
-            best = impossible
-            for f in range(u, -1, -1):
-                if (u - f) % top == 0:
-                    best = min(best, small[f] + (u - f) // top)
-                row[f] = best
-            fewest.append(row)
-        return fewest
-
-    @cached_property
-    def hyperplanes(self):
-        """Point masks of the hyperplanes of V(n, q)."""
-        return [mask for _, mask in hyperplane_masks(self.pi.n, self.pi.field)]
-
-    def fits(self, u, spare):
-        """fits[h] is a bitmask over the count vectors a (a_d members of
-        each candidate dimension d, holding u points, at most spare of
-        them): bit i is set when members counted by the i-th vector can
-        meet a hyperplane in exactly h points, that is when h - sum a_d
-        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
-        see _exact_cover).  Kept per (u, spare)."""
-        # Beyond u // theta(least dimension) members, spare admits no
-        # further vector.
-        key = (u, min(spare, u // self._thetas[0]))
-        if key not in self._fits:
-            q = self.pi.field.q
-            steps = [(num_points(d - 1, q), q ** (d - 1)) for d in self._dims]
-            fits = [0] * (u + 1)
-            for bit, counts in enumerate(_count_vectors(self._thetas, *key)):
-                pairs = list(zip(counts, steps))[::-1]
-                base = sum(a * below for a, (below, _) in pairs)
-                for h in range(base, u + 1):
-                    v = h - base
-                    for a, (_, w) in pairs:
-                        v -= min(a, v // w) * w
-                    if not v:
-                        fits[h] |= 1 << bit
-            self._fits[key] = fits
-        return self._fits[key]
-
-    def hyperplanes_fit(self, rest, spare):
-        """Whether one vector of member counts, at most spare members in
-        all, fits |rest & H| for every hyperplane H (see _exact_cover)."""
-        fits = self.fits(rest.bit_count(), spare)
-        alive = -1
-        for h in set(map(int.bit_count, map(rest.__and__, self.hyperplanes))):
-            alive &= fits[h]
-        return alive != 0
-
-    def _meeting(self, mask):
-        """The top candidates that meet the point set mask."""
-        met = 0
-        for p in _bits(mask):
-            met |= self.through[p]
-        return met
-
-    def live(self, covered):
-        """The top candidates disjoint from the point set covered."""
-        return ((1 << len(self._top_ids)) - 1) & ~self._meeting(covered)
-
-
-def _count_vectors(thetas, u, spare):
-    """Every tuple of counts a, one per entry of thetas, with
-    sum a_i thetas[i] = u and sum a_i <= spare."""
-    if not thetas:
-        if not u:
-            yield ()
-        return
-    *below, w = thetas
-    for a in range(min(u // w, spare) + 1):
-        for head in _count_vectors(below, u - a * w, spare - a):
-            yield head + (a,)
-
-
-def _bits(mask):
-    """Positions of the set bits of mask, least first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _canonical_subspace(n, field, d):
@@ -306,7 +166,7 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                  stats, size_limit=None, filt=None, counts=None):
     """Backtrack from the frames stack, yielding at every exact cover of
     the space that extends covered (taken members so far) by candidates
-    of tables, a _Candidates.
+    of tables, a candidates._Candidates.
 
     A frame is [point, next position in per_point[point], chosen candidate
     id or None]; each yield is the list of chosen ids, frame by frame.
@@ -373,7 +233,7 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
         while frames:
             frame = frames[-1]
             if frame[2] is not None:
-                mask, d, _ = cands[frame[2]]
+                mask, d = cands[frame[2]]
                 covered &= ~mask
                 taken -= 1
                 if filt is not None:
@@ -383,7 +243,7 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
             pos = frame[1]
             while pos < len(plist):
                 cid = plist[pos]
-                mask, d, _ = cands[cid]
+                mask, d = cands[cid]
                 if mask & covered:
                     pos += 1
                     continue
@@ -503,7 +363,7 @@ def enumerate_partitions(
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
     if not dims:
         return
-    tables = _Candidates(n, field, dims)
+    tables = _SubspaceCandidates(n, field, dims)
     pi, cands, per_point = tables.pi, tables.cands, tables.per_point
     full = pi.full_mask
 
@@ -580,7 +440,7 @@ def enumerate_partitions(
                 )
             cid = None if last else per_point[point][pos - 1]
             if cid is not None:
-                mask, d, _ = cands[cid]
+                mask, d = cands[cid]
                 if mask & covered or filt is not None and counts[d] == filt[d]:
                     raise FileFormatError(
                         f"checkpoint frame {entry!r} chooses a member that "
@@ -615,7 +475,7 @@ def enumerate_partitions(
         for chosen in covers:
             emitted += 1
             yield SubspacePartition(
-                n, field, seed + [cands[cid][2] for cid in chosen]
+                n, field, seed + list(map(tables.member, chosen))
             )
             if count_limit is not None and emitted >= count_limit:
                 return
@@ -695,7 +555,7 @@ def search_min_partition_size(
     field = _checked_field(n, q, point_limit)
     if budget is None:
         budget = ORACLE_NODE_BUDGET
-    tables = _Candidates(n, field, range(t, 0, -1))
+    tables = _SubspaceCandidates(n, field, range(t, 0, -1))
     cands = tables.cands
     full = tables.pi.full_mask
     root = _canonical_subspace(n, field, t)
@@ -722,13 +582,13 @@ def search_min_partition_size(
     )
     # Every cover found is smaller than the last: the engine prunes to
     # one member fewer after each.
-    chosen = next(covers)
+    best = next(covers)
     while True:
-        members = [root] + [cands[cid][2] for cid in chosen]
         try:
-            chosen = covers.send(len(members) - 1)
+            best = covers.send(len(best))
         except StopIteration:
             break
+    members = [root] + list(map(tables.member, best))
     return SearchResult(
         len(members), SubspacePartition(n, field, members), stats["nodes"]
     )
@@ -803,9 +663,9 @@ def check_no_minimum_supertail(
     sweep_hits = 0
     if targets:
         limit = 1 + max(targets)
-        tables = _Candidates(n, field, range(1, max_tail_dim + 1))
+        tables = _SubspaceCandidates(n, field, range(1, max_tail_dim + 1))
         full = tables.pi.full_mask
-        for M in all_subspaces(n, cut, field):
+        for index, covered in enumerate(shape_masks(tables.pi, cut)):
             # Most searches stop long before the engine's first clock read,
             # so the clock is also read here.
             time_left = None
@@ -815,7 +675,6 @@ def check_no_minimum_supertail(
                     raise BudgetExceeded(
                         f"search stopped after {time_limit} seconds"
                     )
-            covered = tables.pi.mask_of(M)
             for chosen in _exact_cover(
                 tables,
                 [[_least_point(full & ~covered), 0, None]],
@@ -827,8 +686,9 @@ def check_no_minimum_supertail(
                 size_limit=limit,
             ):
                 sweep_partitions += 1
+                M = Subspace(field, n, shape_basis(n, q, cut, index))
                 P = SubspacePartition(
-                    n, field, [M] + [tables.cands[cid][2] for cid in chosen]
+                    n, field, [M] + list(map(tables.member, chosen))
                 )
                 st = supertail(P, cut)
                 if st.size == min_partition_size(cut, st.top_dim, q):
@@ -883,24 +743,32 @@ def conjecture_search(
     """Sweep every partition of V(n,q) (member dimensions up to max_dim,
     default n-1) and record how each supertail in cut_range behaves.
 
-    A case is a (partition, occurring cut) pair with members below the cut.
-    Narrow cases (cut < 2 * top tail dimension) of minimum size are the
-    conjecture's territory: when none of the three side conditions holds
-    the case is reported as open, and open cases whose union is not a
-    spread or near-spread are counterexamples.  Findings are reported,
+    A case is a (partition, occurring cut) pair with members below the cut,
+    so every cut in cut_range must lie in [2, min(max_dim, n - 1)];
+    BadRange is raised otherwise, before any search.  Narrow cases (cut <
+    2 * top tail dimension) of minimum size are the conjecture's
+    territory: when none of the three side conditions holds the case is
+    reported as open, and open cases whose union is not a spread or
+    near-spread are counterexamples.  Findings are reported,
     never asserted.
     """
     if max_dim is None:
         max_dim = n - 1
     _check_limits(budget=budget, time_limit=time_limit)
     _checked_field(n, q, point_limit)
-    if cut_range is None:
-        cut_range = range(2, n)
-    cuts = tuple(cut_range)
+    cuts = tuple(range(2, n) if cut_range is None else cut_range)
     if not cuts:
         return ConjectureFindings(
             n, q, cuts, 0, 0, 0, 0, (0, 0, 0), (), (), (), ()
         )
+    if cut_range is not None:
+        # A cut is a member dimension above the least, and no partition
+        # with a member of dimension n has another member.
+        top = min(max_dim, n - 1)
+        for cut in cuts:
+            if not (_is_int(cut) and 2 <= cut <= top):
+                raise BadRange(f"cut {cut!r} is never a case: cuts lie in "
+                               f"[2, {top}]")
     partitions = 0
     cases = 0
     narrow = 0

@@ -304,27 +304,37 @@ class PointIndex:
                 f"V({self.n},{self.field.q})"
             )
 
+    def _row_step(self, later, p, entries, scalars):
+        """Base-q values of s + c * r for each c in scalars (outer) and s in
+        later (inner).  The row r has its pivot 1 at column p and nonzero
+        codes only at the (column, code) pairs entries after it, and every
+        s is 0 at p, so only column p and the entry columns change (see
+        the module docstring)."""
+        F, q, place = self.field, self.field.q, self._place
+        grown = []
+        for c in scalars:
+            mul = F._mul[c]
+            lift = c * place[p]
+            steps = [(place[j], F._add[mul[x]]) for j, x in entries]
+            for s in later:
+                v = s + lift
+                for w, add in steps:
+                    x = s // w % q
+                    v += (add[x] - x) * w
+                grown.append(v)
+        return grown
+
     def _ranks(self, U):
         """Ranks of the points of U, in walk order."""
         self._check(U)
-        F, q, place = U.field, U.field.q, self._place
+        q = U.field.q
         out = []
         later = [0]  # base-q values of the span of the rows after row k
         for k in range(U.dim - 1, -1, -1):
             row, p = U.basis[k], U._pivots[k]
-            free = [(place[j], x) for j, x in enumerate(row) if x and j > p]
-            grown = []
+            entries = [(j, x) for j, x in enumerate(row) if x and j > p]
             # Row 0 needs only c = 1: no row before it reads the span.
-            for c in range(1, q if k else 2):
-                mul = F._mul[c]
-                lift = c * place[p]
-                steps = [(w, F._add[mul[x]]) for w, x in free]
-                for s in later:
-                    v = s + lift
-                    for w, add in steps:
-                        x = s // w % q
-                        v += (add[x] - x) * w
-                    grown.append(v)
+            grown = self._row_step(later, p, entries, range(1, q if k else 2))
             shift = self._shift[p]
             out += [v - shift for v in grown[: len(later)]]
             if k:

@@ -423,3 +423,13 @@ def test_parse_errors_read_like_the_full_parser(argv, monkeypatch, capsys):
     assert one.value.code == every.value.code
     assert (got.out, got.err) == (want.out, want.err)
     assert got.out or got.err
+
+
+@pytest.mark.parametrize("cuts", [["0"], ["5"], ["1"], ["2", "3"]])
+def test_search_conjecture_refuses_cuts_that_are_never_cases(cuts, capsys):
+    """V(3,2) has cases only at cut 2; any other cut exits 3 at once."""
+    started = time.monotonic()
+    assert main(["search", "conjecture", "--n", "3", "--q", "2",
+                 "--cuts", *cuts]) == 3
+    assert time.monotonic() - started < 1
+    assert "examined" not in capsys.readouterr().out

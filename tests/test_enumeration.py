@@ -11,10 +11,18 @@ from vspart.enumeration import (
     hyperplane_functional,
     hyperplanes_containing,
     recognize_subspace,
+    shape_basis,
+    shape_masks,
 )
 from vspart.errors import BadRange, BudgetExceeded
 from vspart.fields import make_field
-from vspart.spaces import full_space, num_points, span, zero_subspace
+from vspart.spaces import (
+    full_space,
+    num_points,
+    point_index,
+    span,
+    zero_subspace,
+)
 
 
 def _dot(F, u, v):
@@ -149,3 +157,59 @@ def test_recognize_unknown_mode():
     F = make_field(2)
     with pytest.raises(BadRange):
         recognize_subspace([(1, 0)], 2, F, mode="guess")
+
+
+# (q, largest n) for the shape walk checks
+SHAPE_AMBIENTS = [(2, 5), (3, 4), (4, 4), (5, 3), (7, 3), (8, 3), (9, 3),
+                  (16, 2)]
+
+
+def _reference_mask(F, n, basis):
+    """Point mask of the row space of a reduced echelon basis, from every
+    vector of V(n, q): the points are the vectors that lead with 1, ranked
+    in lexicographic order, and v lies in the row space exactly when it
+    equals the combination of the rows by its own pivot entries."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    mask, rank = 0, 0
+    for v in itertools.product(range(F.q), repeat=n):
+        if next((x for x in v if x), 0) != 1:
+            continue
+        w = [0] * n
+        for row, p in zip(basis, pivots):
+            w = [F.add(a, F.mul(v[p], b)) for a, b in zip(w, row)]
+        if tuple(w) == v:
+            mask |= 1 << rank
+        rank += 1
+    return mask
+
+
+@pytest.mark.parametrize("q, top", SHAPE_AMBIENTS)
+def test_shape_masks_match_every_vector(q, top):
+    """The i-th mask of the shape walk is the point set of all_subspaces'
+    i-th subspace, found from every vector of the ambient, and its
+    mask_of; shape_basis decodes i back to that subspace's basis."""
+    F = make_field(q)
+    for n in range(1, top + 1):
+        pi = point_index(n, F)
+        for d in range(1, n + 1):
+            subspaces = list(all_subspaces(n, d, F))
+            masks = list(shape_masks(pi, d))
+            assert len(masks) == len(subspaces) == gaussian_binomial(n, d, q)
+            for i, (U, mask) in enumerate(zip(subspaces, masks)):
+                assert mask == _reference_mask(F, n, U.basis), (n, d, i)
+                assert mask == pi.mask_of(U)
+                assert shape_basis(n, q, d, i) == U.basis
+
+
+def test_shape_walk_edges():
+    F = make_field(3)
+    pi = point_index(3, F)
+    assert list(shape_masks(pi, 0)) == [0]
+    assert list(shape_masks(pi, 3)) == [pi.full_mask]
+    assert shape_basis(3, 3, 0, 0) == ()
+    for d in (-1, 4):
+        with pytest.raises(BadRange):
+            list(shape_masks(pi, d))
+    for index in (-1, gaussian_binomial(3, 2, 3)):
+        with pytest.raises(BadRange):
+            shape_basis(3, 3, 2, index)

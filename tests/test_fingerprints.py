@@ -1,0 +1,78 @@
+"""Pinned sha1 fingerprints of search streams.
+
+Each fingerprint hashes the partitions of a stream, member bases in
+order, together with the stats dict and any checkpoint, so a change to
+the engine or its candidate tables that reorders, drops or adds a
+partition, or spends a different number of nodes, shows here.  Streams
+are fixed outputs: a refactor of the search must leave every digest as
+it is.
+"""
+import hashlib
+import json
+
+import pytest
+
+from vspart.errors import BudgetExceeded
+from vspart.fields import make_field
+from vspart.search import enumerate_partitions
+from vspart.spaces import span
+
+POINT3 = span([(0, 0, 1)], 3, make_field(3))
+
+
+def _digest(partitions, *extra):
+    h = hashlib.sha1()
+    count = 0
+    for P in partitions:
+        count += 1
+        h.update(json.dumps([M.basis for M in P.members]).encode())
+    for item in extra:
+        h.update(json.dumps(item, sort_keys=True).encode())
+    return count, h.hexdigest()
+
+
+def _stream(n, q, max_dim, **options):
+    stats = {}
+    partitions = list(enumerate_partitions(n, q, max_dim, stats=stats,
+                                           **options))
+    return _digest(partitions, stats)
+
+
+def _budgeted_then_resumed():
+    """A budget of 40 nodes stops the spread stream of V(4,2); the
+    checkpoint, the partitions before it and the resumed rest."""
+    before = []
+    try:
+        for P in enumerate_partitions(4, 2, 2, type_filter={2: 5},
+                                      budget=40):
+            before.append(P)
+    except BudgetExceeded as exc:
+        checkpoint = exc.checkpoint
+    else:
+        raise AssertionError("a budget of 40 nodes should not finish")
+    stats = {}
+    after = list(enumerate_partitions(4, 2, 2, type_filter={2: 5},
+                                      resume=checkpoint, stats=stats))
+    return _digest(before + after, checkpoint, stats)
+
+
+STREAMS = {
+    "v42-max-dim-3": lambda: _stream(4, 2, 3),
+    "v42-size-limit-5": lambda: _stream(4, 2, 3, size_limit=5),
+    "v33-seeded": lambda: _stream(3, 3, 2, seed=[POINT3]),
+    "v33-type-filter": lambda: _stream(3, 3, 2, type_filter={1: 9, 2: 1}),
+    "v42-budget-resume": _budgeted_then_resumed,
+}
+
+PINNED = {
+    "v42-max-dim-3": (1227, "511d346b93bbb24a36644129f1f7c02598bd47ee"),
+    "v42-size-limit-5": (56, "a7e1477d12e30bf01fc32273c867d20ecee702dc"),
+    "v33-seeded": (10, "efc6d5baf7a4cf578fa2b6d3787ae2d55481398a"),
+    "v33-type-filter": (13, "73b260e43b9b2f1f66f3d9529711b9447ef7f9e0"),
+    "v42-budget-resume": (56, "039f1def1fcfb5730c4f433e5a52f3f35f427cbe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_stream_fingerprint(name):
+    assert STREAMS[name]() == PINNED[name]

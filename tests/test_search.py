@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vspart.search as search
+from vspart.candidates import _Candidates, _SubspaceCandidates
 from vspart.enumeration import all_hyperplanes, all_subspaces
 from vspart.errors import (
     BadRange,
@@ -17,9 +18,9 @@ from vspart.errors import (
     HypothesisNotMet,
 )
 from vspart.fields import make_field
+from vspart.hstats import hyperplane_masks
 from vspart.partitions import PartitionType, min_partition_size, validate
 from vspart.search import (
-    _Candidates,
     check_no_minimum_supertail,
     conjecture_search,
     enumerate_partitions,
@@ -27,7 +28,7 @@ from vspart.search import (
     save_checkpoint,
     search_min_partition_size,
 )
-from vspart.spaces import full_space, point_index, span
+from vspart.spaces import Subspace, full_space, point_index, span
 
 F2 = make_field(2)
 
@@ -138,6 +139,13 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: check_no_minimum_supertail(5, 3, 2, time_limit=-0.5),
     lambda: conjecture_search(3, 2, budget=-1),
     lambda: conjecture_search(3, 2, time_limit=float("-inf")),
+    lambda: conjecture_search(3, 2, cut_range=(0,)),
+    lambda: conjecture_search(3, 2, cut_range=(5,)),
+    lambda: conjecture_search(3, 2, cut_range=(1, 2)),
+    lambda: conjecture_search(3, 2, cut_range=(2, 3)),
+    lambda: conjecture_search(3, 2, cut_range=(2.0,)),
+    lambda: conjecture_search(5, 2, cut_range=(5,)),
+    lambda: conjecture_search(5, 2, cut_range=(4,), max_dim=3),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
     "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
@@ -148,16 +156,20 @@ def test_enumerate_malformed_type_filter(type_filter):
     "minimum-negative-budget", "minimum-negative-time",
     "impossibility-negative-budget", "impossibility-negative-time",
     "conjecture-negative-budget", "conjecture-negative-time",
+    "conjecture-cut-0", "conjecture-cut-5", "conjecture-cut-1",
+    "conjecture-cut-n", "conjecture-float-cut", "conjecture-v52-cut-5",
+    "conjecture-cut-above-max-dim",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
-    """A limit of the wrong type, or a negative budget or time limit, is
-    refused before any candidate table is built, so even a time limit is
-    checked without searching."""
+    """A limit of the wrong type, a negative budget or time limit, or a
+    conjecture cut that can never be a case (outside [2, min(max_dim,
+    n - 1)]), is refused before any candidate table is built, so even a
+    time limit is checked without searching."""
 
     def no_tables(*args, **kwargs):
         raise AssertionError("candidate tables built")
 
-    monkeypatch.setattr(search, "_Candidates", no_tables)
+    monkeypatch.setattr(_Candidates, "__init__", no_tables)
     with pytest.raises(BadRange):
         call()
 
@@ -243,7 +255,7 @@ DIM_SETS = [(1, 2), (1, 2, 3), (1, 3), (2, 3)]
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
 def test_fewest_matches_count_vectors(n, q, dims):
-    tables = _Candidates(n, make_field(q), dims)
+    tables = _SubspaceCandidates(n, make_field(q), dims)
     assert tables.fewest == _fewest_by_count_vectors(n, q, dims)
 
 
@@ -254,7 +266,7 @@ def test_fewest_never_below_the_ceiling_bound(n, q, dims):
     members below the top D, then ceil of what is left over theta(D)."""
     theta = lambda d: (q**d - 1) // (q - 1)
     top, below = theta(max(dims)), theta(max(dims) - 1)
-    fewest = _Candidates(n, make_field(q), dims).fewest
+    fewest = _SubspaceCandidates(n, make_field(q), dims).fewest
     for u, row in enumerate(fewest):
         for f, value in enumerate(row):
             x = -(-f // below)
@@ -304,7 +316,7 @@ def _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare):
 def test_hyperplane_check_accepts_every_union_of_members(n, q, max_dim):
     """Any set S of members of a partition covers its union with |S|
     members, so the check must let that state through."""
-    tables = _Candidates(n, make_field(q), range(1, max_dim + 1))
+    tables = _SubspaceCandidates(n, make_field(q), range(1, max_dim + 1))
     states = set()
     for P in enumerate_partitions(n, q, max_dim):
         unions = [(0, 0)]
@@ -321,10 +333,10 @@ def test_hyperplane_check_refutes_ten_lines_and_a_point():
     members can only cover as 8 lines; every hyperplane would then hold
     an even number of them, but those missing the point hold 13."""
     F = F2
-    tables = _Candidates(5, F, (2, 1))
+    tables = _SubspaceCandidates(5, F, (2, 1))
     covered = tables.pi.mask_of(search._canonical_subspace(5, F, 2))
     p1 = search._least_point(tables.pi.full_mask & ~covered)
-    K = next(mask for mask, d, _ in tables.cands
+    K = next(mask for mask, d in tables.cands
              if d == 2 and mask >> p1 & 1 and not mask & covered)
     covered |= K
     covered |= 1 << search._least_point(tables.pi.full_mask & ~covered)
@@ -347,7 +359,7 @@ def test_hyperplane_check_matches_brute_force(case, data):
     size = (q**n - 1) // (q - 1)
     rest = data.draw(st.integers(0, (1 << size) - 1), label="rest")
     spare = data.draw(st.integers(0, size), label="spare")
-    tables = _Candidates(n, make_field(q), dims)
+    tables = _SubspaceCandidates(n, make_field(q), dims)
     assert tables.hyperplanes_fit(rest, spare) == (
         _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare)
     )
@@ -595,12 +607,74 @@ def test_search_min_agrees_with_brute_force():
 
 def test_search_min_oracle_node_count():
     """Node counts repeat exactly, so losing the second pin or the
-    lookahead bound shows here: each alone leaves over a million nodes,
-    the ceiling bound that the member-count table replaced 270,055, and
-    the table without the hyperplane check 75,246."""
+    lookahead bound, or reordering the candidates, shows here: each of
+    the first two alone leaves over a million nodes, the ceiling bound
+    that the member-count table replaced 270,055, and the table without
+    the hyperplane check 75,246."""
     res = search_min_partition_size(5, 2, 2)
-    assert res.size == 13
-    assert res.nodes <= 1_000
+    assert (res.size, res.nodes) == (13, 382)
+
+
+@pytest.mark.parametrize("n, t, q, size, nodes", [
+    (5, 3, 2, 9, 65),
+    (6, 4, 2, 17, 112),
+    (4, 2, 3, 10, 28),
+])
+def test_search_min_node_counts_are_pinned(n, t, q, size, nodes):
+    res = search_min_partition_size(n, t, q)
+    assert (res.size, res.nodes) == (size, nodes)
+
+
+def test_search_builds_a_subspace_only_per_member(monkeypatch):
+    """The candidates are point masks: the (5,2,2) search makes one
+    Subspace for L0 and one per member of the partition it returns, not
+    one for each of its 186 candidates."""
+    built = []
+    init = Subspace.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    res = search_min_partition_size(5, 2, 2)
+    assert len(built) <= res.size == 13
+    assert all(any(M is U for U in built) for M in res.partition.members)
+
+
+def test_stream_members_are_shared():
+    """Partitions of one stream hold the same object for the same member,
+    decoded once, with its point mask already kept."""
+    pi = point_index(4, F2)
+    first = {}
+    held = 0
+    for P in enumerate_partitions(4, 2, 2):
+        for M in P.members:
+            assert first.setdefault(M, M) is M
+            assert M._mask == pi.mask_of(span(M.basis, 4, F2))
+            held += 1
+    assert len(first) == 15 + 35 < held
+
+
+def test_subspace_candidates_decode_all_subspaces():
+    """Candidate ids run over the dimensions in the order given, each in
+    all_subspaces order; member(cid) is that subspace, with its mask."""
+    for n, q, dims in [(4, 2, (3, 1, 2)), (3, 3, (2, 1)), (3, 4, (1, 2, 3))]:
+        F = make_field(q)
+        pi = point_index(n, F)
+        tables = _SubspaceCandidates(n, F, dims)
+        expected = [U for d in dims for U in all_subspaces(n, d, F)]
+        assert len(tables.cands) == len(expected)
+        for cid, U in enumerate(expected):
+            mask, d = tables.cands[cid]
+            M = tables.member(cid)
+            assert (M, M.dim, d, mask, M._mask) == (
+                U, d, U.dim, pi.mask_of(U), mask
+            )
+            assert tables.member(cid) is M
+        assert sorted(tables.hyperplanes) == sorted(
+            mask for _, mask in hyperplane_masks(n, F)
+        )
 
 
 def test_search_min_settles_v62_top_dimension_4():
@@ -654,6 +728,14 @@ def test_impossibility_v52_cut3():
     assert rep.type_hits == 0
     assert rep.sweep_hits == 0
     assert rep.nodes > 0
+
+
+@pytest.mark.parametrize("n, cut, q, nodes", [
+    (5, 3, 2, 1395), (6, 4, 2, 11067), (5, 4, 2, 31), (3, 2, 3, 13),
+])
+def test_impossibility_reports_are_pinned(n, cut, q, nodes):
+    rep = check_no_minimum_supertail(n, cut, q)
+    assert rep == search.ImpossibilityReport(n, cut, q, (), 0, 0, 0, nodes)
 
 
 def test_impossibility_budget_covers_the_whole_call():
