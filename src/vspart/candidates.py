@@ -12,6 +12,7 @@ covers streamed one after another share their member objects.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, cached_property
 
 from .enumeration import shape_basis, shape_masks
@@ -26,22 +27,29 @@ class _Candidates:
     dimension D, the top candidates, as bitmasks over their ids counted
     from the first of them: through[p] holds those containing point p
     and clash[c] those meeting candidate c.  fewest counts members by
-    their point numbers alone, and fits by how they meet hyperplanes.
-    All are built on first use, since only size-limited searches read
-    them.
+    their point numbers alone, and fits and hyperplanes_fit by how they
+    meet hyperplanes.  All are built on first use, since only
+    size-limited searches read them, and clash one row at a time, for
+    the candidates the engine tries.
     """
 
     def __init__(self, pi, cands):
         self.pi = pi
         self.cands = cands
         self._dims = sorted({d for _, d in cands})
-        self._fits = {}
+        self._tables = {}
         self.per_point = [[] for _ in range(pi.size)]
         for cid, (mask, _) in enumerate(cands):
             for p in _bits(mask):
                 self.per_point[p].append(cid)
         top = self._dims[-1]
-        self._thetas = [num_points(d, pi.field.q) for d in self._dims]
+        q = pi.field.q
+        self._thetas = [num_points(d, q) for d in self._dims]
+        # (theta(d-1), q^(d-1)) and theta(n-d), the number of hyperplanes
+        # containing a d-subspace, per candidate dimension d
+        self._steps = [(num_points(d - 1, q), q ** (d - 1))
+                       for d in self._dims]
+        self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
         self._top_ids = [cid for cid, (_, d) in enumerate(cands) if d == top]
 
     @cached_property
@@ -54,7 +62,7 @@ class _Candidates:
 
     @cached_property
     def clash(self):
-        return [self._meeting(mask) for mask, _ in self.cands]
+        return _Rows(lambda cid: self._meeting(self.cands[cid][0]))
 
     @cached_property
     def fewest(self):
@@ -86,22 +94,19 @@ class _Candidates:
         """Point masks of the hyperplanes of V(n, q), in shape order."""
         return list(shape_masks(self.pi, self.pi.n - 1))
 
-    def fits(self, u, spare):
-        """fits[h] is a bitmask over the count vectors a (a_d members of
-        each candidate dimension d, holding u points, at most spare of
-        them): bit i is set when members counted by the i-th vector can
-        meet a hyperplane in exactly h points, that is when h - sum a_d
-        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
-        see search._exact_cover).  Kept per (u, spare)."""
+    def _table(self, u, spare):
+        """The count vectors a (a_d members of each candidate dimension d,
+        holding u points, at most spare of them), fits, and the totals
+        rows of each vector, built on first read; kept per (u, spare)."""
         # Beyond u // theta(least dimension) members, spare admits no
         # further vector.
         key = (u, min(spare, u // self._thetas[0]))
-        if key not in self._fits:
-            q = self.pi.field.q
-            steps = [(num_points(d - 1, q), q ** (d - 1)) for d in self._dims]
+        table = self._tables.get(key)
+        if table is None:
+            vectors = list(_count_vectors(self._thetas, *key))
             fits = [0] * (u + 1)
-            for bit, counts in enumerate(_count_vectors(self._thetas, *key)):
-                pairs = list(zip(counts, steps))[::-1]
+            for bit, counts in enumerate(vectors):
+                pairs = list(zip(counts, self._steps))[::-1]
                 base = sum(a * below for a, (below, _) in pairs)
                 for h in range(base, u + 1):
                     v = h - base
@@ -109,19 +114,73 @@ class _Candidates:
                         v -= min(a, v // w) * w
                     if not v:
                         fits[h] |= 1 << bit
-            self._fits[key] = fits
-        return self._fits[key]
+            totals = _Rows(lambda bit: self.totals(u, vectors[bit]))
+            table = self._tables[key] = (vectors, fits, totals)
+        return table
+
+    def fits(self, u, spare):
+        """fits[h] is a bitmask over the count vectors a (a_d members of
+        each candidate dimension d, holding u points, at most spare of
+        them): bit i is set when members counted by the i-th vector can
+        meet a hyperplane in exactly h points, that is when h - sum a_d
+        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
+        see search._exact_cover)."""
+        return self._table(u, spare)[1]
+
+    def totals(self, u, counts):
+        """For each candidate dimension d with a_d = counts[i] > 0, the
+        triple (a_d theta(n-d), lo, hi): lo[h] and hi[h] are the least and
+        greatest x_d over the solutions of h - sum a_e theta(e-1) =
+        sum x_e q^(e-1) with 0 <= x_e <= a_e, for each h that has one."""
+        base = sum(a * below for a, (below, _) in zip(counts, self._steps))
+        width = (1 << (u - base + 1)) - 1
+        rows = []
+        for k, a in enumerate(counts):
+            if not a:
+                continue
+            # reach: the sums of the other dimensions' terms, as a bitset
+            reach = 1
+            for e, (b, (_, z)) in enumerate(zip(counts, self._steps)):
+                if e != k:
+                    for _ in range(b):
+                        reach |= (reach << z) & width
+            w = self._steps[k][1]
+            most = min(a, (u - base) // w)
+            lo = [0] * (u + 1)
+            hi = [0] * (u + 1)
+            for bound, xs in ((lo, range(most + 1)),
+                              (hi, range(most, -1, -1))):
+                seen = 0
+                for x in xs:
+                    new = (reach << x * w) & width & ~seen
+                    seen |= new
+                    for v in _bits(new):
+                        bound[base + v] = x
+            rows.append((a * self._in_hyperplanes[k], lo, hi))
+        return rows
 
     def hyperplanes_fit(self, rest, spare):
         """Whether one vector of member counts, at most spare members in
-        all, fits |rest & H| for every hyperplane H (see
-        search._exact_cover).  Only the set of counts is read, so the
-        order of the hyperplanes does not matter."""
-        fits = self.fits(rest.bit_count(), spare)
-        alive = -1
-        for h in set(map(int.bit_count, map(rest.__and__, self.hyperplanes))):
+        all, fits |rest & H| for every hyperplane H, with totals that
+        allow each dimension's members to lie in as many hyperplanes as
+        they must (see search._exact_cover).  Only the numbers of
+        hyperplanes with each count are read, so their order does not
+        matter."""
+        u = rest.bit_count()
+        vectors, fits, totals = self._table(u, spare)
+        heights = list(map(int.bit_count, map(rest.__and__, self.hyperplanes)))
+        alive = (1 << len(vectors)) - 1
+        for h in set(heights):
             alive &= fits[h]
-        return alive != 0
+        if not alive:
+            return False
+        tally = Counter(heights).items()
+        for bit in _bits(alive):
+            if all(sum(lo[h] * c for h, c in tally) <= need
+                   <= sum(hi[h] * c for h, c in tally)
+                   for need, lo, hi in totals[bit]):
+                return True
+        return False
 
     def _meeting(self, mask):
         """The top candidates that meet the point set mask."""
@@ -159,6 +218,18 @@ class _SubspaceCandidates(_Candidates):
             return U
 
         self.member = member
+
+
+class _Rows(dict):
+    """A table whose row for key is build(key), made on first read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        row = self[key] = self._build(key)
+        return row
 
 
 def _count_vectors(thetas, u, spare):

@@ -163,6 +163,11 @@ def _cmd_sigma(args):
     agree = result.size == formula
     print(f"oracle minimum = {result.size} ({result.nodes} nodes), "
           f"agreement: {'yes' if agree else 'NO'}")
+    if result.witness is None:
+        print("witness: none, the search started at one member per point")
+    else:
+        print(f"witness: construction of {result.witness} members, beaten "
+              f"by the search: {'yes' if result.beat_witness else 'no'}")
     return EXIT_OK if agree else EXIT_ASSERTION
 
 

@@ -20,8 +20,18 @@ streams are the unbounded ones filtered on size, in the same order.
 A second size prune counts by hyperplanes, the argument behind the bound
 |ST| >= sigma_q(d, t): a d-member meets a hyperplane H in theta(d) or
 theta(d-1) points, so for one vector of member counts within the limit
-every |uncovered & H| must be a sum of such terms.  It is also proved in
-_exact_cover and also cuts no partition within the limit.
+every |uncovered & H| must be a sum of such terms.  Its totals add that
+a d-member lies in exactly theta(n-d) hyperplanes, so the numbers of
+d-members inside each hyperplane must sum to that many per member.  Both
+are proved in _exact_cover and cut no partition within the limit.
+
+The minimum-size search starts from a witness: minimal_partition(n, t),
+used only when it passes validate and has top dimension t, so the
+engine asks for one member fewer from the start, and the witness is the
+answer when no such cover exists.  A validated partition is a witness,
+not a formula, so the search stays independent of sigma.  When the
+construction raises or fails those checks, the search starts at one
+member per point.
 
 The minimum-size search additionally pins its first two choices, which
 is sound for size queries (it is NOT sound for counting).  The linear
@@ -54,6 +64,7 @@ from dataclasses import dataclass
 
 from .analysis import analyze_supertail, TailClass
 from .candidates import _SubspaceCandidates
+from .constructions import minimal_partition
 from .enumeration import shape_basis, shape_masks
 from .errors import (
     BadRange,
@@ -61,6 +72,7 @@ from .errors import (
     DimensionMismatch,
     FileFormatError,
     HypothesisNotMet,
+    VspartError,
 )
 from .fields import make_field
 from .partitions import (
@@ -68,6 +80,7 @@ from .partitions import (
     SubspacePartition,
     min_partition_size,
     supertail,
+    validate,
 )
 from .spaces import Subspace, num_points, points_exceed, span
 
@@ -206,8 +219,17 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     next term, as q^(D-1) is, so one equals q^(D-1) and those terms trade
     for one more q^(D-1).  The check runs only while spare < u, since
     otherwise u single points, if points are candidates, fit every h_H.
+
+    The totals refine it: a d-subspace U lies in exactly theta(n-d)
+    hyperplanes, as those through U are the hyperplanes of V/U, so
+    sum_H x_{H,d} = a_d theta(n-d) over all hyperplanes H.  Each x_{H,d}
+    lies between the least and the greatest x_d of the solutions for
+    h_H (tables.totals), so a vector whose sums of those bounds miss
+    a_d theta(n-d) for some d is cut as well.
+
     stats also accumulates the prunes of each kind: "size_prunes" (the
-    table alone), "stranded_prunes" and "hyperplane_prunes".
+    table alone), "stranded_prunes" and "hyperplane_prunes" (with the
+    totals).
     """
     cands = tables.cands
     per_point = tables.per_point
@@ -497,9 +519,30 @@ def enumerate_partitions(
 
 @dataclass(frozen=True)
 class SearchResult:
+    """size and partition: a minimum partition.  witness: the size of the
+    validated construction the search started below, or None when there
+    was none; beat_witness says whether the search found a smaller one."""
+
     size: int
     partition: SubspacePartition
     nodes: int
+    witness: int | None = None
+
+    @property
+    def beat_witness(self):
+        return self.witness is not None and self.size < self.witness
+
+
+def _witness(n, t, field):
+    """minimal_partition(n, t, field) if it builds, passes validate and
+    has top dimension t, else None."""
+    try:
+        W = minimal_partition(n, t, field)
+    except VspartError:
+        return None
+    if W.n != n or W.field is not field or not validate(W).ok:
+        return None
+    return W if max(W.dims()) == t else None
 
 
 def search_min_partition_size(
@@ -517,16 +560,18 @@ def search_min_partition_size(
     The first member is pinned to L0, the canonical t-subspace (sound
     for the minimum since GL(n,q) is transitive on t-subspaces).  The
     search then branches on the least uncovered point with candidates of
-    dimension at most t, larger dimensions first.  After each cover it
-    asks for one member fewer, pruning by the counting bound of
-    _exact_cover: the uncovered points must be held exactly by members
-    of theta(1), ..., theta(t) points, and those on no live t-candidate
-    by members of fewer than theta(t).  (For t = 2 in V(5,2), a lines
-    and b points need 3a + b = 31, so a + b is 11 when b = 1 and at least
-    13 otherwise: once two points are stranded, 12 members cannot do.
-    Nor can a = 10, b = 1, by the hyperplane check: each line meets a
-    hyperplane in 1 or 3 points, so the 15 points of every hyperplane
-    would need the single point, which 16 hyperplanes miss.)
+    dimension at most t, larger dimensions first.  It starts one member
+    below its witness (see the module docstring), or at one member per
+    point without one, and after each cover asks for one member fewer,
+    pruning by the counting bound of _exact_cover: the uncovered points
+    must be held exactly by members of theta(1), ..., theta(t) points,
+    and those on no live t-candidate by members of fewer than theta(t).
+    (For t = 2 in V(5,2), a lines and b points need 3a + b = 31, so
+    a + b is 11 when b = 1 and at least 13 otherwise: once two points
+    are stranded, 12 members cannot do.  Nor can a = 10, b = 1, by the
+    hyperplane check: each line meets a hyperplane in 1 or 3 points, so
+    the 15 points of every hyperplane would need the single point, which
+    16 hyperplanes miss.)
 
     The second member is pinned too.  Let p1 be the least point outside
     L0, the first branch point.  Of the t-dimensional candidates through
@@ -568,8 +613,9 @@ def search_min_partition_size(
     )
     tables.per_point[p1] = [c for c in plist if c == second or cands[c][1] < t]
     stats = {}
-    # A partition has at most one member per point, so the first limit
-    # prunes nothing.
+    # Without a witness the first limit prunes nothing: a partition has
+    # at most one member per point.
+    witness = _witness(n, t, field)
     covers = _exact_cover(
         tables,
         [[p1, 0, None]],
@@ -578,20 +624,23 @@ def search_min_partition_size(
         budget=budget,
         time_limit=time_limit,
         stats=stats,
-        size_limit=num_points(n, q),
+        size_limit=num_points(n, q) if witness is None else witness.size - 1,
     )
     # Every cover found is smaller than the last: the engine prunes to
     # one member fewer after each.
-    best = next(covers)
-    while True:
-        try:
+    best = None
+    try:
+        best = next(covers)
+        while True:
             best = covers.send(len(best))
-        except StopIteration:
-            break
-    members = [root] + list(map(tables.member, best))
-    return SearchResult(
-        len(members), SubspacePartition(n, field, members), stats["nodes"]
-    )
+    except StopIteration:
+        pass
+    P = witness
+    if best is not None:
+        members = [root] + list(map(tables.member, best))
+        P = SubspacePartition(n, field, members)
+    return SearchResult(P.size, P, stats["nodes"],
+                        None if witness is None else witness.size)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ import pytest
 
 import vspart.cli as cli
 import vspart.hstats as hstats
+import vspart.search as search
 from vspart.cli import main
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
-from vspart.errors import BudgetExceeded
+from vspart.errors import BadRange, BudgetExceeded
 from vspart.fields import make_field
 from vspart.fileio import (
     format_partition,
@@ -216,12 +217,29 @@ def test_sigma_oracle_agreement(capsys):
     ]) == 0
     text = capsys.readouterr().out
     assert "agreement: yes" in text
+    assert ("witness: construction of 5 members, beaten by the search: no"
+            in text)
+
+
+def test_sigma_oracle_without_witness(monkeypatch, capsys):
+    """With no usable construction the oracle says so and still agrees."""
+    monkeypatch.setattr(search, "minimal_partition", _no_construction)
+    assert main([
+        "sigma", "--n", "4", "--t", "2", "--q", "2", "--oracle",
+    ]) == 0
+    text = capsys.readouterr().out
+    assert "oracle minimum = 5 " in text and "agreement: yes" in text
+    assert "witness: none, the search started at one member per point" in text
+
+
+def _no_construction(n, t, field):
+    raise BadRange("no construction")
 
 
 def test_sigma_oracle_budget(capsys):
     assert main([
         "sigma", "--n", "4", "--t", "2", "--q", "2", "--oracle",
-        "--budget", "5",
+        "--budget", "1",
     ]) == 5
     assert "budget exhausted" in capsys.readouterr().err
 

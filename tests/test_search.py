@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import vspart.search as search
 from vspart.candidates import _Candidates, _SubspaceCandidates
+from vspart.constructions import minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes, all_subspaces
 from vspart.errors import (
     BadRange,
@@ -16,10 +17,16 @@ from vspart.errors import (
     DimensionMismatch,
     FileFormatError,
     HypothesisNotMet,
+    UnsupportedField,
 )
 from vspart.fields import make_field
 from vspart.hstats import hyperplane_masks
-from vspart.partitions import PartitionType, min_partition_size, validate
+from vspart.partitions import (
+    PartitionType,
+    SubspacePartition,
+    min_partition_size,
+    validate,
+)
 from vspart.search import (
     check_no_minimum_supertail,
     conjecture_search,
@@ -289,25 +296,35 @@ def _hyperplane_point_sets(n, q):
 
 
 def _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare):
-    """Whether some vector of member counts, at most spare members in all,
-    meets every hyperplane in exactly its share of rest, trying every count
-    vector and every number x of d-members inside the hyperplane (each
-    meets it in theta(d) points when inside, theta(d-1) when not)."""
+    """Whether some vector of member counts a, at most spare members in
+    all, meets every hyperplane in exactly its share of rest, trying every
+    count vector and every tuple of numbers x_d of d-members inside the
+    hyperplane (each meets it in theta(d) points when inside, theta(d-1)
+    when not); and whether, summed over the hyperplanes, the least and
+    greatest x_d of those tuples allow a_d theta(n-d), the number of
+    hyperplanes that a_d d-subspaces lie in."""
     theta = lambda d: (q**d - 1) // (q - 1)
     points = {p for p in range(theta(n)) if rest >> p & 1}
-    heights = {len(points & H) for H in _hyperplane_point_sets(n, q)}
+    heights = [len(points & H) for H in _hyperplane_point_sets(n, q)]
     u = len(points)
     for counts in product(*(range(u // theta(d) + 1) for d in dims)):
         if sum(counts) > spare or u != sum(
             c * theta(d) for c, d in zip(counts, dims)
         ):
             continue
-        reach = {
-            sum(x * theta(d) + (c - x) * theta(d - 1)
-                for x, c, d in zip(xs, counts, dims))
-            for xs in product(*(range(c + 1) for c in counts))
-        }
-        if heights <= reach:
+        solutions = {}
+        for xs in product(*(range(c + 1) for c in counts)):
+            h = sum(x * theta(d) + (c - x) * theta(d - 1)
+                    for x, c, d in zip(xs, counts, dims))
+            solutions.setdefault(h, []).append(xs)
+        if not all(h in solutions for h in heights):
+            continue
+        if all(
+            sum(min(xs[i] for xs in solutions[h]) for h in heights)
+            <= c * theta(n - d)
+            <= sum(max(xs[i] for xs in solutions[h]) for h in heights)
+            for i, (c, d) in enumerate(zip(counts, dims))
+        ):
             return True
     return False
 
@@ -346,6 +363,29 @@ def test_hyperplane_check_refutes_ten_lines_and_a_point():
     assert tables.hyperplanes_fit(rest, 10)
 
 
+def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
+    """A plane of V(4,2) is a hyperplane, and at most three members can
+    hold its 7 points only as two lines and a point.  Each hyperplane on
+    its own allows that: itself holds all three, and each of the other
+    14 meets the plane in a line, so it must hold the point and neither
+    line.  But then the point lies in 15 hyperplanes, where a point lies
+    in theta(3) = 7."""
+    F = F2
+    tables = _SubspaceCandidates(4, F, (1, 2))
+    rest = tables.pi.mask_of(next(all_subspaces(4, 3, F)))
+    assert not tables.hyperplanes_fit(rest, 3)
+    assert not _hyperplanes_fit_by_brute_force(4, 2, (1, 2), rest, 3)
+    heights = {(rest & H).bit_count() for H in tables.hyperplanes}
+    assert all(tables.fits(7, 3)[h] for h in heights) and heights == {3, 7}
+
+
+@cache
+def _subspace_masks(n, q, dims):
+    F = make_field(q)
+    pi = point_index(n, F)
+    return [pi.mask_of(U) for d in dims for U in all_subspaces(n, d, F)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     case=st.sampled_from([
@@ -355,9 +395,19 @@ def test_hyperplane_check_refutes_ten_lines_and_a_point():
     data=st.data(),
 )
 def test_hyperplane_check_matches_brute_force(case, data):
+    """On any point set, and on unions of disjoint subspaces, where the
+    totals decide most often."""
     n, q, dims = case
     size = (q**n - 1) // (q - 1)
     rest = data.draw(st.integers(0, (1 << size) - 1), label="rest")
+    if data.draw(st.booleans(), label="union"):
+        masks = _subspace_masks(n, q, dims)
+        picks = data.draw(st.lists(st.integers(0, len(masks) - 1)),
+                          label="members")
+        rest = 0
+        for i in picks:
+            if not masks[i] & rest:
+                rest |= masks[i]
     spare = data.draw(st.integers(0, size), label="spare")
     tables = _SubspaceCandidates(n, make_field(q), dims)
     assert tables.hyperplanes_fit(rest, spare) == (
@@ -561,12 +611,15 @@ def test_enumerate_stats_accumulate():
 
 def test_stats_count_size_prunes_by_reason():
     """The 56 spreads are the partitions of V(4,2) with at most 5
-    members; each size prune is counted under its own reason."""
+    members; each size prune is counted under its own reason.  The
+    hyperplane totals took the stream from 369 nodes (41 stranded and 12
+    hyperplane prunes) to 358; the partitions are pinned in
+    test_fingerprints."""
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, size_limit=5,
                                          stats=counters))) == 56
-    assert counters == {"nodes": 369, "size_prunes": 112,
-                        "stranded_prunes": 41, "hyperplane_prunes": 12}
+    assert counters == {"nodes": 358, "size_prunes": 112,
+                        "stranded_prunes": 35, "hyperplane_prunes": 8}
 
 
 def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
@@ -609,36 +662,143 @@ def test_search_min_oracle_node_count():
     """Node counts repeat exactly, so losing the second pin or the
     lookahead bound, or reordering the candidates, shows here: each of
     the first two alone leaves over a million nodes, the ceiling bound
-    that the member-count table replaced 270,055, and the table without
-    the hyperplane check 75,246."""
+    that the member-count table replaced 270,055, the table without the
+    hyperplane check 75,246, and the check without the totals 382.  The
+    validated construction then leaves two nodes: both choices at the
+    first branch point are cut at the limit of 12 members."""
     res = search_min_partition_size(5, 2, 2)
-    assert (res.size, res.nodes) == (13, 382)
+    assert (res.size, res.nodes, res.witness) == (13, 2, 13)
+    assert not res.beat_witness
+
+
+def _refuse(n, t, field):
+    raise UnsupportedField(f"no construction for ({n},{t},{field.q})")
 
 
 @pytest.mark.parametrize("n, t, q, size, nodes", [
     (5, 3, 2, 9, 65),
     (6, 4, 2, 17, 112),
     (4, 2, 3, 10, 28),
+    (5, 2, 2, 13, 86),
+    (7, 2, 2, 45, 2_933),
+    (5, 2, 3, 37, 3_109),
+    (7, 4, 2, 17, 1_010),
 ])
-def test_search_min_node_counts_are_pinned(n, t, q, size, nodes):
+def test_search_min_node_counts_are_pinned(monkeypatch, n, t, q, size,
+                                           nodes):
+    """From one member per point, as when no construction is usable,
+    where the hyperplane totals decide: before them (5,2,2) took 382
+    nodes, and (7,2,2) and (5,2,3) did not finish in a minute.  From
+    there (7,3,2) does not finish in 30 s: it finds no 21-member cover."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
     res = search_min_partition_size(n, t, q)
-    assert (res.size, res.nodes) == (size, nodes)
+    assert (res.size, res.nodes, res.witness) == (size, nodes, None)
+
+
+@pytest.mark.parametrize("n, t, q, size, nodes", [
+    (5, 3, 2, 9, 9),
+    (6, 4, 2, 17, 17),
+    (4, 2, 3, 10, 2),
+    (7, 2, 2, 45, 2),
+    (5, 2, 3, 37, 2),
+    (7, 3, 2, 21, 58),
+    (7, 4, 2, 17, 305),
+])
+def test_search_min_node_counts_from_the_witness(n, t, q, size, nodes):
+    res = search_min_partition_size(n, t, q)
+    assert (res.size, res.nodes, res.witness) == (size, nodes, size)
+    assert not res.beat_witness
+
+
+def _triples_up_to(points):
+    """Every (n, t, q) with 1 <= t < n, a supported q and theta(n) at most
+    points."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        n = 2
+        while (q**n - 1) // (q - 1) <= points:
+            out += [(n, t, q) for t in range(1, n)]
+            n += 1
+    return out
+
+
+@pytest.mark.parametrize("n, t, q", _triples_up_to(127))
+def test_search_min_settles_every_triple_up_to_127_points(n, t, q):
+    res = search_min_partition_size(n, t, q)
+    assert res.size == min_partition_size(n, t, q)
+    assert validate(res.partition).ok
+    assert max(res.partition.dims()) == t
+
+
+def _spoiled(how):
+    """A construction that fails: raises, is no partition, has the wrong
+    top dimension or lives in another space."""
+    def build(n, t, field):
+        if how == "raises":
+            _refuse(n, t, field)
+        if how == "top":
+            return minimal_partition(n, t - 1, field)
+        if how == "space":
+            return minimal_partition(n + 1, t, field)
+        P = minimal_partition(n, t, field)
+        return SubspacePartition(n, field, P.members[1:])
+    return build
+
+
+@pytest.mark.parametrize("how", ["raises", "invalid", "top", "space"])
+def test_search_min_falls_back_without_a_witness(monkeypatch, how):
+    """A construction that raises, fails validate or has the wrong top
+    dimension or ambient is no witness: the search starts at one member
+    per point and still finds the minimum."""
+    monkeypatch.setattr(search, "minimal_partition", _spoiled(how))
+    res = search_min_partition_size(5, 3, 2)
+    assert (res.size, res.nodes, res.witness) == (9, 65, None)
+    assert not res.beat_witness
+    assert validate(res.partition).ok and max(res.partition.dims()) == 3
+
+
+def test_witness_unavailable_above_the_extension_cap():
+    """(4,3,8) builds a near-spread over GF(8^3) = GF(512), above the
+    extension cap, so the search would start at one member per point."""
+    assert search._witness(4, 3, make_field(8)) is None
+    assert search._witness(4, 2, F2).size == 5
+
+
+def _larger_partition(n, t, field):
+    """A valid partition of top dimension t, one member split into
+    points: the search has a smaller one to find."""
+    P = minimal_partition(n, t, field)
+    index = next(i for i, M in enumerate(P.members) if M.dim == 2)
+    return refine(P, index, spread(2, 1, field))
 
 
 def test_search_builds_a_subspace_only_per_member(monkeypatch):
-    """The candidates are point masks: the (5,2,2) search makes one
-    Subspace for L0 and one per member of the partition it returns, not
-    one for each of its 186 candidates."""
+    """The candidates are point masks: when the (5,2,2) search beats its
+    witness, it makes one Subspace for L0 and one per member of the
+    partition it returns, not one for each of its 186 candidates.  The
+    Subspaces of the construction are not counted."""
     built = []
+    counting_on = [True]
     init = Subspace.__init__
 
     def counting(self, *args):
-        built.append(self)
+        if counting_on[0]:
+            built.append(self)
         init(self, *args)
 
+    def construct(*args):
+        counting_on[0] = False
+        try:
+            return _larger_partition(*args)
+        finally:
+            counting_on[0] = True
+
     monkeypatch.setattr(Subspace, "__init__", counting)
+    monkeypatch.setattr(search, "minimal_partition", construct)
     res = search_min_partition_size(5, 2, 2)
-    assert len(built) <= res.size == 13
+    assert (res.size, res.witness, res.beat_witness) == (13, 15, True)
+    assert validate(res.partition).ok
+    assert len(built) <= res.size
     assert all(any(M is U for U in built) for M in res.partition.members)
 
 
@@ -654,6 +814,19 @@ def test_stream_members_are_shared():
             assert M._mask == pi.mask_of(span(M.basis, 4, F2))
             held += 1
     assert len(first) == 15 + 35 < held
+
+
+@pytest.mark.parametrize("n, q, dims", [(4, 2, (1, 2, 3)), (3, 3, (1, 2))])
+def test_clash_rows_are_built_when_read(n, q, dims):
+    """clash[c] is built on first read: it is the top candidates meeting
+    candidate c, found here by testing each pair of masks."""
+    tables = _SubspaceCandidates(n, make_field(q), dims)
+    top = [mask for mask, d in tables.cands if d == max(dims)]
+    assert len(tables.clash) == 0
+    for cid, (mask, _) in enumerate(tables.cands):
+        meets = sum(1 << bit for bit, other in enumerate(top) if other & mask)
+        assert tables.clash[cid] == meets == tables._meeting(mask)
+        assert len(tables.clash) == cid + 1
 
 
 def test_subspace_candidates_decode_all_subspaces():
@@ -689,16 +862,19 @@ def test_search_min_settles_v62_top_dimension_4():
 def test_search_min_budget_payload():
     """The minimum-size search cannot resume, so it carries no checkpoint."""
     with pytest.raises(BudgetExceeded) as info:
-        search_min_partition_size(5, 2, 2, budget=100)
+        search_min_partition_size(5, 2, 2, budget=1)
     assert info.value.checkpoint is None
 
 
-def test_time_limit_stops_both_searches():
+def test_time_limit_stops_both_searches(monkeypatch):
     """The clock is read every 1024 nodes, so a zero time limit stops both
     searches early; the enumeration still leaves a checkpoint that
-    resumes the stream where it stopped."""
-    with pytest.raises(BudgetExceeded):
-        search_min_partition_size(5, 2, 3, time_limit=0)
+    resumes the stream where it stopped.  The minimum search from its
+    witness takes 2 nodes, so there the clock is read at every node."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_TIME_CHECK_MASK", 0)
+        with pytest.raises(BudgetExceeded):
+            search_min_partition_size(5, 2, 3, time_limit=0)
     collected = []
     with pytest.raises(BudgetExceeded) as info:
         for P in enumerate_partitions(5, 2, 4, time_limit=0):
