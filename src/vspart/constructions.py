@@ -61,23 +61,24 @@ def beutelspacher(n, d, field):
     into E coefficientwise, and for each b in E the graph
     {(b * y, y) : y in K} is a d-dimensional member; distinct graphs meet
     only at zero because b - b' is invertible, and together with E x {0}
-    they cover everything.
+    they cover everything.  For d = 1 the only y is x^0 = 1, so each
+    graph is spanned by (b, 1) and no table of E is built.
     """
     m = n - d
     if not 1 <= d <= m:
         raise BadRange(f"need 1 <= d <= n - d, got d={d}, n={n}")
     q = field.q
-    E = extension_field(field, m)
+    E = extension_field(field, m) if d > 1 else None
     members = []
     big_rows = tuple(
         tuple(1 if j == i else 0 for j in range(n)) for i in range(m)
     )
     members.append(span(big_rows, n, field))
-    for b in range(E.q):
+    for b in range(q ** m):
         rows = []
         for j in range(d):
             y = q ** j  # x^j, both as a K code and as its image in E
-            left = _digits(E.mul(b, y), q, m)
+            left = _digits(E.mul(b, y) if j else b, q, m)
             right = tuple(1 if i == j else 0 for i in range(d))
             rows.append(left + right)
         members.append(span(rows, n, field))

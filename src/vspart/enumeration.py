@@ -11,8 +11,8 @@ its pivot that are no later pivot, so rows k..d-1 of a shape are filled the
 same way whatever rows come before them.  The walk therefore fills rows
 last first: for each tuple of later pivots it keeps the point mask and the
 span values of every fill of those rows, and a shape with those later rows
-adds only the points its first row leads (PointIndex._row_step, the step of
-PointIndex._ranks).  shape_basis decodes the i-th shape back into its basis
+adds only the points its first row leads (PointIndex._row_step, the step
+PointIndex._ranks takes for odd q).  shape_basis decodes the i-th shape back into its basis
 from its pivots and free codes, with no elimination.
 """
 from __future__ import annotations

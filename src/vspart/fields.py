@@ -23,6 +23,12 @@ Towers are supported through :func:`extension_field`, which builds GF(q^t)
 as a degree-``t`` extension of an already constructed GF(q).  The spread and
 near-spread constructions rely on this; element codes of an extension are
 integers whose base-``q`` digits are the coordinates over the base field.
+
+In characteristic 2 this layout is a guarantee that other modules rely on.
+A code of GF(2^e), prime field or tower, is the e bits of its polynomial
+coordinates over GF(2), each digit of a tower over GF(2^f) taking f bits
+of its own, so ``a + b`` is ``a ^ b`` on codes.  PointIndex in spaces walks
+spans over GF(2^e) by XOR of base-q values on that ground.
 """
 from __future__ import annotations
 

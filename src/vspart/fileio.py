@@ -87,29 +87,34 @@ def _member_from_codes(codes, n, field):
         raise FileFormatError(
             f"member holds {len(codes)} codes, not a multiple of n={n}"
         )
-    for c in codes:
-        if not 0 <= c < field.q:
-            raise FileFormatError(f"element code {c} outside GF({field.q})")
-    rows = tuple(tuple(codes[i : i + n]) for i in range(0, len(codes), n))
+    q = field.q
+    if min(codes) < 0 or max(codes) >= q:
+        bad = next(c for c in codes if not 0 <= c < q)
+        raise FileFormatError(f"element code {bad} outside GF({q})")
+    rows = tuple([tuple(codes[i : i + n]) for i in range(0, len(codes), n)])
     if not _is_canonical(rows):
         raise FileFormatError("member rows are not a canonical basis")
     return Subspace(field, n, rows)
 
 
 def _is_canonical(rows):
-    """Whether rows are in reduced row echelon form with no zero row."""
-    leads = []
-    for row in rows:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None or row[lead] != 1 or (leads and lead <= leads[-1]):
+    """Whether rows are in reduced row echelon form with no zero row: one
+    scan of each row finds its lead, and the earlier rows must be 0 in
+    that column (the later ones are, as their leads come after it)."""
+    last = -1
+    for i, row in enumerate(rows):
+        for lead, x in enumerate(row):
+            if x:
+                break
+        else:
             return False
-        leads.append(lead)
-    return all(
-        row[j] == 0
-        for i, row in enumerate(rows)
-        for k, j in enumerate(leads)
-        if k != i
-    )
+        if x != 1 or lead <= last:
+            return False
+        for earlier in rows[:i]:
+            if earlier[lead]:
+                return False
+        last = lead
+    return True
 
 
 def partition_to_json(P):
@@ -134,7 +139,7 @@ def partition_from_json(doc):
         modulus = doc["modulus"]
         if modulus is not None:
             modulus = [int(c) for c in modulus]
-        members = [[int(c) for c in m] for m in doc["members"]]
+        members = [list(map(int, m)) for m in doc["members"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed partition document: {exc}")
     field = _field_from_header(q, p, e, modulus)
@@ -204,7 +209,7 @@ def parse_partition(text):
         if parts[0] != "member":
             raise FileFormatError(f"unexpected line {ln!r}")
         try:
-            codes = [int(c) for c in parts[1:]]
+            codes = list(map(int, parts[1:]))
         except ValueError:
             raise FileFormatError(f"member codes must be integers: {ln!r}")
         subs.append(_member_from_codes(codes, n, field))

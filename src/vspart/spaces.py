@@ -22,15 +22,22 @@ Each vector of the walk is an earlier one plus c * r_k, which changes only
 the pivot of r_k (from 0 to c) and the free columns where r_k is nonzero,
 so its base-q value is updated from those columns alone.
 
+In characteristic 2 the update is one XOR.  With q = 2^e a code of GF(q)
+is its e polynomial bits (see fields), so a vector's base-q value is its
+codes' bits written end to end, and since adding two codes XORs their
+bits, the value of s + c * r_k is the value of s XOR that of c * r_k.  The
+walk computes the q - 1 values of c * r_k once per row and XORs them into
+the values of the later rows' span.
+
 orthogonal(U) reads the reduced basis of U^perp off U's basis reduced
 from the right, with no second elimination.  Reduce U's d rows from the
-right (reverse the columns, reduce, reverse back): row u_i ends in 1 at
-column rho_i, and every other u_j is 0 there.  For each column c that is
-not a rho_i, put w_c = e_c - sum_i u_i[c] e_{rho_i}.  As u_j[rho_i] is
-1 for i = j and 0 otherwise, w_c . u_j = u_j[c] - u_j[c] = 0.  Since
-u_i[c] != 0 only when c < rho_i, w_c leads with 1 at c, and every other
-w is 0 at c.  So the n - d rows w_c are independent and span U^perp, and
-in increasing c they are already in reduced row echelon form.
+right, eliminating the last column first: row u_i ends in 1 at column
+rho_i, and every other u_j is 0 there.  For each column c that is not a
+rho_i, put w_c = e_c - sum_i u_i[c] e_{rho_i}.  As u_j[rho_i] is 1 for
+i = j and 0 otherwise, w_c . u_j = u_j[c] - u_j[c] = 0.  Since u_i[c] != 0
+only when c < rho_i, w_c leads with 1 at c, and every other w is 0 at c.
+So the n - d rows w_c are independent and span U^perp, and in increasing
+c they are already in reduced row echelon form.
 """
 from __future__ import annotations
 
@@ -73,12 +80,16 @@ def _check_vector(vec, n, q):
             raise BadRange(f"element code {x!r} outside GF({q})")
 
 
-def _rref(rows, n, field):
-    """Unique reduced row echelon form of the row space, zero rows dropped."""
+def _rref(rows, n, field, cols=None, pivots=None):
+    """Unique reduced row echelon form of the row space, zero rows dropped.
+
+    Columns are eliminated in the order cols, left to right by default; a
+    reversed order reduces from the right.  The pivot column of each
+    returned row is appended to the list pivots when one is given."""
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     mat = [list(r) for r in rows if any(r)]
     rank = 0
-    for col in range(n):
+    for col in range(n) if cols is None else cols:
         piv = None
         for r in range(rank, len(mat)):
             if mat[r][col] != 0:
@@ -98,6 +109,8 @@ def _rref(rows, n, field):
                 # x - f*y as x + (-f)*y
                 scale = mul[neg[f]]
                 mat[r] = [add[x][scale[y]] for x, y in zip(mat[r], row)]
+        if pivots is not None:
+            pivots.append(col)
         rank += 1
         if rank == len(mat):
             break
@@ -126,9 +139,8 @@ class Subspace:
         # Mask of the hyperplanes containing this subspace, filled in and
         # read by hstats.
         self._dual_mask = None
-        self._pivots = tuple(
-            next(i for i, x in enumerate(row) if x) for row in basis
-        )
+        # An echelon row is 0 before its pivot and 1 at it.
+        self._pivots = tuple([row.index(1) for row in basis])
 
     @property
     def dim(self):
@@ -224,17 +236,17 @@ def orthogonal(U):
     """U^perp, read off U's basis reduced from the right (see the module
     docstring): one reduction of U's d rows, none of U^perp's n - d."""
     n, neg = U.n, U.field._neg
-    rev = _rref([row[::-1] for row in U.basis], n, U.field)
-    # rev[i] is u_i reversed; it leads with 1 at column n - 1 - rho_i.
-    ends = [n - 1 - next(j for j, x in enumerate(r) if x) for r in rev]
+    ends = []
+    rows = _rref(U.basis, n, U.field, range(n - 1, -1, -1), ends)
+    # rows[i] ends in 1 at column ends[i].
     basis = []
     for c in range(n):
         if c in ends:
             continue
         w = [0] * n
         w[c] = 1
-        for r, rho in zip(rev, ends):
-            w[rho] = neg[r[n - 1 - c]]
+        for r, rho in zip(rows, ends):
+            w[rho] = neg[r[c]]
         basis.append(tuple(w))
     return Subspace(U.field, n, tuple(basis))
 
@@ -327,7 +339,10 @@ class PointIndex:
     def _ranks(self, U):
         """Ranks of the points of U, in walk order."""
         self._check(U)
-        q = U.field.q
+        F = U.field
+        if F.p == 2:
+            return self._xor_ranks(U)
+        q = F.q
         out = []
         later = [0]  # base-q values of the span of the rows after row k
         for k in range(U.dim - 1, -1, -1):
@@ -339,6 +354,32 @@ class PointIndex:
             out += [v - shift for v in grown[: len(later)]]
             if k:
                 later += grown
+        return out
+
+    def _xor_ranks(self, U):
+        """_ranks in characteristic 2, where adding c * r_k to a vector
+        XORs its base-q value with that of c * r_k (module docstring)."""
+        place, mul = self._place, U.field._mul
+        basis, pivots = U.basis, U._pivots
+        out = []
+        later = [0]  # base-q values of the span of the rows after row k
+        for k in range(U.dim - 1, 0, -1):
+            row, p = basis[k], pivots[k]
+            # mults[c - 1]: base-q value of c * r_k
+            w = place[p]
+            mults = [c * w for c in range(1, len(mul))]
+            for j in range(p + 1, self.n):
+                x = row[j]
+                if x:
+                    w = place[j]
+                    mults = [m + y * w for m, y in zip(mults, mul[x][1:])]
+            shift, t = self._shift[p], mults[0]
+            out += [(s ^ t) - shift for s in later]
+            later += [s ^ t for t in mults for s in later]
+        if basis:
+            t = sum([x * w for x, w in zip(basis[0], place) if x])
+            shift = self._shift[pivots[0]]
+            out += [(s ^ t) - shift for s in later]
         return out
 
     def mask_of(self, U):

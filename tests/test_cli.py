@@ -361,13 +361,20 @@ def test_cli_entry_point_runs():
 
 
 def test_constructed_files_verify_with_all_identities(tmp_path, capsys):
-    out = tmp_path / "min53.vspart"
-    assert main([
-        "construct", "minimal", "--n", "5", "--q", "2", "--t", "3",
-        "--out", str(out),
-    ]) == 0
-    assert main(["verify", str(out), "--all-identities"]) == 0
-    capsys.readouterr()
+    """(4,3,8) is a near-spread of points, built with no table of
+    GF(8^3), which is above the extension cap."""
+    for n, q, t, built in (
+        (5, 2, 3, "type [2^8, 3^1] size 9 valid True"),
+        (4, 8, 3, "type [1^512, 3^1] size 513 valid True"),
+    ):
+        out = tmp_path / f"min{n}{t}{q}.vspart"
+        assert main([
+            "construct", "minimal", "--n", str(n), "--q", str(q),
+            "--t", str(t), "--out", str(out),
+        ]) == 0
+        assert built in capsys.readouterr().out
+        assert main(["verify", str(out), "--all-identities"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def test_budget_exceeded_error_path(monkeypatch, capsys):

@@ -102,6 +102,12 @@ def test_minimal_partition_known_types():
     assert P.size == 9
     assert P.type().entries == ((2, 8), (3, 1))
     assert validate(P).ok
+    # A near-spread of points builds no table of GF(8^3) = GF(512), which
+    # is above the extension cap.
+    P = minimal_partition(4, 3, make_field(8))
+    assert P.size == 513
+    assert P.type().entries == ((1, 512), (3, 1))
+    assert validate(P).ok
 
 
 def test_minimal_partition_matches_formula_grid():

@@ -5,6 +5,7 @@ import pytest
 
 from vspart.errors import BadRange, NotPrimePower, UnsupportedField
 from vspart.fields import extension_field, make_field
+from vspart.fileio import parse_partition
 
 SUPPORTED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -195,6 +196,36 @@ def test_tower_tables_match_schoolbook_arithmetic(b, t):
         assert F.add(a, c) == add(a, c), (a, c)
     for a in range(q):
         assert F.neg(a) == neg(a), a
+
+
+def _read_field(q, e, modulus):
+    """The field of a one-point file of V(1, q) with this modulus."""
+    text = (
+        f"vspart-partition 1\nn 1\nq {q}\np 2\ne {e}\n"
+        f"modulus {' '.join(map(str, modulus))}\nmember 1\n"
+    )
+    return parse_partition(text).field
+
+
+def test_characteristic_two_addition_is_xor():
+    """The span walk over GF(2^e) adds vectors by XOR of their base-q
+    values, which needs a + b == a ^ b on codes: checked on every
+    characteristic-2 field the package builds, the ambient orders, every
+    tower, and fields read from headers with moduli other than the
+    defaults."""
+    fields = [make_field(q) for q in (2, 4, 8, 16)]
+    fields += [
+        extension_field(make_field(b), t) for b, t in TOWERS if b % 2 == 0
+    ]
+    for e, modulus in ((3, (1, 0, 1, 1)), (4, (1, 0, 0, 1, 1))):
+        F = _read_field(2 ** e, e, modulus)
+        assert F.modulus == modulus
+        fields.append(F)
+    assert {F.q for F in fields} == {2, 4, 8, 16, 32, 64, 128, 256}
+    for F in fields:
+        assert F.p == 2
+        for a, row in enumerate(F._add):
+            assert row == [a ^ b for b in range(F.q)], (F, a)
 
 
 def test_bad_orders_rejected():

@@ -8,14 +8,25 @@ are fixed outputs: a refactor of the search must leave every digest as
 it is.  The size-limited stream hashes its partitions alone: a sharper
 prune may cut nodes there, so its stats are pinned on their own, in
 test_search.test_stats_count_size_prunes_by_reason.
+
+The CLI reports of `verify --all-identities` and `analyze` are pinned the
+same way, on partitions shaped like the benchmark's inputs: a speed-up of
+the verify path must print every report byte for byte as before.
 """
+import contextlib
 import hashlib
+import io
 import json
+import random
 
 import pytest
 
+from vspart.cli import main
+from vspart.constructions import minimal_partition, spread
 from vspart.errors import BudgetExceeded
 from vspart.fields import make_field
+from vspart.fileio import write_partition
+from vspart.partitions import SubspacePartition
 from vspart.search import enumerate_partitions
 from vspart.spaces import span
 
@@ -82,3 +93,54 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_stream_fingerprint(name):
     assert STREAMS[name]() == PINNED[name]
+
+
+def _moved(P, seed):
+    """The image of P under v -> v * M, for a seeded invertible M."""
+    F, n = P.field, P.n
+    rng = random.Random(seed)
+    while True:
+        M = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+        if span(M, n, F).dim == n:
+            break
+    members = []
+    for U in P.members:
+        rows = []
+        for coeffs in U.basis:
+            v = [0] * n
+            for c, row in zip(coeffs, M):
+                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+            rows.append(v)
+        members.append(span(rows, n, F))
+    return SubspacePartition(n, F, members)
+
+
+# label: (partition, cut for analyze or None)
+REPORT_INPUTS = {
+    "v10q2": (lambda: minimal_partition(10, 3, make_field(2)), 3),
+    "v4q16": (lambda: spread(4, 2, make_field(16)), None),
+    "v6q3": (lambda: minimal_partition(6, 4, make_field(3)), 4),
+}
+
+PINNED_REPORTS = {
+    "v10q2": "8584608978697e807c475933c0ffa891ce36b2a3",
+    "v4q16": "56c1bd01b601d3686491e74376641f43a87089ad",
+    "v6q3": "0d9aae89a660fdbad6d6eb52f102e634c4693a21",
+}
+
+
+@pytest.mark.parametrize("label", sorted(REPORT_INPUTS))
+def test_cli_report_fingerprint(label, tmp_path):
+    build, cut = REPORT_INPUTS[label]
+    path = str(tmp_path / f"{label}.vspart")
+    write_partition(_moved(build(), label), path)
+    runs = [["verify", "--all-identities", path]]
+    if cut is not None:
+        runs.append(["analyze", path, "--cut", str(cut), "--mode", "explore"])
+    h = hashlib.sha1()
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        h.update(f"{code}\n{out.getvalue()}".encode())
+    assert h.hexdigest() == PINNED_REPORTS[label]

@@ -246,11 +246,13 @@ def test_point_limit_on_both_readers():
 
 
 @st.composite
-def member_rows(draw):
-    """Rows for one member line: a canonical basis, or one spoiled by a
-    zero row, a lead other than 1, rows out of order, a row not reduced,
-    or arbitrary rows."""
-    q = draw(st.sampled_from([2, 3, 4, 5]))
+def member_codes(draw):
+    """The codes of one member entry of V(n, q), q in {2, 3, 4, 5, 16}: a
+    canonical basis, or one spoiled by a zero row, a lead other than 1,
+    rows out of order, a row not reduced, or arbitrary rows; flattened,
+    then maybe given a negative code or one outside GF(q), and maybe cut
+    or padded to a ragged length."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 16]))
     n = draw(st.integers(1, 4))
     F = make_field(q)
     vectors = st.tuples(*[st.integers(0, q - 1)] * n)
@@ -272,23 +274,57 @@ def member_rows(draw):
         rows[i] = tuple(F.add(x, F.mul(c, y)) for x, y in zip(rows[i], rows[j]))
     elif how == "arbitrary":
         rows = draw(st.lists(vectors, min_size=1, max_size=n + 1))
-    return F, n, tuple(rows)
+    codes = [c for row in rows for c in row]
+    bad = draw(st.sampled_from(("none", "none", "negative", "high")))
+    if bad != "none":
+        i = draw(st.integers(0, len(codes) - 1))
+        codes[i] = draw(
+            st.integers(-30, -1) if bad == "negative" else st.integers(q, 300)
+        )
+    if draw(st.integers(0, 9)) == 0:
+        codes = codes[:-1] if draw(st.booleans()) else codes + [0]
+    return F, n, codes
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=member_rows())
+def _reference_rejection(F, n, codes):
+    """The message the reader must raise for these codes, or None, found
+    by counting, range tests and a row reduction, with nothing taken from
+    the reader."""
+    if not codes or len(codes) % n:
+        return f"member holds {len(codes)} codes, not a multiple of n={n}"
+    for c in codes:
+        if not 0 <= c < F.q:
+            return f"element code {c} outside GF({F.q})"
+    rows = tuple(tuple(codes[i:i + n]) for i in range(0, len(codes), n))
+    if spaces._rref(rows, n, F) != rows:
+        return "member rows are not a canonical basis"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=member_codes())
 def test_reader_accepts_exactly_the_canonical_bases(case):
-    """The reader's look at the rows agrees with spanning them: it raises
-    FileFormatError exactly when span(rows).basis != rows."""
-    F, n, rows = case
-    head = format_partition(whole_space(n, F.q)).splitlines()[:-1]
-    codes = " ".join(str(c) for row in rows for c in row)
-    text = "\n".join(head + ["member " + codes]) + "\n"
-    if span(rows, n, F).basis == rows:
-        assert parse_partition(text).members[0].basis == rows
-    else:
-        with pytest.raises(FileFormatError):
-            parse_partition(text)
+    """Both readers accept a member exactly when its codes lie in GF(q) and
+    the rows are their own reduced row echelon form, keep those rows with
+    their lead columns, and otherwise raise the reference's message."""
+    F, n, codes = case
+    whole = whole_space(n, F.q)
+    head = format_partition(whole).splitlines()[:-1]
+    text = "\n".join(head + ["member " + " ".join(map(str, codes))]) + "\n"
+    doc = dict(partition_to_json(whole), members=[codes])
+    expected = _reference_rejection(F, n, codes)
+    for read, payload in ((parse_partition, text), (partition_from_json, doc)):
+        if expected is None:
+            (M,) = read(payload).members
+            rows = tuple(tuple(codes[i:i + n]) for i in range(0, len(codes), n))
+            assert M.basis == rows
+            assert M._pivots == tuple(
+                min(j for j, x in enumerate(row) if x) for row in rows
+            )
+        else:
+            with pytest.raises(FileFormatError) as info:
+                read(payload)
+            assert str(info.value) == expected
 
 
 def test_reading_makes_no_row_reduction(tmp_path, monkeypatch):

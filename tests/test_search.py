@@ -758,9 +758,10 @@ def test_search_min_falls_back_without_a_witness(monkeypatch, how):
 
 
 def test_witness_unavailable_above_the_extension_cap():
-    """(4,3,8) builds a near-spread over GF(8^3) = GF(512), above the
-    extension cap, so the search would start at one member per point."""
-    assert search._witness(4, 3, make_field(8)) is None
+    """(5,3,8) builds a near-spread of 2-dimensional graphs over
+    GF(8^3) = GF(512), above the extension cap, so the search would start
+    at one member per point."""
+    assert search._witness(5, 3, make_field(8)) is None
     assert search._witness(4, 2, F2).size == 5
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vspart.enumeration import all_subspaces
 from vspart.errors import BadRange, DimensionMismatch
-from vspart.fields import make_field
+from vspart.fields import extension_field, make_field
 from vspart.spaces import (
     full_space,
     intersect,
@@ -163,7 +163,18 @@ def test_point_index_masks():
 
 
 # Largest n per q with q^n small enough to list every vector.
-DIFF_AMBIENTS = {2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3, 16: 3}
+DIFF_AMBIENTS = {
+    2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3, 16: 3, 32: 2, 64: 2, 256: 2
+}
+# Orders above 16 occur as the towers GF(b^t) that spread walks.
+TOWER_OF = {32: (2, 5), 64: (8, 2), 256: (16, 2)}
+
+
+def _listing_field(q):
+    if q in TOWER_OF:
+        b, t = TOWER_OF[q]
+        return extension_field(make_field(b), t)
+    return make_field(q)
 
 
 @st.composite
@@ -173,7 +184,7 @@ def random_subspaces(draw):
     rows = draw(st.lists(
         st.tuples(*[st.integers(0, q - 1)] * n), min_size=0, max_size=n
     ))
-    return span(rows, n, make_field(q))
+    return span(rows, n, _listing_field(q))
 
 
 @settings(max_examples=120, deadline=None)
