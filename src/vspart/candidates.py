@@ -3,9 +3,9 @@
 The engine in search.py covers the points of V(n, q) by candidates, each
 a point bitmask with a dimension.  _Candidates holds such a list, in any
 order and from any source, with the tables the engine reads: the
-candidates through each point, and the size-limit lookahead tables
-proved in search._exact_cover.  _SubspaceCandidates fills the list with
-every subspace of some dimensions, walked from echelon shapes
+candidates through each point, and the size-limit tables proved in
+search._exact_cover.  _SubspaceCandidates fills the list with every
+subspace of some dimensions, walked from echelon shapes
 (enumeration.shape_masks), and makes a Subspace only for a candidate that
 an emitted cover names, decoded from its shape once and kept, so that
 covers streamed one after another share their member objects.
@@ -23,14 +23,10 @@ class _Candidates:
     """Candidates cands, a list of (point mask, dimension) pairs over the
     point index pi, plus per-point lists of candidate ids in list order.
 
-    The lookahead tables describe the candidates of the largest
-    dimension D, the top candidates, as bitmasks over their ids counted
-    from the first of them: through[p] holds those containing point p
-    and clash[c] those meeting candidate c.  fewest counts members by
-    their point numbers alone, and fits and hyperplanes_fit by how they
-    meet hyperplanes.  All are built on first use, since only
-    size-limited searches read them, and clash one row at a time, for
-    the candidates the engine tries.
+    The size-limit tables count members of the candidate dimensions:
+    fewest by their point numbers alone, fits and hyperplanes_fit by how
+    they meet hyperplanes.  They are built on first use, since only
+    size-limited searches read them.
     """
 
     def __init__(self, pi, cands):
@@ -42,7 +38,6 @@ class _Candidates:
         for cid, (mask, _) in enumerate(cands):
             for p in _bits(mask):
                 self.per_point[p].append(cid)
-        top = self._dims[-1]
         q = pi.field.q
         self._thetas = [num_points(d, q) for d in self._dims]
         # (theta(d-1), q^(d-1)) and theta(n-d), the number of hyperplanes
@@ -50,43 +45,18 @@ class _Candidates:
         self._steps = [(num_points(d - 1, q), q ** (d - 1))
                        for d in self._dims]
         self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
-        self._top_ids = [cid for cid, (_, d) in enumerate(cands) if d == top]
-
-    @cached_property
-    def through(self):
-        through = [0] * len(self.per_point)
-        for bit, cid in enumerate(self._top_ids):
-            for p in _bits(self.cands[cid][0]):
-                through[p] |= 1 << bit
-        return through
-
-    @cached_property
-    def clash(self):
-        return _Rows(lambda cid: self._meeting(self.cands[cid][0]))
 
     @cached_property
     def fewest(self):
-        """fewest[u][f] is the least number of members, each of a candidate
-        dimension, that hold exactly u points with at least f of them in
-        members below the top dimension; len(per_point) + 1 where none
-        do.  Each row is nondecreasing in f."""
+        """fewest[u] is the least number of members, each of a candidate
+        dimension, that hold exactly u points; len(per_point) + 1 where
+        none do."""
         total = len(self.per_point)
-        impossible = total + 1
-        *below, top = self._thetas
-        # small[s]: fewest members below the top holding exactly s points
-        small = [0] + [impossible] * total
-        for s in range(1, total + 1):
-            small[s] = min([small[s - w] + 1 for w in below if w <= s],
-                           default=impossible)
-        fewest = []
-        for u in range(total + 1):
-            row = [impossible] * (u + 1)
-            best = impossible
-            for f in range(u, -1, -1):
-                if (u - f) % top == 0:
-                    best = min(best, small[f] + (u - f) // top)
-                row[f] = best
-            fewest.append(row)
+        fewest = [0] + [total + 1] * total
+        for u in range(1, total + 1):
+            for w in self._thetas:
+                if w <= u:
+                    fewest[u] = min(fewest[u], fewest[u - w] + 1)
         return fewest
 
     @cached_property
@@ -181,17 +151,6 @@ class _Candidates:
                    for need, lo, hi in totals[bit]):
                 return True
         return False
-
-    def _meeting(self, mask):
-        """The top candidates that meet the point set mask."""
-        met = 0
-        for p in _bits(mask):
-            met |= self.through[p]
-        return met
-
-    def live(self, covered):
-        """The top candidates disjoint from the point set covered."""
-        return ((1 << len(self._top_ids)) - 1) & ~self._meeting(covered)
 
 
 class _SubspaceCandidates(_Candidates):

@@ -14,7 +14,7 @@ from .errors import (
     BadRange,
     DimensionMismatch,
 )
-from .spaces import num_points, point_index
+from .spaces import point_index
 
 
 @dataclass(frozen=True)

@@ -7,23 +7,20 @@ avoid everything chosen so far.  Because the branch point is a function of
 the covered set, every partition is reached along exactly one path, so the
 enumeration emits each labeled partition once without a deduplication pass.
 
-A size limit prunes by a counting bound, proved in _exact_cover: the
-members still to come hold exactly the uncovered points, each has one of
-the candidate dimensions, and those through a point that no
-still-disjoint candidate of the top dimension D contains have dimension
-below D.  A table built once per search gives the fewest members that
-can do that by point counts alone.  The table uses theta(k) =
-(q^k - 1)/(q - 1) only, never the closed formula for sigma, and it only
-cuts branches that hold no partition within the limit, so size-limited
-streams are the unbounded ones filtered on size, in the same order.
-
-A second size prune counts by hyperplanes, the argument behind the bound
-|ST| >= sigma_q(d, t): a d-member meets a hyperplane H in theta(d) or
-theta(d-1) points, so for one vector of member counts within the limit
-every |uncovered & H| must be a sum of such terms.  Its totals add that
-a d-member lies in exactly theta(n-d) hyperplanes, so the numbers of
-d-members inside each hyperplane must sum to that many per member.  Both
-are proved in _exact_cover and cut no partition within the limit.
+A size limit prunes by two counting bounds, proved in _exact_cover.
+The members still to come hold exactly the uncovered points and each has
+one of the candidate dimensions, so a table built once per search gives
+the fewest members that can do that by point counts alone.  The second
+bound counts by hyperplanes, the argument behind |ST| >= sigma_q(d, t): a
+d-member meets a hyperplane H in theta(d) or theta(d-1) points, so for
+one vector of member counts within the limit every |uncovered & H| must
+be a sum of such terms.  Its totals add that a d-member lies in exactly
+theta(n-d) hyperplanes, so the numbers of d-members inside each
+hyperplane must sum to that many per member.  Both use theta(k) =
+(q^k - 1)/(q - 1) only, never the closed formula for sigma, and both
+only cut branches that hold no partition within the limit, so
+size-limited streams are the unbounded ones filtered on size, in the
+same order.
 
 The minimum-size search starts from a witness: minimal_partition(n, t),
 used only when it passes validate and has top dimension t, so the
@@ -59,7 +56,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .analysis import analyze_supertail, TailClass
@@ -168,8 +164,8 @@ def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"checkpoint is not valid JSON: {exc}")
+        except ValueError as exc:  # also text that is not UTF-8
+            raise FileFormatError(f"checkpoint is not UTF-8 JSON: {exc}")
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise FileFormatError("unsupported checkpoint version")
     return data
@@ -192,20 +188,13 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
 
     size_limit prunes extensions that cannot finish within that many
     members, and the consumer may then send() a tighter limit back after
-    a cover.  Let D be the top dimension, u the points left uncovered by
-    the extension, and F those of them on no live top candidate (live:
-    disjoint from everything covered).  The members still to come are
-    candidates, so they have candidate dimensions and hold exactly the u
-    points.  A member through a point of F has dimension below D, since
-    a top one would be a live top candidate, so at least |F| of the u
-    points lie in members below D.  Hence at least tables.fewest[u][|F|]
-    members are to come, and the extension is pruned when that exceeds
-    spare = size_limit - taken - 1.  The bound only cuts branches that
-    hold no cover within the limit, so the covers yielded and their order
-    do not depend on it.  As fewest[u] is nondecreasing, F is counted
-    only when fewest[u][u] > spare, and only until |F| passes the largest
-    f with fewest[u][f] <= spare.  To keep F cheap, each frame then
-    carries a fourth entry: the live top candidates before its choice.
+    a cover.  Let u be the number of points left uncovered by the
+    extension.  The members still to come are candidates, so they have
+    candidate dimensions and hold exactly the u points: at least
+    tables.fewest[u] of them, and the extension is pruned when that
+    exceeds spare = size_limit - taken - 1.  Neither this bound nor the
+    hyperplane check below cuts a branch that holds a cover within the
+    limit, so the covers yielded and their order do not depend on them.
 
     The hyperplane check refines this.  Say a_d members of dimension d are
     to come, so sum a_d theta(d) = u and sum a_d <= spare.  A d-member
@@ -227,9 +216,8 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     h_H (tables.totals), so a vector whose sums of those bounds miss
     a_d theta(n-d) for some d is cut as well.
 
-    stats also accumulates the prunes of each kind: "size_prunes" (the
-    table alone), "stranded_prunes" and "hyperplane_prunes" (with the
-    totals).
+    stats also accumulates the prunes of each kind: "size_prunes"
+    (fewest) and "hyperplane_prunes" (with the totals).
     """
     cands = tables.cands
     per_point = tables.per_point
@@ -238,18 +226,8 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
         # Past one member per point the limit cuts nothing, and fewest's
         # "impossible" entry stays above every spare.
         size_limit = min(size_limit, len(per_point))
-        through = tables.through
-        clash = tables.clash
         fewest = tables.fewest
-        base = covered
-        for frame in frames:
-            if frame[2] is not None:
-                base &= ~cands[frame[2]][0]
-        for frame in frames:
-            frame[3:] = [tables.live(base)]
-            if frame[2] is not None:
-                base |= cands[frame[2]][0]
-    nodes = size_prunes = stranded_prunes = hyperplane_prunes = 0
+    nodes = size_prunes = hyperplane_prunes = 0
     started = time.monotonic()
     try:
         while frames:
@@ -285,27 +263,12 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                 if filt is not None and counts[d] == filt[d]:
                     continue
                 rest = full & ~(covered | mask)
-                live = None
                 if size_limit is not None:
                     spare = size_limit - taken - 1
                     u = rest.bit_count()
-                    row = fewest[u]
-                    if row[0] > spare:
+                    if fewest[u] > spare:
                         size_prunes += 1
                         continue
-                    live = frame[3] & ~clash[cid]
-                    if row[-1] > spare:
-                        most = bisect_right(row, spare) - 1
-                        stranded = 0
-                        r = rest
-                        while r and stranded <= most:
-                            low = r & -r
-                            if not through[low.bit_length() - 1] & live:
-                                stranded += 1
-                            r ^= low
-                        if stranded > most:
-                            stranded_prunes += 1
-                            continue
                     if spare < u and not tables.hyperplanes_fit(rest, spare):
                         hyperplane_prunes += 1
                         continue
@@ -320,15 +283,12 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                     if tighter is not None:
                         size_limit = tighter
                     break
-                frames.append(
-                    [(rest & -rest).bit_length() - 1, 0, None, live]
-                )
+                frames.append([(rest & -rest).bit_length() - 1, 0, None])
                 break
             else:
                 frames.pop()
     finally:
         for key, value in (("nodes", nodes), ("size_prunes", size_prunes),
-                           ("stranded_prunes", stranded_prunes),
                            ("hyperplane_prunes", hyperplane_prunes)):
             stats[key] = stats.get(key, 0) + value
 
@@ -366,9 +326,8 @@ def enumerate_partitions(
     whose .checkpoint resumes the stream via the resume argument with
     identical options.  When a dict is passed as stats, its "nodes" entry
     accumulates the extension attempts spent, and once the search runs,
-    "size_prunes", "stranded_prunes" and "hyperplane_prunes" the
-    extensions that size_limit cut by the member-count table, by points
-    on no live top candidate, and by hyperplane counts.
+    "size_prunes" and "hyperplane_prunes" the extensions that size_limit
+    cut by the member-count table and by hyperplane counts.
     """
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
@@ -416,7 +375,9 @@ def enumerate_partitions(
         [[int(c) for c in row] for row in member.basis] for member in seed
     )
     if seed and covered == full:
-        yield SubspacePartition(n, field, seed)
+        # The seed is the whole partition: it has no filtered members.
+        if filt is None and (size_limit is None or len(seed) <= size_limit):
+            yield SubspacePartition(n, field, seed)
         return
     free_points = (full & ~covered).bit_count()
     emitted = 0
@@ -563,15 +524,15 @@ def search_min_partition_size(
     dimension at most t, larger dimensions first.  It starts one member
     below its witness (see the module docstring), or at one member per
     point without one, and after each cover asks for one member fewer,
-    pruning by the counting bound of _exact_cover: the uncovered points
+    pruning by the counting bounds of _exact_cover: the uncovered points
     must be held exactly by members of theta(1), ..., theta(t) points,
-    and those on no live t-candidate by members of fewer than theta(t).
-    (For t = 2 in V(5,2), a lines and b points need 3a + b = 31, so
-    a + b is 11 when b = 1 and at least 13 otherwise: once two points
-    are stranded, 12 members cannot do.  Nor can a = 10, b = 1, by the
-    hyperplane check: each line meets a hyperplane in 1 or 3 points, so
-    the 15 points of every hyperplane would need the single point, which
-    16 hyperplanes miss.)
+    and each hyperplane must meet those members in a fitting number of
+    them.  (For t = 2 in V(5,2), a lines and b points need 3a + b = 31,
+    so a + b is 11 when b = 1 and at least 13 otherwise: 12 members must
+    be a = 10 lines and b = 1 point.  The hyperplane check rules that
+    out: each line meets a hyperplane in 1 or 3 points, so the 15 points
+    of every hyperplane would need the single point, which 16 hyperplanes
+    miss.)
 
     The second member is pinned too.  Let p1 be the least point outside
     L0, the first branch point.  Of the t-dimensional candidates through

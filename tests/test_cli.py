@@ -338,6 +338,16 @@ def test_search_partitions_rejects_spoiled_checkpoint(
     assert "error: checkpoint" in capsys.readouterr().err
 
 
+def test_search_partitions_rejects_checkpoint_that_is_not_utf8(
+    tmp_path, capsys
+):
+    ck = tmp_path / "bad.ckpt"
+    ck.write_bytes(b"\xff\xfe{}")
+    assert main(["search", "partitions", "--n", "3", "--q", "2",
+                 "--checkpoint", str(ck)]) == 2
+    assert "error: checkpoint is not UTF-8 JSON" in capsys.readouterr().err
+
+
 def test_search_conjecture(capsys):
     assert main(["search", "conjecture", "--n", "3", "--q", "2"]) == 0
     text = capsys.readouterr().out

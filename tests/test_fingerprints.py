@@ -82,11 +82,11 @@ STREAMS = {
 }
 
 PINNED = {
-    "v42-max-dim-3": (1227, "511d346b93bbb24a36644129f1f7c02598bd47ee"),
+    "v42-max-dim-3": (1227, "38d2ad3aa34900e687c3aab004e578a7eb3d4527"),
     "v42-size-limit-5": (56, "7443853efb0d98b6abc0397614489b72dcb4e15f"),
-    "v33-seeded": (10, "efc6d5baf7a4cf578fa2b6d3787ae2d55481398a"),
-    "v33-type-filter": (13, "73b260e43b9b2f1f66f3d9529711b9447ef7f9e0"),
-    "v42-budget-resume": (56, "039f1def1fcfb5730c4f433e5a52f3f35f427cbe"),
+    "v33-seeded": (10, "a1802c6af1aaf8410e7ade2cc4762134e984b707"),
+    "v33-type-filter": (13, "5a743c722a631b4a2e29b3f5a4c752e7967f8444"),
+    "v42-budget-resume": (56, "a7cd5684e4a609ac6ae61563c0306ead527273ec"),
 }
 
 

@@ -1,0 +1,44 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the package, so the module sources are parsed with
+ast: a name bound by an import statement must be read somewhere in the
+module.  __init__.py is exempt, since its imports are the re-exported API.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import vspart
+
+MODULES = sorted(
+    path for path in Path(vspart.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert _unused_imports(
+        "import json\nfrom os import path, sep\nprint(sep)\n"
+    ) == [(1, "json"), (2, "path")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -239,19 +239,14 @@ def test_size_limit_prune_is_sound(n, q, max_dim, type_filter, seed):
 
 def _fewest_by_count_vectors(n, q, dims):
     """fewest from every vector of member counts, one count per dimension:
-    best[u][f] over the vectors holding u points, at least f of them
-    below the top dimension."""
+    best[u] over the vectors holding u points."""
     total = (q**n - 1) // (q - 1)
     thetas = [(q**d - 1) // (q - 1) for d in dims]
-    top = max(thetas)
-    best = [[total + 1] * (u + 1) for u in range(total + 1)]
+    best = [total + 1] * (total + 1)
     for counts in product(*(range(total // w + 1) for w in thetas)):
         u = sum(c * w for c, w in zip(counts, thetas))
-        if u > total:
-            continue
-        below = sum(c * w for c, w in zip(counts, thetas) if w < top)
-        for f in range(below + 1):
-            best[u][f] = min(best[u][f], sum(counts))
+        if u <= total:
+            best[u] = min(best[u], sum(counts))
     return best
 
 
@@ -269,20 +264,17 @@ def test_fewest_matches_count_vectors(n, q, dims):
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
 def test_fewest_never_below_the_ceiling_bound(n, q, dims):
-    """The ceiling bound the table replaced: x = ceil(f / theta(D-1))
-    members below the top D, then ceil of what is left over theta(D)."""
-    theta = lambda d: (q**d - 1) // (q - 1)
-    top, below = theta(max(dims)), theta(max(dims) - 1)
+    """The ceiling bound the table replaced: u points in members of at
+    most theta(D) points each, D the top dimension, take ceil(u /
+    theta(D)) of them."""
+    top = (q**max(dims) - 1) // (q - 1)
     fewest = _SubspaceCandidates(n, make_field(q), dims).fewest
-    for u, row in enumerate(fewest):
-        for f, value in enumerate(row):
-            x = -(-f // below)
-            ceiling = x + -(-max(0, u - x * below) // top)
-            assert value >= ceiling, (u, f)
-    if (n, q, dims) == (5, 2, (1, 2)):
-        # 31 points with two in single points: 3a + b = 31 and b >= 2
-        # need b >= 4, so 13 members; the ceiling bound says 12.
-        assert fewest[31][2] == 13
+    for u, value in enumerate(fewest):
+        assert value >= -(-u // top), u
+    if (n, q, dims) == (4, 2, (2, 3)):
+        # 7a + 3b = 15 only for a = 0: five lines, where the ceiling
+        # bound says three members.
+        assert fewest[15] == 5
 
 
 @cache
@@ -440,6 +432,16 @@ def test_enumerate_seed_edge_cases():
     got = list(enumerate_partitions(2, 2, 1, seed=whole))
     assert len(got) == 1
     assert got[0].members == tuple(whole)
+    assert len(list(enumerate_partitions(2, 2, 1, seed=whole,
+                                         size_limit=1))) == 1
+    # A seed that covers the space obeys a filter and a size limit as
+    # one that leaves points does: a plane of V(3,2) leaves 4 points.
+    plane = [span([(0, 1, 0), (0, 0, 1)], 3, F2)]
+    for n, seed, limit in ((2, whole, 0), (3, plane, 1)):
+        assert list(enumerate_partitions(n, 2, 1, seed=seed,
+                                         type_filter={1: 3})) == []
+        assert list(enumerate_partitions(n, 2, 1, seed=seed,
+                                         size_limit=limit)) == []
 
 
 def test_enumerate_rejects_bad_ranges():
@@ -612,14 +614,26 @@ def test_enumerate_stats_accumulate():
 def test_stats_count_size_prunes_by_reason():
     """The 56 spreads are the partitions of V(4,2) with at most 5
     members; each size prune is counted under its own reason.  The
-    hyperplane totals took the stream from 369 nodes (41 stranded and 12
-    hyperplane prunes) to 358; the partitions are pinned in
-    test_fingerprints."""
+    hyperplane totals took the stream from 369 nodes to 358; the
+    partitions are pinned in test_fingerprints.  Without the prune by
+    points on no disjoint top candidate, the hyperplane check cuts the
+    35 extensions that prune cut first: 8 hyperplane prunes became 43,
+    at the same 358 nodes."""
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, size_limit=5,
                                          stats=counters))) == 56
     assert counters == {"nodes": 358, "size_prunes": 112,
-                        "stranded_prunes": 35, "hyperplane_prunes": 8}
+                        "hyperplane_prunes": 43}
+
+
+def test_size_limit_7_stream_is_pinned():
+    """The partitions of V(4,2) with at most 7 members, and their nodes,
+    which the prune by points on no disjoint top candidate did not move
+    though it fired 5 times here."""
+    counters = {}
+    assert len(list(enumerate_partitions(4, 2, 3, size_limit=7,
+                                         stats=counters))) == 336
+    assert counters["nodes"] == 1718
 
 
 def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
@@ -631,7 +645,7 @@ def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, stats=counters))) == 1227
     assert counters == {"nodes": 6231, "size_prunes": 0,
-                        "stranded_prunes": 0, "hyperplane_prunes": 0}
+                        "hyperplane_prunes": 0}
 
 
 def test_search_min_small_cases():
@@ -680,8 +694,8 @@ def _refuse(n, t, field):
     (6, 4, 2, 17, 112),
     (4, 2, 3, 10, 28),
     (5, 2, 2, 13, 86),
-    (7, 2, 2, 45, 2_933),
-    (5, 2, 3, 37, 3_109),
+    (7, 2, 2, 45, 3_108),
+    (5, 2, 3, 37, 6_721),
     (7, 4, 2, 17, 1_010),
 ])
 def test_search_min_node_counts_are_pinned(monkeypatch, n, t, q, size,
@@ -689,7 +703,9 @@ def test_search_min_node_counts_are_pinned(monkeypatch, n, t, q, size,
     """From one member per point, as when no construction is usable,
     where the hyperplane totals decide: before them (5,2,2) took 382
     nodes, and (7,2,2) and (5,2,3) did not finish in a minute.  From
-    there (7,3,2) does not finish in 30 s: it finds no 21-member cover."""
+    there (7,3,2) does not finish in 30 s: it finds no 21-member cover.
+    With the prune by points on no disjoint top candidate, (7,2,2) took
+    2,933 nodes and (5,2,3) 3,109."""
     monkeypatch.setattr(search, "minimal_partition", _refuse)
     res = search_min_partition_size(n, t, q)
     assert (res.size, res.nodes, res.witness) == (size, nodes, None)
@@ -815,19 +831,6 @@ def test_stream_members_are_shared():
             assert M._mask == pi.mask_of(span(M.basis, 4, F2))
             held += 1
     assert len(first) == 15 + 35 < held
-
-
-@pytest.mark.parametrize("n, q, dims", [(4, 2, (1, 2, 3)), (3, 3, (1, 2))])
-def test_clash_rows_are_built_when_read(n, q, dims):
-    """clash[c] is built on first read: it is the top candidates meeting
-    candidate c, found here by testing each pair of masks."""
-    tables = _SubspaceCandidates(n, make_field(q), dims)
-    top = [mask for mask, d in tables.cands if d == max(dims)]
-    assert len(tables.clash) == 0
-    for cid, (mask, _) in enumerate(tables.cands):
-        meets = sum(1 << bit for bit, other in enumerate(top) if other & mask)
-        assert tables.clash[cid] == meets == tables._meeting(mask)
-        assert len(tables.clash) == cid + 1
 
 
 def test_subspace_candidates_decode_all_subspaces():
