@@ -3,9 +3,9 @@
 The engine in search.py covers the points of V(n, q) by candidates, each
 a point bitmask with a dimension.  _Candidates holds such a list, in any
 order and from any source, with the tables the engine reads: the
-candidates through each point, and the size-limit tables proved in
-search._exact_cover.  _SubspaceCandidates fills the list with every
-subspace of some dimensions, walked from echelon shapes
+candidates through each point, and the count-vector table whose two
+prunes are proved in search._exact_cover.  _SubspaceCandidates fills the
+list with every subspace of some dimensions, walked from echelon shapes
 (enumeration.shape_masks), and makes a Subspace only for a candidate that
 an emitted cover names, decoded from its shape once and kept, so that
 covers streamed one after another share their member objects.
@@ -23,10 +23,10 @@ class _Candidates:
     """Candidates cands, a list of (point mask, dimension) pairs over the
     point index pi, plus per-point lists of candidate ids in list order.
 
-    The size-limit tables count members of the candidate dimensions:
-    fewest by their point numbers alone, fits and hyperplanes_fit by how
-    they meet hyperplanes.  They are built on first use, since only
-    size-limited searches read them.
+    The size limit reads one table per (uncovered points, spare members):
+    the vectors of member counts of the candidate dimensions that can hold
+    the points, and how members so counted can meet hyperplanes.  It is
+    built on first read, since only size-limited searches read it.
     """
 
     def __init__(self, pi, cands):
@@ -47,19 +47,6 @@ class _Candidates:
         self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
 
     @cached_property
-    def fewest(self):
-        """fewest[u] is the least number of members, each of a candidate
-        dimension, that hold exactly u points; len(per_point) + 1 where
-        none do."""
-        total = len(self.per_point)
-        fewest = [0] + [total + 1] * total
-        for u in range(1, total + 1):
-            for w in self._thetas:
-                if w <= u:
-                    fewest[u] = min(fewest[u], fewest[u - w] + 1)
-        return fewest
-
-    @cached_property
     def hyperplanes(self):
         """Point masks of the hyperplanes of V(n, q), in shape order."""
         return list(shape_masks(self.pi, self.pi.n - 1))
@@ -67,7 +54,9 @@ class _Candidates:
     def _table(self, u, spare):
         """The count vectors a (a_d members of each candidate dimension d,
         holding u points, at most spare of them), fits, and the totals
-        rows of each vector, built on first read; kept per (u, spare)."""
+        rows of the vectors read so far; kept per (u, spare).  fits[h] is
+        a bitmask over the vectors: bit i is set when members counted by
+        the i-th vector can meet a hyperplane in exactly h points."""
         # Beyond u // theta(least dimension) members, spare admits no
         # further vector.
         key = (u, min(spare, u // self._thetas[0]))
@@ -76,68 +65,60 @@ class _Candidates:
             vectors = list(_count_vectors(self._thetas, *key))
             fits = [0] * (u + 1)
             for bit, counts in enumerate(vectors):
-                pairs = list(zip(counts, self._steps))[::-1]
-                base = sum(a * below for a, (below, _) in pairs)
-                for h in range(base, u + 1):
-                    v = h - base
-                    for a, (_, w) in pairs:
-                        v -= min(a, v // w) * w
-                    if not v:
-                        fits[h] |= 1 << bit
-            totals = _Rows(lambda bit: self.totals(u, vectors[bit]))
-            table = self._tables[key] = (vectors, fits, totals)
+                for h in _bits(self._heights(u, counts)):
+                    fits[h] |= 1 << bit
+            table = self._tables[key] = (vectors, fits, {})
         return table
 
-    def fits(self, u, spare):
-        """fits[h] is a bitmask over the count vectors a (a_d members of
-        each candidate dimension d, holding u points, at most spare of
-        them): bit i is set when members counted by the i-th vector can
-        meet a hyperplane in exactly h points, that is when h - sum a_d
-        theta(d-1) = sum x_d q^(d-1) for some 0 <= x_d <= a_d (greedy,
-        see search._exact_cover)."""
-        return self._table(u, spare)[1]
+    def _heights(self, u, counts, skip=None):
+        """The heights h <= u of members counted by counts (a_d of each
+        candidate dimension d) with the skip-th dimension's members kept
+        out of the hyperplane, as a bitset: h = sum a_d theta(d-1) +
+        sum x_d q^(d-1) for some 0 <= x_d <= a_d, x_d = 0 when skipped."""
+        width = (1 << u + 1) - 1
+        base = sum(a * below for a, (below, _) in zip(counts, self._steps))
+        reach = 1 << base
+        for e, (a, (_, w)) in enumerate(zip(counts, self._steps)):
+            if e != skip:
+                for _ in range(a):
+                    reach |= (reach << w) & width
+        return reach
 
     def totals(self, u, counts):
         """For each candidate dimension d with a_d = counts[i] > 0, the
         triple (a_d theta(n-d), lo, hi): lo[h] and hi[h] are the least and
         greatest x_d over the solutions of h - sum a_e theta(e-1) =
         sum x_e q^(e-1) with 0 <= x_e <= a_e, for each h that has one."""
-        base = sum(a * below for a, (below, _) in zip(counts, self._steps))
-        width = (1 << (u - base + 1)) - 1
+        width = (1 << u + 1) - 1
         rows = []
         for k, a in enumerate(counts):
             if not a:
                 continue
-            # reach: the sums of the other dimensions' terms, as a bitset
-            reach = 1
-            for e, (b, (_, z)) in enumerate(zip(counts, self._steps)):
-                if e != k:
-                    for _ in range(b):
-                        reach |= (reach << z) & width
+            reach = self._heights(u, counts, k)
             w = self._steps[k][1]
-            most = min(a, (u - base) // w)
             lo = [0] * (u + 1)
             hi = [0] * (u + 1)
-            for bound, xs in ((lo, range(most + 1)),
-                              (hi, range(most, -1, -1))):
+            for bound, xs in ((lo, range(a + 1)), (hi, range(a, -1, -1))):
                 seen = 0
                 for x in xs:
                     new = (reach << x * w) & width & ~seen
                     seen |= new
-                    for v in _bits(new):
-                        bound[base + v] = x
+                    for h in _bits(new):
+                        bound[h] = x
             rows.append((a * self._in_hyperplanes[k], lo, hi))
         return rows
 
     def hyperplanes_fit(self, rest, spare):
-        """Whether one vector of member counts, at most spare members in
-        all, fits |rest & H| for every hyperplane H, with totals that
-        allow each dimension's members to lie in as many hyperplanes as
-        they must (see search._exact_cover).  Only the numbers of
-        hyperplanes with each count are read, so their order does not
-        matter."""
+        """None when no vector of member counts, at most spare members in
+        all, holds the points of rest; else whether one fits |rest & H|
+        for every hyperplane H, with totals that allow each dimension's
+        members to lie in as many hyperplanes as they must (see
+        search._exact_cover).  Only the numbers of hyperplanes with each
+        count are read, so their order does not matter."""
         u = rest.bit_count()
         vectors, fits, totals = self._table(u, spare)
+        if not vectors:
+            return None
         heights = list(map(int.bit_count, map(rest.__and__, self.hyperplanes)))
         alive = (1 << len(vectors)) - 1
         for h in set(heights):
@@ -146,6 +127,8 @@ class _Candidates:
             return False
         tally = Counter(heights).items()
         for bit in _bits(alive):
+            if bit not in totals:
+                totals[bit] = self.totals(u, vectors[bit])
             if all(sum(lo[h] * c for h, c in tally) <= need
                    <= sum(hi[h] * c for h, c in tally)
                    for need, lo, hi in totals[bit]):
@@ -177,18 +160,6 @@ class _SubspaceCandidates(_Candidates):
             return U
 
         self.member = member
-
-
-class _Rows(dict):
-    """A table whose row for key is build(key), made on first read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        row = self[key] = self._build(key)
-        return row
 
 
 def _count_vectors(thetas, u, spare):

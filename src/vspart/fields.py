@@ -272,13 +272,21 @@ class FiniteField:
 _FIELD_CACHE: dict = {}
 
 
+def _is_int(value):
+    """Whether value is an int; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def make_field(q):
     """Return the cached GF(q) for a prime power q up to MAX_FIELD_ORDER.
 
-    Raises UnsupportedField for any order above the supported maximum,
-    checked before any arithmetic on q, and NotPrimePower for the other
-    orders that are not prime powers.
+    Raises BadRange when q is not an int (a bool is not one),
+    UnsupportedField for any order above the supported maximum, checked
+    before any arithmetic on q, and NotPrimePower for the other orders
+    that are not prime powers.
     """
+    if not _is_int(q):
+        raise BadRange(f"the field order must be an integer, got {q!r}")
     if q > MAX_FIELD_ORDER:
         raise UnsupportedField(
             f"GF({q}) is above the supported maximum order {MAX_FIELD_ORDER}"

@@ -18,7 +18,12 @@ from __future__ import annotations
 import json
 
 from .errors import FileFormatError
-from .fields import MAX_EXTENSION_ORDER, extension_field, make_field
+from .fields import (
+    MAX_EXTENSION_ORDER,
+    _is_int,
+    extension_field,
+    make_field,
+)
 from .partitions import SubspacePartition
 from .spaces import Subspace, points_exceed
 
@@ -132,16 +137,25 @@ def partition_from_json(doc):
     if doc.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"unsupported version {doc.get('version')!r}")
     try:
-        n = int(doc["n"])
-        q = int(doc["q"])
-        p = int(doc["p"])
-        e = int(doc["e"])
-        modulus = doc["modulus"]
-        if modulus is not None:
-            modulus = [int(c) for c in modulus]
-        members = [list(map(int, m)) for m in doc["members"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"malformed partition document: {exc}")
+        n, q, p, e, modulus, members = (
+            doc[key] for key in ("n", "q", "p", "e", "modulus", "members")
+        )
+    except KeyError as exc:
+        raise FileFormatError(f"malformed partition document: no {exc}")
+    # As the text reader takes only integers, this one takes only JSON
+    # integers, in JSON arrays where a list is meant.
+    if not (isinstance(members, list)
+            and all(isinstance(m, list) for m in members)
+            and (modulus is None or isinstance(modulus, list))):
+        raise FileFormatError(
+            "members, each member and the modulus must be JSON arrays"
+        )
+    numbers = [n, q, p, e, *(modulus or ()), *(c for m in members for c in m)]
+    if not all(map(_is_int, numbers)):
+        raise FileFormatError(
+            "n, q, p, e, modulus coefficients and member codes must be "
+            "JSON integers"
+        )
     field = _field_from_header(q, p, e, modulus)
     _check_ambient(n, field.q)
     subs = [_member_from_codes(m, n, field) for m in members]

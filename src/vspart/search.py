@@ -7,20 +7,19 @@ avoid everything chosen so far.  Because the branch point is a function of
 the covered set, every partition is reached along exactly one path, so the
 enumeration emits each labeled partition once without a deduplication pass.
 
-A size limit prunes by two counting bounds, proved in _exact_cover.
-The members still to come hold exactly the uncovered points and each has
-one of the candidate dimensions, so a table built once per search gives
-the fewest members that can do that by point counts alone.  The second
-bound counts by hyperplanes, the argument behind |ST| >= sigma_q(d, t): a
+A size limit prunes by one table, proved in _exact_cover.  The members
+still to come hold exactly the uncovered points and each has one of the
+candidate dimensions, so some vector of member counts within the limit
+must hold that many points, and the table lists those vectors.  It also
+counts by hyperplanes, the argument behind |ST| >= sigma_q(d, t): a
 d-member meets a hyperplane H in theta(d) or theta(d-1) points, so for
-one vector of member counts within the limit every |uncovered & H| must
-be a sum of such terms.  Its totals add that a d-member lies in exactly
-theta(n-d) hyperplanes, so the numbers of d-members inside each
-hyperplane must sum to that many per member.  Both use theta(k) =
-(q^k - 1)/(q - 1) only, never the closed formula for sigma, and both
-only cut branches that hold no partition within the limit, so
-size-limited streams are the unbounded ones filtered on size, in the
-same order.
+one listed vector every |uncovered & H| must be a sum of such terms.
+Its totals add that a d-member lies in exactly theta(n-d) hyperplanes,
+so the numbers of d-members inside each hyperplane must sum to that many
+per member.  The table uses theta(k) = (q^k - 1)/(q - 1) only, never
+the closed formula for sigma, and it only cuts branches that hold no
+partition within the limit, so size-limited streams are the unbounded
+ones filtered on size, in the same order.
 
 The minimum-size search starts from a witness: minimal_partition(n, t),
 used only when it passes validate and has top dimension t, so the
@@ -70,7 +69,7 @@ from .errors import (
     HypothesisNotMet,
     VspartError,
 )
-from .fields import make_field
+from .fields import _is_int, make_field
 from .partitions import (
     PartitionType,
     SubspacePartition,
@@ -108,8 +107,12 @@ def _canonical_subspace(n, field, d):
     return span(rows, n, field)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_ints(**values):
+    """Refuse an argument that is not an int (a bool is not one) before
+    any range check or table reads it."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise BadRange(f"{name} must be an integer, got {value!r}")
 
 
 def _normalize_filter(type_filter):
@@ -189,25 +192,25 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     size_limit prunes extensions that cannot finish within that many
     members, and the consumer may then send() a tighter limit back after
     a cover.  Let u be the number of points left uncovered by the
-    extension.  The members still to come are candidates, so they have
-    candidate dimensions and hold exactly the u points: at least
-    tables.fewest[u] of them, and the extension is pruned when that
-    exceeds spare = size_limit - taken - 1.  Neither this bound nor the
-    hyperplane check below cuts a branch that holds a cover within the
-    limit, so the covers yielded and their order do not depend on them.
+    extension and spare = size_limit - taken - 1.  The members still to
+    come are candidates, so they have candidate dimensions and hold
+    exactly the u points: a_d of each dimension d, sum a_d theta(d) = u
+    and sum a_d <= spare.  tables.hyperplanes_fit reads the table of
+    these count vectors, and the extension is pruned when it lists none.
+    The table is read only while spare < u, which loses nothing: in
+    every state the engine reaches, u is such a sum with a_d >= 0 (u
+    single points when 1 is a candidate dimension, the filtered members
+    still to come otherwise), and such a vector has at most u members, as
+    each holds a point, so with spare >= u the table lists it.  No prune of
+    the table cuts a branch that holds a cover within the limit, so the
+    covers yielded and their order do not depend on them.
 
-    The hyperplane check refines this.  Say a_d members of dimension d are
-    to come, so sum a_d theta(d) = u and sum a_d <= spare.  A d-member
-    meets a hyperplane H in dimension d or d-1, so h_H = |rest & H| =
-    sum a_d theta(d-1) + sum x_d q^(d-1), x_d in [0, a_d] counting the
-    d-members inside H.  The extension is pruned when no vector a fits
-    every h_H (tables.fits).  Writing v as sum x_d q^(d-1) is decided
-    greedily, x_d = min(a_d, v // q^(d-1)) from the largest d down: if a
-    solution has a smaller x_D, its smaller terms sum to at least
-    q^(D-1); taken largest first, each partial sum is a multiple of the
-    next term, as q^(D-1) is, so one equals q^(D-1) and those terms trade
-    for one more q^(D-1).  The check runs only while spare < u, since
-    otherwise u single points, if points are candidates, fit every h_H.
+    The hyperplane check refines it.  A d-member meets a hyperplane H in
+    dimension d or d-1, so h_H = |rest & H| = sum a_d theta(d-1) +
+    sum x_d q^(d-1), x_d in [0, a_d] counting the d-members inside H.
+    The table holds, per vector, the heights that can be written so, as
+    a sumset bitset, and the extension is pruned when no vector fits
+    every h_H.
 
     The totals refine it: a d-subspace U lies in exactly theta(n-d)
     hyperplanes, as those through U are the hyperplanes of V/U, so
@@ -216,17 +219,13 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     h_H (tables.totals), so a vector whose sums of those bounds miss
     a_d theta(n-d) for some d is cut as well.
 
-    stats also accumulates the prunes of each kind: "size_prunes"
-    (fewest) and "hyperplane_prunes" (with the totals).
+    stats also accumulates the prunes of each reason: "size_prunes" (the
+    table lists no vector) and "hyperplane_prunes" (no vector fits the
+    hyperplanes, one at a time or in total).
     """
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    if size_limit is not None:
-        # Past one member per point the limit cuts nothing, and fewest's
-        # "impossible" entry stays above every spare.
-        size_limit = min(size_limit, len(per_point))
-        fewest = tables.fewest
     nodes = size_prunes = hyperplane_prunes = 0
     started = time.monotonic()
     try:
@@ -266,12 +265,14 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                 if size_limit is not None:
                     spare = size_limit - taken - 1
                     u = rest.bit_count()
-                    if fewest[u] > spare:
-                        size_prunes += 1
-                        continue
-                    if spare < u and not tables.hyperplanes_fit(rest, spare):
-                        hyperplane_prunes += 1
-                        continue
+                    if spare < u:
+                        fit = tables.hyperplanes_fit(rest, spare)
+                        if fit is None:
+                            size_prunes += 1
+                            continue
+                        if not fit:
+                            hyperplane_prunes += 1
+                            continue
                 frame[1] = pos
                 frame[2] = cid
                 covered |= mask
@@ -327,8 +328,10 @@ def enumerate_partitions(
     identical options.  When a dict is passed as stats, its "nodes" entry
     accumulates the extension attempts spent, and once the search runs,
     "size_prunes" and "hyperplane_prunes" the extensions that size_limit
-    cut by the member-count table and by hyperplane counts.
+    cut because no vector of member counts holds the uncovered points
+    and because none fits the hyperplanes.
     """
+    _check_ints(n=n, max_dim=max_dim)
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
     _check_limits(budget=budget, time_limit=time_limit,
@@ -555,6 +558,7 @@ def search_min_partition_size(
     onto M'.  (When 2t > n no such M exists, and only smaller candidates
     remain at p1.)
     """
+    _check_ints(n=n, t=t)
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
     _check_limits(budget=budget, time_limit=time_limit)
@@ -653,6 +657,7 @@ def check_no_minimum_supertail(
     found.  By the lemma it finds none, so sweep_partitions is 0.  The
     budget and time limit cover the whole call.
     """
+    _check_ints(n=n, cut=cut)
     if not 1 <= cut < n:
         raise BadRange(f"need 1 <= cut < n, got cut={cut}, n={n}")
     if not n < 2 * cut:
@@ -764,6 +769,7 @@ def conjecture_search(
     """
     if max_dim is None:
         max_dim = n - 1
+    _check_ints(n=n, max_dim=max_dim)
     _check_limits(budget=budget, time_limit=time_limit)
     _checked_field(n, q, point_limit)
     cuts = tuple(range(2, n) if cut_range is None else cut_range)

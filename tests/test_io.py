@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vspart.spaces as spaces
+from vspart.cli import main
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.errors import FileFormatError
 from vspart.fields import extension_field, make_field
@@ -201,6 +202,43 @@ def test_malformed_members_entries(members):
     doc["members"] = members
     with pytest.raises(FileFormatError):
         partition_from_json(doc)
+
+
+def _spoiled(key, value):
+    doc = partition_to_json(spread(4, 2, make_field(4)))
+    if key == "code":
+        doc["members"][0][0] = value
+    elif key == "coefficient":
+        doc["modulus"][0] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _spoiled("n", 4.5),
+    _spoiled("n", 4.0),
+    _spoiled("q", 4.0),
+    _spoiled("p", "2"),
+    _spoiled("coefficient", True),
+    _spoiled("modulus", "111"),
+    _spoiled("code", True),
+    _spoiled("code", 1.0),
+    _spoiled("members", [[1, 0, 0, 0, 0, 1, 0, 0], "1000"]),
+], ids=[
+    "n-fraction", "n-float", "q-float", "p-string", "modulus-bool",
+    "modulus-string", "code-bool", "code-float", "member-string",
+])
+def test_json_reader_takes_only_integers_and_arrays(doc, tmp_path):
+    """n, q, p, e, the modulus coefficients and the member codes must be
+    JSON integers (not bools), and the members, each member and the
+    modulus JSON arrays, as the text reader takes only integers; `verify`
+    on such a file exits 2."""
+    with pytest.raises(FileFormatError):
+        partition_from_json(doc)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
 
 
 def test_read_partition_bad_json(tmp_path):

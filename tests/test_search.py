@@ -2,6 +2,7 @@
 import json
 from functools import cache
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,21 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: conjecture_search(3, 2, cut_range=(2.0,)),
     lambda: conjecture_search(5, 2, cut_range=(5,)),
     lambda: conjecture_search(5, 2, cut_range=(4,), max_dim=3),
+    lambda: list(enumerate_partitions(3, 2, 2.5)),
+    lambda: list(enumerate_partitions(3.0, 2, 2)),
+    lambda: list(enumerate_partitions(3, 2.0, 2)),
+    lambda: list(enumerate_partitions(3, 2, True)),
+    lambda: search_min_partition_size(3, 1.5, 2),
+    lambda: search_min_partition_size(3, True, 2),
+    lambda: search_min_partition_size("3", 1, 2),
+    lambda: check_no_minimum_supertail(4, 2.5, 2),
+    lambda: check_no_minimum_supertail(5.0, 3, 2),
+    lambda: conjecture_search(3, 2, max_dim=2.5),
+    lambda: conjecture_search(3.0, 2),
+    lambda: conjecture_search(3, "2"),
+    lambda: make_field(2.0),
+    lambda: make_field("4"),
+    lambda: make_field(True),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
     "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
@@ -166,12 +182,18 @@ def test_enumerate_malformed_type_filter(type_filter):
     "conjecture-cut-0", "conjecture-cut-5", "conjecture-cut-1",
     "conjecture-cut-n", "conjecture-float-cut", "conjecture-v52-cut-5",
     "conjecture-cut-above-max-dim",
+    "enumerate-float-max-dim", "enumerate-float-n", "enumerate-float-q",
+    "enumerate-bool-max-dim", "minimum-float-t", "minimum-bool-t",
+    "minimum-str-n", "impossibility-float-cut", "impossibility-float-n",
+    "conjecture-float-max-dim", "conjecture-float-n", "conjecture-str-q",
+    "field-float", "field-str", "field-bool",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
-    """A limit of the wrong type, a negative budget or time limit, or a
+    """A limit of the wrong type, a negative budget or time limit, a
     conjecture cut that can never be a case (outside [2, min(max_dim,
-    n - 1)]), is refused before any candidate table is built, so even a
-    time limit is checked without searching."""
+    n - 1)]), or an n, t, max_dim, cut or q that is not an int (a bool
+    is not one), is refused before any candidate table is built, so even
+    a time limit is checked without searching."""
 
     def no_tables(*args, **kwargs):
         raise AssertionError("candidate tables built")
@@ -257,24 +279,33 @@ DIM_SETS = [(1, 2), (1, 2, 3), (1, 3), (2, 3)]
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
 def test_fewest_matches_count_vectors(n, q, dims):
+    """The size prune is exact: the table for u points and spare members
+    lists no count vector exactly when the fewest members of dims that
+    hold u points, by brute force, are more than spare."""
     tables = _SubspaceCandidates(n, make_field(q), dims)
-    assert tables.fewest == _fewest_by_count_vectors(n, q, dims)
+    fewest = _fewest_by_count_vectors(n, q, dims)
+    for u, least in enumerate(fewest):
+        for spare in range(-1, u + 2):
+            assert (not tables._table(u, spare)[0]) == (least > spare), (
+                u, spare)
 
 
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
 def test_fewest_never_below_the_ceiling_bound(n, q, dims):
-    """The ceiling bound the table replaced: u points in members of at
+    """The ceiling bound the table refines: u points in members of at
     most theta(D) points each, D the top dimension, take ceil(u /
-    theta(D)) of them."""
+    theta(D)) of them, so with fewer spare members the table lists no
+    count vector."""
     top = (q**max(dims) - 1) // (q - 1)
-    fewest = _SubspaceCandidates(n, make_field(q), dims).fewest
-    for u, value in enumerate(fewest):
-        assert value >= -(-u // top), u
+    tables = _SubspaceCandidates(n, make_field(q), dims)
+    for u in range(tables.pi.size + 1):
+        assert not tables._table(u, -(-u // top) - 1)[0], u
     if (n, q, dims) == (4, 2, (2, 3)):
         # 7a + 3b = 15 only for a = 0: five lines, where the ceiling
         # bound says three members.
-        assert fewest[15] == 5
+        assert not tables._table(15, 4)[0]
+        assert tables._table(15, 5)[0] == [(5, 0)]
 
 
 @cache
@@ -368,7 +399,8 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
     assert not tables.hyperplanes_fit(rest, 3)
     assert not _hyperplanes_fit_by_brute_force(4, 2, (1, 2), rest, 3)
     heights = {(rest & H).bit_count() for H in tables.hyperplanes}
-    assert all(tables.fits(7, 3)[h] for h in heights) and heights == {3, 7}
+    fits = tables._table(7, 3)[1]
+    assert all(fits[h] for h in heights) and heights == {3, 7}
 
 
 @cache
@@ -402,9 +434,12 @@ def test_hyperplane_check_matches_brute_force(case, data):
                 rest |= masks[i]
     spare = data.draw(st.integers(0, size), label="spare")
     tables = _SubspaceCandidates(n, make_field(q), dims)
-    assert tables.hyperplanes_fit(rest, spare) == (
-        _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare)
-    )
+    fit = tables.hyperplanes_fit(rest, spare)
+    assert bool(fit) == _hyperplanes_fit_by_brute_force(n, q, dims, rest,
+                                                         spare)
+    # None, the size prune, exactly when no count vector holds rest.
+    least = _fewest_by_count_vectors(n, q, dims)[rest.bit_count()]
+    assert (fit is None) == (least > spare)
 
 
 def test_enumerate_seeded():
@@ -626,6 +661,19 @@ def test_stats_count_size_prunes_by_reason():
                         "hyperplane_prunes": 43}
 
 
+def test_stats_keys_are_documented():
+    """Every key a size-limited search writes to stats is named in README
+    section Budgets and in the enumerate_partitions docstring, so that
+    adding or dropping a prune shows in the docs."""
+    counters = {}
+    list(enumerate_partitions(4, 2, 3, size_limit=5, stats=counters))
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    budgets = readme.split("\n## Budgets\n")[1].split("\n## ")[0]
+    for key in counters:
+        assert f"`{key}`" in budgets, key
+        assert f'"{key}"' in enumerate_partitions.__doc__, key
+
+
 def test_size_limit_7_stream_is_pinned():
     """The partitions of V(4,2) with at most 7 members, and their nodes,
     which the prune by points on no disjoint top candidate did not move
@@ -640,7 +688,7 @@ def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
     def refuse(*args):
         raise AssertionError("hyperplane table read without a size limit")
 
-    monkeypatch.setattr(_Candidates, "fits", refuse)
+    monkeypatch.setattr(_Candidates, "_table", refuse)
     monkeypatch.setattr(_Candidates, "hyperplanes_fit", refuse)
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, stats=counters))) == 1227
