@@ -15,9 +15,9 @@ what conjecture sweeps over open parameter ranges need.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import (
     EmptySupertail,
     HypothesisNotMet,
@@ -39,7 +39,7 @@ class TailClass(str, Enum):
     NOT_MINIMUM = "not-minimum"
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     cut: int
     tail_top: int
@@ -105,7 +105,7 @@ def union_structure(members, n, field):
     return union, TailClass.SUBSPACE, detail
 
 
-@dataclass(frozen=True)
+@record
 class SupertailReport:
     cut: int
     tail_top: int
@@ -205,7 +205,7 @@ def analyze_supertail(P, cut, mode="assert"):
     return report
 
 
-@dataclass(frozen=True)
+@record
 class GapReport:
     cut: int
     tail_top: int
@@ -235,7 +235,7 @@ def check_dimension_gap(P, cut):
     return report
 
 
-@dataclass(frozen=True)
+@record
 class NestedBoundReport:
     cut: int
     next_dim: int

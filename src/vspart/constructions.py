@@ -9,10 +9,9 @@ short tail remains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import BadRange, NotAPartitionOfMember, NotDivisible
-from .fields import extension_field
+from .fields import _check_ints, extension_field
 from .partitions import (
     PartitionType,
     SubspacePartition,
@@ -36,6 +35,9 @@ def spread(n, t, field):
     Viewing V(n, q) as V(n/t, q^t) coordinate block by coordinate block,
     each point of the big-field geometry becomes a t-dimensional member.
     """
+    _check_ints(n=n, t=t)
+    if t < 1:
+        raise BadRange(f"need t >= 1, got t={t}")
     if n % t != 0:
         raise NotDivisible(f"{t} does not divide {n}")
     q = field.q
@@ -64,6 +66,7 @@ def beutelspacher(n, d, field):
     they cover everything.  For d = 1 the only y is x^0 = 1, so each
     graph is spanned by (b, 1) and no table of E is built.
     """
+    _check_ints(n=n, d=d)
     m = n - d
     if not 1 <= d <= m:
         raise BadRange(f"need 1 <= d <= n - d, got d={d}, n={n}")
@@ -136,6 +139,7 @@ def minimal_partition(n, t, field):
     dimension t at a time until the leftover is shorter than 2t, and the
     leftover closes with a half-dimension construction.
     """
+    _check_ints(n=n, t=t)
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
     if n % t == 0:
@@ -152,7 +156,7 @@ def minimal_partition(n, t, field):
     return refine(P, big_index, Q)
 
 
-@dataclass(frozen=True)
+@record
 class TailSizeExample:
     """Arithmetic-only record of a huge partition type: its supertail meets
     the lower bound even though the partition misses the global minimum."""

@@ -277,6 +277,14 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ints(**values):
+    """Refuse an argument that is not an int (a bool is not one) before
+    any range check or table reads it."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise BadRange(f"{name} must be an integer, got {value!r}")
+
+
 def make_field(q):
     """Return the cached GF(q) for a prime power q up to MAX_FIELD_ORDER.
 

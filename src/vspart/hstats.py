@@ -36,10 +36,10 @@ per hyperplane.
 
 For q > 2 incidences are counted from the member side, by duality.  The
 hyperplane ker(a) contains a member U exactly when a lies in U^perp, so
-the point mask of U^perp has bit i set exactly when the i-th hyperplane
-contains U.  Each member builds this mask once (one walk of theta(n - d)
-points) and keeps it; the masks of one dimension are added with the same
-ripple carry, and the digit masks are split into positions once.
+the i-th hyperplane contains U exactly when the point of rank i lies in
+U^perp.  Each member's dual is walked once (theta(n - d) points), adding
+1 to the column at the rank of each of its points; nothing is kept on
+the member.
 
 hyperplane_masks, the hyperplane-side path, is kept as the reference the
 tests compare both paths against.
@@ -50,9 +50,9 @@ with theta(j) = 0 for j <= 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .enumeration import (
     all_hyperplanes,
     hyperplane_functional,
@@ -86,19 +86,6 @@ def hyperplane_masks(n, field):
         )
         _HYPERPLANE_MASKS[key] = pairs
     return _HYPERPLANE_MASKS[key]
-
-
-def _dual_mask(U):
-    """Bit mask of the hyperplanes that contain U: the point mask of U^perp,
-    built once per member and kept in its _dual_mask slot."""
-    if U._dual_mask is None:
-        pi = point_index(U.n, U.field)
-        U._dual_mask = pi.mask_of(orthogonal(U))
-    return U._dual_mask
-
-
-# _BYTE_BITS[b]: positions of the set bits of the byte b
-_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
 def _add_mask(planes, mask):
@@ -162,18 +149,13 @@ def _point_side_counts(P, dims):
 
 
 def _dual_counts(P, d):
-    """The column for d from the members' dual masks: the masks are added
-    as binary numbers, and only the final planes are split into bit
-    positions, a byte at a time."""
-    planes = []
+    """The column for d: each d-member adds 1 at the rank of every point
+    of its dual (module docstring)."""
+    pi = point_index(P.n, P.field)
+    col = [0] * pi.size
     for m in P.members_of_dim(d):
-        _add_mask(planes, _dual_mask(m))
-    col = [0] * num_points(P.n, P.field.q)
-    for k, plane in enumerate(planes):
-        data = plane.to_bytes((plane.bit_length() + 7) // 8, "little")
-        for i, byte in enumerate(data):
-            for j in _BYTE_BITS[byte]:
-                col[8 * i + j] += 1 << k
+        for i in pi._ranks(orthogonal(m)):
+            col[i] += 1
     return col
 
 
@@ -193,7 +175,7 @@ def _hyperplane_counts(P, dims):
     return [P._counts[d] for d in dims]
 
 
-@dataclass(frozen=True)
+@record
 class HyperplaneProfile:
     """Counts of members inside one hyperplane, by occurring dimension."""
 
@@ -221,7 +203,7 @@ def profile(P, H):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ProfileHistogram:
     """Multiplicities s_b of each profile vector b over all hyperplanes."""
 
@@ -249,7 +231,7 @@ def histogram(P):
     return ProfileHistogram(P.dims(), classes)
 
 
-@dataclass(frozen=True)
+@record
 class IdentityCheck:
     name: str
     lhs: object
@@ -259,7 +241,7 @@ class IdentityCheck:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     checks: tuple
 
@@ -411,7 +393,7 @@ def supertail_quotient(P, cut, H):
     return c
 
 
-@dataclass(frozen=True)
+@record
 class BetaStats:
     """Weighted tail loads beta_H = sum_{d <= t} b_{H,d} q^d per hyperplane."""
 
@@ -464,7 +446,7 @@ def beta_stats(P, cut):
     return BetaStats(cut, t, len(st.members), tuple(values), beta0, minimum_tail, c0)
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalRegime:
     """Parameters of the top-dimension histogram in the peeled regime."""
 
@@ -477,7 +459,7 @@ class ExtremalRegime:
     tail_size: int
 
 
-@dataclass(frozen=True)
+@record
 class AlphaContext:
     """Histogram alpha_i = number of hyperplanes containing exactly i
     members of the chosen dimension, with its first two moments."""

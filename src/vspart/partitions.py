@@ -6,18 +6,17 @@ the occurring dimensions d_1 < d_2 < ... < d_m with their multiplicities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from ._record import record
 from .errors import (
     BadCut,
     BadRange,
     DimensionMismatch,
 )
+from .fields import _check_ints
 from .spaces import point_index
 
 
-@dataclass(frozen=True)
+@record
 class PartitionType:
     """Occurring dimensions with multiplicities, ascending by dimension."""
 
@@ -136,7 +135,7 @@ class SubspacePartition:
         return f"SubspacePartition(n={self.n}, q={self.field.q}, type={self.type()})"
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     uncovered: tuple
@@ -179,7 +178,7 @@ def validate(P):
 SIGMA_MAX_N = 1000
 
 
-@dataclass(frozen=True)
+@record
 class SigmaParams:
     """The decomposition n = k*t + r with 0 <= r < t used throughout."""
 
@@ -191,6 +190,7 @@ class SigmaParams:
 
     @staticmethod
     def of(n, t, q):
+        _check_ints(n=n, t=t, q=q)
         if not 1 <= t < n:
             raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
         if n > SIGMA_MAX_N:
@@ -219,7 +219,7 @@ def min_partition_size(n, t, q):
     return head + tail + 1
 
 
-@dataclass(frozen=True)
+@record
 class Supertail:
     """Members of dimension strictly below the cut, with the cut bookkeeping."""
 
@@ -259,6 +259,10 @@ def drake_freeman_bound(n, d, q):
     Valid sizes satisfy size < bound.  Raises BadRange when d divides n
     (the bound needs 1 <= n mod d < d).
     """
+    # Imported here, where it is used: fractions loads decimal, and no
+    # command-line run needs either.
+    from fractions import Fraction
+
     if not 1 <= d < n:
         raise BadRange(f"need 1 <= d < n, got d={d}, n={n}")
     k, r = divmod(n, d)

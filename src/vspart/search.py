@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
+from ._record import record
 from .analysis import analyze_supertail, TailClass
 from .candidates import _SubspaceCandidates
 from .constructions import minimal_partition
@@ -69,7 +69,7 @@ from .errors import (
     HypothesisNotMet,
     VspartError,
 )
-from .fields import _is_int, make_field
+from .fields import _check_ints, _is_int, make_field
 from .partitions import (
     PartitionType,
     SubspacePartition,
@@ -88,6 +88,7 @@ _TIME_CHECK_MASK = 0x3FF
 def _checked_field(n, q, point_limit):
     """GF(q), once q is a supported order and V(n,q) has at most
     point_limit points."""
+    _check_ints(point_limit=point_limit)
     field = make_field(q)
     if points_exceed(n, q, point_limit):
         raise BadRange(
@@ -105,14 +106,6 @@ def _canonical_subspace(n, field, d):
         v[i] = 1
         rows.append(tuple(v))
     return span(rows, n, field)
-
-
-def _check_ints(**values):
-    """Refuse an argument that is not an int (a bool is not one) before
-    any range check or table reads it."""
-    for name, value in values.items():
-        if not _is_int(value):
-            raise BadRange(f"{name} must be an integer, got {value!r}")
 
 
 def _normalize_filter(type_filter):
@@ -362,8 +355,13 @@ def enumerate_partitions(
     covered = 0
     taken = 0
     counts = dict.fromkeys(dims, 0)
-    seed = list(seed) if seed else []
+    try:
+        seed = list(seed) if seed else []
+    except TypeError as exc:
+        raise BadRange(f"seed {seed!r} is not a list of subspaces") from exc
     for member in seed:
+        if not isinstance(member, Subspace):
+            raise BadRange(f"seed member {member!r} is not a subspace")
         if member.n != n or member.field is not field:
             raise DimensionMismatch(
                 f"seed member lives in V({member.n},{member.field.q}), "
@@ -481,7 +479,7 @@ def enumerate_partitions(
         covers.close()
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     """size and partition: a minimum partition.  witness: the size of the
     validated construction the search started below, or None when there
@@ -608,7 +606,7 @@ def search_min_partition_size(
                         None if witness is None else witness.size)
 
 
-@dataclass(frozen=True)
+@record
 class ImpossibilityReport:
     """Tallies of check_no_minimum_supertail.  candidate_types is always
     () and type_hits always 0: by the lemma proved there, no tail type can
@@ -713,7 +711,7 @@ def check_no_minimum_supertail(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureCase:
     type_str: str
     cut: int
@@ -725,7 +723,7 @@ class ConjectureCase:
     union_dim: object
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureFindings:
     n: int
     q: int

@@ -124,9 +124,7 @@ class Subspace:
     that the rows passed in are already in reduced row echelon form.
     """
 
-    __slots__ = (
-        "field", "n", "basis", "_points", "_pivots", "_mask", "_dual_mask"
-    )
+    __slots__ = ("field", "n", "basis", "_points", "_pivots", "_mask")
 
     def __init__(self, field, n, basis):
         self.field = field
@@ -136,9 +134,6 @@ class Subspace:
         # Point mask of this subspace, filled in and read by
         # PointIndex.mask_of.
         self._mask = None
-        # Mask of the hyperplanes containing this subspace, filled in and
-        # read by hstats.
-        self._dual_mask = None
         # An echelon row is 0 before its pivot and 1 at it.
         self._pivots = tuple([row.index(1) for row in basis])
 

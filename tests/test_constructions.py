@@ -66,6 +66,23 @@ def test_beutelspacher_range():
         beutelspacher(4, 0, F)
 
 
+@pytest.mark.parametrize("build, args", [
+    (spread, (4, 2.0)),
+    (spread, (4.0, 2)),
+    (spread, (4, 0)),
+    (minimal_partition, (5.0, 2)),
+    (minimal_partition, (5, True)),
+    (beutelspacher, (5, 2.0)),
+    (beutelspacher, (5.0, 2)),
+    (beutelspacher, (3, True)),
+])
+def test_constructions_reject_non_integer_dimensions(build, args):
+    """A dimension that is not an int, or a spread of t = 0, is refused
+    before any arithmetic reads it."""
+    with pytest.raises(BadRange):
+        build(*args, make_field(2))
+
+
 def test_refine_replaces_one_member():
     F = make_field(2)
     P = spread(6, 3, F)

@@ -21,7 +21,7 @@ from vspart.errors import (
 from vspart.fields import make_field
 from vspart.fileio import write_partition
 from vspart.hstats import (
-    _dual_mask,
+    _dual_counts,
     _hyperplane_counts,
     _profile_vectors,
     alpha_histogram,
@@ -301,24 +301,24 @@ def refined_partitions(draw):
     return P
 
 
-def test_dual_masks_reduce_each_member_once(monkeypatch):
-    """U^perp is read off U's reduced basis, so each member's dual mask
-    takes one row reduction."""
-    members = minimal_partition(7, 3, F2).members
+def test_dual_counts_reduce_each_member_once(monkeypatch):
+    """U^perp is read off U's reduced basis, so counting the hyperplanes
+    through each member takes one row reduction per member."""
+    P = minimal_partition(7, 3, F2)
     calls = []
     rref = spaces._rref
     monkeypatch.setattr(
         spaces, "_rref", lambda *args: calls.append(1) or rref(*args)
     )
-    for U in members:
-        _dual_mask(U)
-    assert len(calls) == len(members)
+    for d in P.dims():
+        _dual_counts(P, d)
+    assert len(calls) == P.size
 
 
 @settings(max_examples=150, deadline=None)
 @given(P=refined_partitions())
 def test_dual_counts_match_hyperplane_masks(P):
-    """Every count read from the members' dual masks equals the count of
+    """Every count read from the members' duals equals the count of
     members whose point mask lies inside each hyperplane's point mask."""
     pi = point_index(P.n, P.field)
     dims = P.dims()
@@ -435,14 +435,14 @@ def test_checks_count_each_dimension_once(P, monkeypatch):
     dimension, kept on the partition.  Over GF(2) the counts come from the
     members' point masks, which validate already walked: no member's dual
     is built, and each member's span is walked once in all.  For q > 2
-    each member's dual mask is read once.  The kept counts equal those of
-    a fresh partition built from fresh copies of the same members."""
+    each member's dual is built and walked once.  The kept counts equal
+    those of a fresh partition built from fresh copies of the same
+    members."""
     P = _fresh(P)
     orthogonal = [
         _count_calls(monkeypatch, module, "orthogonal")
         for module in (spaces, hstats, enumeration)
     ]
-    dual = _count_calls(monkeypatch, hstats, "_dual_mask")
     walks = _count_calls(monkeypatch, spaces.PointIndex, "_ranks")
     assert validate(P).ok
     assert verify_size_identity(P).ok
@@ -451,11 +451,13 @@ def test_checks_count_each_dimension_once(P, monkeypatch):
         assert verify_moment_identities(P, d).ok
     if P.field.q == 2:
         assert orthogonal == [[], [], []]
-        assert dual == []
         walked = sorted(id(U) for _, U in walks)
         assert walked == sorted(id(U) for U in P.members)
     else:
-        assert len(dual) == P.size
+        dual = orthogonal[1]
+        assert sorted(id(U) for (U,) in dual) == sorted(
+            id(U) for U in P.members
+        )
     fresh = _fresh(P)
     assert sorted(P._counts) == list(P.dims())
     for d in P.dims():
@@ -535,9 +537,7 @@ def test_gf2_cli_checks_build_no_duals(tmp_path, monkeypatch, capsys):
         _count_calls(monkeypatch, module, "orthogonal")
         for module in (spaces, hstats, enumeration)
     ]
-    dual = _count_calls(monkeypatch, hstats, "_dual_mask")
     assert main(["verify", "--all-identities", str(path)]) == 0
     assert main(["analyze", str(path), "--cut", "3", "--mode", "explore"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert orthogonal == [[], [], []]
-    assert dual == []

@@ -1,10 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+importing the package stays light.
 
 No linter ships with the package, so the module sources are parsed with
 ast: a name bound by an import statement must be read somewhere in the
 module.  __init__.py is exempt, since its imports are the re-exported API.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,21 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_no_code_generation_modules():
+    """Each command-line run imports the package once, so it must not pull
+    in dataclasses (which loads inspect, ast and dis) or fractions (which
+    loads decimal).  Run without site so nothing else loads them first."""
+    src = Path(vspart.__file__).parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import vspart, vspart.cli; "
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules)))"
+    )
+    heavy = ["dataclasses", "inspect", "fractions", "decimal"]
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src), *heavy],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -88,6 +88,11 @@ def test_min_partition_size_rejects_bad_ranges():
         min_partition_size(4, 5, 2)
     with pytest.raises(BadRange):
         min_partition_size(4, 2, 1)
+    # Not ints, though they compare like ones: these gave 6.0 and 31.
+    with pytest.raises(BadRange):
+        min_partition_size(5, 2.5, 2)
+    with pytest.raises(BadRange):
+        min_partition_size(5, True, 2)
 
 
 def test_validate_spread():

@@ -169,6 +169,14 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: make_field(2.0),
     lambda: make_field("4"),
     lambda: make_field(True),
+    lambda: list(enumerate_partitions(3, 2, 2, point_limit="x")),
+    lambda: list(enumerate_partitions(3, 2, 2, point_limit=7.5)),
+    lambda: search_min_partition_size(4, 2, 2, point_limit="x"),
+    lambda: search_min_partition_size(4, 2, 2, point_limit=127.5),
+    lambda: check_no_minimum_supertail(5, 3, 2, point_limit="x"),
+    lambda: check_no_minimum_supertail(5, 3, 2, point_limit=127.5),
+    lambda: conjecture_search(3, 2, point_limit="x"),
+    lambda: conjecture_search(3, 2, point_limit=7.5),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
     "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
@@ -187,13 +195,17 @@ def test_enumerate_malformed_type_filter(type_filter):
     "minimum-str-n", "impossibility-float-cut", "impossibility-float-n",
     "conjecture-float-max-dim", "conjecture-float-n", "conjecture-str-q",
     "field-float", "field-str", "field-bool",
+    "enumerate-str-point-limit", "enumerate-float-point-limit",
+    "minimum-str-point-limit", "minimum-float-point-limit",
+    "impossibility-str-point-limit", "impossibility-float-point-limit",
+    "conjecture-str-point-limit", "conjecture-float-point-limit",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
     """A limit of the wrong type, a negative budget or time limit, a
     conjecture cut that can never be a case (outside [2, min(max_dim,
-    n - 1)]), or an n, t, max_dim, cut or q that is not an int (a bool
-    is not one), is refused before any candidate table is built, so even
-    a time limit is checked without searching."""
+    n - 1)]), or an n, t, max_dim, cut, q or point_limit that is not an
+    int (a bool is not one), is refused before any candidate table is
+    built, so even a time limit is checked without searching."""
 
     def no_tables(*args, **kwargs):
         raise AssertionError("candidate tables built")
@@ -463,6 +475,12 @@ def test_enumerate_seed_edge_cases():
     U = span([(1, 0, 0)], 3, F2)
     with pytest.raises(BadRange):
         list(enumerate_partitions(3, 2, 2, seed=[U, U]))
+    with pytest.raises(BadRange):
+        list(enumerate_partitions(3, 2, 2, seed=[1]))
+    with pytest.raises(BadRange):
+        list(enumerate_partitions(3, 2, 2, seed=5))
+    with pytest.raises(DimensionMismatch):
+        list(enumerate_partitions(3, 2, 2, seed=[span([(1, 0)], 2, F2)]))
     whole = [full_space(2, F2)]
     got = list(enumerate_partitions(2, 2, 1, seed=whole))
     assert len(got) == 1
