@@ -79,11 +79,18 @@ def union_structure(members, n, field):
         acc |= mask
     q = field.q
     point_count = acc.bit_count()
-    # The span of the members holds every member, so the union is that
-    # span exactly when the two have the same number of points.
-    union = span([row for m in members for row in m.basis], n, field)
-    if num_points(union.dim, q) != point_count:
-        union = None
+    # A subspace of dimension j has theta(j) points, so a union with any
+    # other count is none and needs no span.  Otherwise the span of the
+    # members holds every member, and the union is that span exactly when
+    # the two have the same number of points.
+    theta = 0
+    while theta < point_count:
+        theta = theta * q + 1
+    union = None
+    if theta == point_count:
+        union = span([row for m in members for row in m.basis], n, field)
+        if num_points(union.dim, q) != point_count:
+            union = None
     counts = Counter(m.dim for m in members)
     dims = sorted(counts)
     detail = {

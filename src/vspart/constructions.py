@@ -5,7 +5,9 @@ t-spread of V(n, q) through the field tower V(n, q) = V(n/t, q^t), and the
 near-spread of type [(n-d)^1, d^(q^(n-d))] through graphs of multiplication
 maps.  Everything else is composition: refine replaces one member by an
 embedded partition of it, and minimal_partition peels near-spreads until a
-short tail remains.
+short tail remains.  spread, beutelspacher and minimal_partition refuse
+with BadRange, before building anything, a V(n, q) with more than
+FILE_POINT_LIMIT points, the limit partition files keep too.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .partitions import (
     min_partition_size,
     validate,
 )
-from .spaces import full_space, span
+from .spaces import FILE_POINT_LIMIT, full_space, points_exceed, span
 
 
 def _digits(code, q, width):
@@ -27,6 +29,16 @@ def _digits(code, q, width):
         out.append(code % q)
         code //= q
     return tuple(out)
+
+
+def _check_points(n, field):
+    """Refuse, before anything is built, a V(n, q) with more than
+    FILE_POINT_LIMIT points, which no partition file may hold either."""
+    if points_exceed(n, field.q, FILE_POINT_LIMIT):
+        raise BadRange(
+            f"V({n},{field.q}) has more than {FILE_POINT_LIMIT} points, "
+            f"the limit for constructions"
+        )
 
 
 def spread(n, t, field):
@@ -40,6 +52,7 @@ def spread(n, t, field):
         raise BadRange(f"need t >= 1, got t={t}")
     if n % t != 0:
         raise NotDivisible(f"{t} does not divide {n}")
+    _check_points(n, field)
     q = field.q
     B = extension_field(field, t)
     m = n // t
@@ -70,6 +83,7 @@ def beutelspacher(n, d, field):
     m = n - d
     if not 1 <= d <= m:
         raise BadRange(f"need 1 <= d <= n - d, got d={d}, n={n}")
+    _check_points(n, field)
     q = field.q
     E = extension_field(field, m) if d > 1 else None
     members = []
@@ -142,6 +156,7 @@ def minimal_partition(n, t, field):
     _check_ints(n=n, t=t)
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+    _check_points(n, field)
     if n % t == 0:
         return spread(n, t, field)
     if n < 2 * t:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import BadRange, BudgetExceeded, NotAHyperplane
+from .fields import _check_ints
 from .spaces import (
     Subspace,
     num_points,
@@ -35,8 +36,11 @@ ENUMERATION_BUDGET = 10 ** 8
 
 def gaussian_binomial(n, d, q):
     """Number of d-dimensional subspaces of V(n, q), exactly."""
+    _check_ints(n=n, d=d, q=q)
     if d < 0 or n < 0:
         raise BadRange(f"negative arguments: n={n}, d={d}")
+    if q < 2:
+        raise BadRange(f"field order must be at least 2, got {q}")
     if d > n:
         return 0
     result = 1
@@ -51,6 +55,7 @@ def all_subspaces(n, d, field, budget=None):
     Raises BudgetExceeded up front when the exact count is beyond the
     budget (ENUMERATION_BUDGET by default).
     """
+    _check_ints(n=n, d=d)
     if not 0 <= d <= n:
         raise BadRange(f"dimension {d} out of range for ambient {n}")
     limit = budget if budget is not None else ENUMERATION_BUDGET

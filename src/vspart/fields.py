@@ -4,8 +4,12 @@ Field elements are plain integer codes in ``range(q)``.  For a prime field
 the code is the residue itself.  For ``q = p^e`` the base-``p`` digits of the
 code are the coefficients of the element in the polynomial basis
 ``1, x, ..., x^(e-1)`` modulo a fixed irreducible polynomial, lowest degree
-first.  All operations go through dense lookup tables built once per field,
-so arithmetic in inner loops is a couple of list indexes.
+first.  That polynomial is the first monic irreducible one of degree e
+over GF(p) in ``_monic_polys`` order, found by search when the field is
+first built; no table of moduli is kept.  For GF(4), GF(8), GF(16) and
+GF(9) it is x^2 + x + 1, x^3 + x + 1, x^4 + x + 1 and x^2 + 1.  All
+operations go through dense lookup tables built once per field, so
+arithmetic in inner loops is a couple of list indexes.
 
 An extension of a field with k elements builds every table from one digit
 recurrence: a code a is its constant digit a0 = a % k plus x times the code
@@ -39,16 +43,6 @@ MAX_FIELD_ORDER = 16
 # Internal towers used by constructions may be larger, but table size is
 # quadratic in the order so they are capped too.
 MAX_EXTENSION_ORDER = 256
-
-# One documented modulus per supported non-prime order, as coefficients of a
-# monic irreducible polynomial over GF(p), lowest degree first.
-_DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),         # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),      # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),   # x^4 + x + 1
-    (3, 2): (1, 0, 1),         # x^2 + 1
-}
-
 
 def _prime_power(q):
     """Split q into (p, e) with p prime, or raise NotPrimePower."""
@@ -305,18 +299,37 @@ def make_field(q):
         if key not in _FIELD_CACHE:
             _FIELD_CACHE[key] = FiniteField(p=p)
         return _FIELD_CACHE[key]
-    return extension_field(make_field(p), e, _DEFAULT_MODULI[(p, e)])
+    return extension_field(make_field(p), e)
 
 
 def extension_field(base, degree, modulus=None):
     """Return the cached degree-``degree`` extension of ``base``.
 
-    With ``degree == 1`` the base field itself is returned.  The modulus, if
-    not given, is the lexicographically first monic irreducible polynomial of
-    that degree over the base (or the documented default when one exists).
+    With ``degree == 1`` the base field itself is returned.  A given
+    modulus must be a monic polynomial of that degree over the base:
+    ``degree + 1`` int codes of the base, lowest degree first, ending in 1;
+    anything else, like a degree that is not a positive int, raises
+    BadRange, and a reducible modulus raises UnsupportedField.  The
+    modulus, if not given, is the first monic irreducible polynomial of
+    that degree in ``_monic_polys`` order, the least code
+    m_0 + m_1 q + ... + m_{t-1} q^(t-1) of the coefficients below the
+    leading 1; no table of moduli is kept.
     """
+    _check_ints(degree=degree)
     if degree < 1:
         raise BadRange(f"extension degree must be positive, got {degree}")
+    if modulus is not None:
+        try:
+            modulus = tuple(modulus)
+        except TypeError:
+            modulus = (modulus,)
+        if not (len(modulus) == degree + 1
+                and all(_is_int(c) and 0 <= c < base.q for c in modulus)
+                and modulus[-1] == 1):
+            raise BadRange(
+                f"modulus {modulus!r} is not a monic polynomial of degree "
+                f"{degree} over GF({base.q})"
+            )
     if degree == 1:
         return base
     order = base.q ** degree
@@ -325,11 +338,7 @@ def extension_field(base, degree, modulus=None):
             f"GF({order}) exceeds the internal extension cap {MAX_EXTENSION_ORDER}"
         )
     if modulus is None:
-        if base.base is None and (base.p, degree) in _DEFAULT_MODULI:
-            modulus = _DEFAULT_MODULI[(base.p, degree)]
-        else:
-            modulus = _find_irreducible(base, degree)
-    modulus = tuple(modulus)
+        modulus = _find_irreducible(base, degree)
     key = (base.key, modulus)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FiniteField(base=base, modulus=modulus)

@@ -25,14 +25,10 @@ from .fields import (
     make_field,
 )
 from .partitions import SubspacePartition
-from .spaces import Subspace, points_exceed
+from .spaces import FILE_POINT_LIMIT, Subspace, points_exceed
 
 FORMAT_NAME = "vspart-partition"
 FORMAT_VERSION = 1
-# Readers refuse ambient spaces with more points than this: theta(4) over
-# GF(16), the largest space the package is meant to verify.  Bigger files
-# would start computations that do not finish.
-FILE_POINT_LIMIT = 4369
 
 
 def _field_header(field):
@@ -52,6 +48,8 @@ def _field_from_header(q, p, e, modulus):
         )
     if p < 2 or not 1 <= e < q.bit_length() or p**e != q:
         raise FileFormatError(f"inconsistent field header: q={q}, p={p}, e={e}")
+    if any(p % d == 0 for d in range(2, p)):
+        raise FileFormatError(f"characteristic p={p} is not prime")
     try:
         base = make_field(p)
         if e == 1:
@@ -60,11 +58,7 @@ def _field_from_header(q, p, e, modulus):
             return base
         if modulus is None:
             raise FileFormatError(f"extension field GF({q}) needs a modulus")
-        if len(modulus) != e + 1:
-            raise FileFormatError(
-                f"modulus must have {e + 1} coefficients, got {len(modulus)}"
-            )
-        return extension_field(base, e, modulus=tuple(modulus))
+        return extension_field(base, e, modulus=modulus)
     except FileFormatError:
         raise
     except Exception as exc:

@@ -178,29 +178,6 @@ def validate(P):
 SIGMA_MAX_N = 1000
 
 
-@record
-class SigmaParams:
-    """The decomposition n = k*t + r with 0 <= r < t used throughout."""
-
-    n: int
-    t: int
-    q: int
-    k: int
-    r: int
-
-    @staticmethod
-    def of(n, t, q):
-        _check_ints(n=n, t=t, q=q)
-        if not 1 <= t < n:
-            raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
-        if n > SIGMA_MAX_N:
-            raise BadRange(f"n = {n} is above the limit {SIGMA_MAX_N}")
-        if q < 2:
-            raise BadRange(f"q must be at least 2, got {q}")
-        k, r = divmod(n, t)
-        return SigmaParams(n, t, q, k, r)
-
-
 def min_partition_size(n, t, q):
     """Minimum size of a subspace partition of V(n, q) whose largest member
     has dimension exactly t, in closed form.
@@ -209,13 +186,20 @@ def min_partition_size(n, t, q):
     t-member plus a complement of size q**t); and n >= 2t with remainder,
     where peeling t-layers leaves a short tail.
     """
-    p = SigmaParams.of(n, t, q)
-    if p.r == 0:
+    _check_ints(n=n, t=t, q=q)
+    if not 1 <= t < n:
+        raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+    if n > SIGMA_MAX_N:
+        raise BadRange(f"n = {n} is above the limit {SIGMA_MAX_N}")
+    if q < 2:
+        raise BadRange(f"q must be at least 2, got {q}")
+    k, r = divmod(n, t)
+    if r == 0:
         return (q ** n - 1) // (q ** t - 1)
     if n < 2 * t:
         return q ** t + 1
-    head = q ** (t + p.r) * sum(q ** (i * t) for i in range(p.k - 1))
-    tail = q ** ((t + p.r + 1) // 2)
+    head = q ** (t + r) * sum(q ** (i * t) for i in range(k - 1))
+    tail = q ** ((t + r + 1) // 2)
     return head + tail + 1
 
 

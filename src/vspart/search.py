@@ -133,7 +133,8 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
     """Refuse a limit of the wrong type before any table is built: budget,
     size_limit and count_limit must be ints, count_limit at least 1, and
     time_limit an int or a float other than NaN; budget and time_limit
-    must not be negative.  None means no limit."""
+    must not be negative.  None means no limit, except for the budget:
+    the node budget returned is ORACLE_NODE_BUDGET when none is given."""
     for name, value in (("budget", budget), ("size_limit", size_limit),
                         ("count_limit", count_limit)):
         if value is not None and not _is_int(value):
@@ -148,6 +149,7 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
                                ("count_limit", count_limit, 1)):
         if value is not None and value < least:
             raise BadRange(f"{name} must be at least {least}, got {value}")
+    return ORACLE_NODE_BUDGET if budget is None else budget
 
 
 def save_checkpoint(path, checkpoint):
@@ -327,16 +329,14 @@ def enumerate_partitions(
     _check_ints(n=n, max_dim=max_dim)
     if not 1 <= max_dim <= n:
         raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
-    _check_limits(budget=budget, time_limit=time_limit,
-                  size_limit=size_limit, count_limit=count_limit)
+    budget = _check_limits(budget=budget, time_limit=time_limit,
+                           size_limit=size_limit, count_limit=count_limit)
     field = _checked_field(n, q, point_limit)
     stats = {} if stats is None else stats
     stats.setdefault("nodes", 0)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
         return
-    if budget is None:
-        budget = ORACLE_NODE_BUDGET
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
     if not dims:
         return
@@ -559,10 +559,8 @@ def search_min_partition_size(
     _check_ints(n=n, t=t)
     if not 1 <= t < n:
         raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
-    _check_limits(budget=budget, time_limit=time_limit)
+    budget = _check_limits(budget=budget, time_limit=time_limit)
     field = _checked_field(n, q, point_limit)
-    if budget is None:
-        budget = ORACLE_NODE_BUDGET
     tables = _SubspaceCandidates(n, field, range(t, 0, -1))
     cands = tables.cands
     full = tables.pi.full_mask
@@ -662,10 +660,8 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
-    _check_limits(budget=budget, time_limit=time_limit)
+    budget = _check_limits(budget=budget, time_limit=time_limit)
     field = _checked_field(n, q, point_limit)
-    if budget is None:
-        budget = ORACLE_NODE_BUDGET
     counters = {"nodes": 0}
     started = time.monotonic()
     max_tail_dim = min(cut - 1, n - cut)

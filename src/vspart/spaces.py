@@ -44,6 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BadRange, DimensionMismatch
+from .fields import _check_ints
 
 
 def num_points(dim, q):
@@ -51,11 +52,19 @@ def num_points(dim, q):
 
     Equals (q**dim - 1) // (q - 1); zero for dimension 0.
     """
+    _check_ints(dim=dim, q=q)
     if dim < 0:
         raise BadRange(f"dimension must be nonnegative, got {dim}")
     if q < 2:
         raise BadRange(f"field order must be at least 2, got {q}")
     return (q ** dim - 1) // (q - 1)
+
+
+# Partition files and the constructions refuse ambient spaces with more
+# points than this: theta(4) over GF(16), the largest space the package is
+# meant to verify.  Bigger spaces would start computations that do not
+# finish.
+FILE_POINT_LIMIT = 4369
 
 
 def points_exceed(dim, q, limit):

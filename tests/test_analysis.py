@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from vspart import analysis
 from vspart.analysis import (
     TailClass,
     analyze_supertail,
@@ -75,6 +76,20 @@ def test_union_structure_degenerate_shapes():
     assert union is None
     assert cls is TailClass.NOT_SUBSPACE
     assert detail["union_dim"] is None
+
+
+def test_union_structure_spans_only_a_subspace_point_count(monkeypatch):
+    """Two disjoint lines of V(4, 2) hold 6 points, which is theta(j) for
+    no j, so the union is no subspace and no span is taken."""
+    lines = [span([(1, 0, 0, 0), (0, 1, 0, 0)], 4, F2),
+             span([(0, 0, 1, 0), (0, 0, 0, 1)], 4, F2)]
+
+    def no_span(*args):
+        raise AssertionError("span taken of a union of 6 points")
+    monkeypatch.setattr(analysis, "span", no_span)
+    union, cls, detail = union_structure(lines, 4, F2)
+    assert (union, cls) == (None, TailClass.NOT_SUBSPACE)
+    assert (detail["point_count"], detail["union_dim"]) == (6, None)
 
 
 def test_union_structure_agrees_with_recognize_subspace_on_census():

@@ -1,6 +1,8 @@
 """Spreads, near-spreads, refinement, and minimum-size constructions."""
 import pytest
 
+from vspart import constructions
+from vspart.cli import main
 from vspart.constructions import (
     beutelspacher,
     minimal_partition,
@@ -17,7 +19,16 @@ from vspart.partitions import (
     min_partition_size,
     validate,
 )
-from vspart.spaces import span
+from vspart.spaces import FILE_POINT_LIMIT, num_points, span
+
+
+def forbid_building(monkeypatch):
+    """Make every field, space and member a construction could build
+    fail the test, so a missing size check fails fast."""
+    def never(*args, **kwargs):
+        raise AssertionError("built before the size check")
+    for name in ("extension_field", "full_space", "span"):
+        monkeypatch.setattr(constructions, name, never)
 
 
 def test_spread_types_and_validity():
@@ -81,6 +92,39 @@ def test_constructions_reject_non_integer_dimensions(build, args):
     before any arithmetic reads it."""
     with pytest.raises(BadRange):
         build(*args, make_field(2))
+
+
+@pytest.mark.parametrize("build", [spread, minimal_partition, beutelspacher])
+def test_constructions_refuse_spaces_above_the_point_limit(build, monkeypatch):
+    """V(40, 2) has far more than FILE_POINT_LIMIT points: each builder
+    refuses it with BadRange before building anything."""
+    forbid_building(monkeypatch)
+    with pytest.raises(BadRange, match=f"{FILE_POINT_LIMIT} points"):
+        build(40, 2, make_field(2))
+
+
+def test_cli_construct_refuses_a_space_above_the_point_limit(
+        tmp_path, capsys, monkeypatch):
+    """V(40, 2) is refused with exit 3 before anything is built."""
+    forbid_building(monkeypatch)
+    out = tmp_path / "never.vspart"
+    assert main([
+        "construct", "spread", "--n", "40", "--t", "2", "--q", "2",
+        "--out", str(out),
+    ]) == 3
+    assert not out.exists()
+    assert "more than 4369 points" in capsys.readouterr().err
+
+
+def test_constructions_build_at_the_point_limit():
+    """V(4, 16) has exactly FILE_POINT_LIMIT points and still builds."""
+    F16 = make_field(16)
+    assert num_points(4, 16) == FILE_POINT_LIMIT
+    P = spread(4, 2, F16)
+    assert (P.size, P.dims()) == (257, (2,))
+    assert validate(P).ok
+    assert minimal_partition(4, 2, F16) == P
+    assert beutelspacher(4, 2, F16).size == 257
 
 
 def test_refine_replaces_one_member():

@@ -15,7 +15,7 @@ from vspart.enumeration import (
     shape_masks,
 )
 from vspart.errors import BadRange, BudgetExceeded
-from vspart.fields import make_field
+from vspart.fields import extension_field, make_field
 from vspart.spaces import (
     full_space,
     num_points,
@@ -41,6 +41,24 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(3, 0, 2) == 1
     assert gaussian_binomial(3, 3, 2) == 1
     assert gaussian_binomial(3, 4, 2) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: num_points(3, 2.5),
+    lambda: num_points(True, 2),
+    lambda: gaussian_binomial(4, 2, 2.5),
+    lambda: gaussian_binomial(4, 2.5, 2),
+    lambda: gaussian_binomial(4, 2, 1),
+    lambda: next(all_subspaces(4, 2.0, make_field(2))),
+    lambda: extension_field(make_field(2), 2.5),
+], ids=["num_points-q", "num_points-bool", "gaussian-q", "gaussian-d",
+        "gaussian-q1", "all_subspaces-d", "extension-degree"])
+def test_numeric_helpers_take_only_ints(call):
+    """A float or bool where an int is meant, or a field order below 2, is
+    refused with BadRange, not counted (9.0, 65.0) or left to a raw
+    TypeError or ZeroDivisionError."""
+    with pytest.raises(BadRange):
+        call()
 
 
 def test_gaussian_binomial_symmetry():

@@ -255,3 +255,28 @@ def test_reducible_modulus_rejected():
 def test_extension_degree_must_be_positive():
     with pytest.raises(BadRange):
         extension_field(make_field(2), 0)
+
+
+@pytest.mark.parametrize("p, degree, modulus", [
+    (2, 2, (1, 1)),        # degree 1 for a degree-2 extension
+    (2, 3, (1, 1, 1)),     # degree 2 for a degree-3 extension
+    (2, 2, (1, 1, 3)),     # 3 is no code of GF(2)
+    (3, 2, (2, 0, 2)),     # not monic
+    (2, 2, (1, 1.0, 1)),   # a float coefficient
+    (2, 2, 7),             # not a sequence
+    (2, 1, (1, 1, 1)),     # degree 2 for a degree-1 extension
+])
+def test_given_modulus_must_be_monic_of_the_degree(p, degree, modulus):
+    """A given modulus needs degree + 1 int codes of the base ending in
+    1; anything else is refused with BadRange."""
+    with pytest.raises(BadRange, match="monic"):
+        extension_field(make_field(p), degree, modulus=modulus)
+
+
+def test_given_modulus_in_any_sequence_builds_the_same_field():
+    F3 = make_field(3)
+    F = extension_field(F3, 2, modulus=[2, 2, 1])
+    assert F is extension_field(F3, 2, modulus=(2, 2, 1))
+    assert F.modulus == (2, 2, 1)
+    assert extension_field(F3, 2, modulus=[1, 0, 1]) is make_field(9)
+    assert extension_field(F3, 1, modulus=(1, 1)) is F3

@@ -148,6 +148,25 @@ def test_modulus_validation():
         parse_partition(with_modulus)
 
 
+def test_characteristic_must_be_prime(tmp_path):
+    """A header with p = 4, e = 1 and no modulus names no field: GF(4)
+    needs a modulus the file does not state.  Both readers and CLI verify
+    refuse it."""
+    good = format_partition(spread(2, 1, make_field(4)))
+    text = good.replace("p 2\ne 2\nmodulus 1 1 1\n", "p 4\ne 1\n")
+    assert text.count("member") == 5 and "modulus" not in text
+    doc = partition_to_json(spread(2, 1, make_field(4)))
+    doc.update(p=4, e=1, modulus=None)
+    with pytest.raises(FileFormatError, match="not prime"):
+        parse_partition(text)
+    with pytest.raises(FileFormatError, match="not prime"):
+        partition_from_json(doc)
+    for name, payload in [("p4.vspart", text), ("p4.json", json.dumps(doc))]:
+        path = tmp_path / name
+        path.write_text(payload, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+
+
 def test_nonstandard_modulus_round_trips():
     """A field built on a modulus other than the default survives the trip
     with its own modulus, not the default one."""

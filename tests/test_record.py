@@ -7,7 +7,6 @@ from vspart._record import record
 RECORDS = [
     partitions.PartitionType,
     partitions.ValidationReport,
-    partitions.SigmaParams,
     partitions.Supertail,
     constructions.TailSizeExample,
     hstats.HyperplaneProfile,
