@@ -6,21 +6,21 @@ near-spread of type [(n-d)^1, d^(q^(n-d))] through graphs of multiplication
 maps.  Everything else is composition: refine replaces one member by an
 embedded partition of it, and minimal_partition peels near-spreads until a
 short tail remains.  spread, beutelspacher and minimal_partition refuse
-with BadRange, before building anything, a V(n, q) with more than
-FILE_POINT_LIMIT points, the limit partition files keep too.
+with BadRange, before building anything, an n below 1 and a V(n, q) with
+more than FILE_POINT_LIMIT points, the limit partition files keep too.
 """
 from __future__ import annotations
 
 from ._record import record
-from .errors import BadRange, NotAPartitionOfMember, NotDivisible
-from .fields import _check_ints, extension_field
+from .errors import NotAPartitionOfMember, NotDivisible
+from .fields import _check_int, extension_field
 from .partitions import (
     PartitionType,
     SubspacePartition,
     min_partition_size,
     validate,
 )
-from .spaces import FILE_POINT_LIMIT, full_space, points_exceed, span
+from .spaces import FILE_POINT_LIMIT, _check_space, full_space, span
 
 
 def _digits(code, q, width):
@@ -31,28 +31,16 @@ def _digits(code, q, width):
     return tuple(out)
 
 
-def _check_points(n, field):
-    """Refuse, before anything is built, a V(n, q) with more than
-    FILE_POINT_LIMIT points, which no partition file may hold either."""
-    if points_exceed(n, field.q, FILE_POINT_LIMIT):
-        raise BadRange(
-            f"V({n},{field.q}) has more than {FILE_POINT_LIMIT} points, "
-            f"the limit for constructions"
-        )
-
-
 def spread(n, t, field):
     """The t-spread of V(n, q) induced by scalar multiplication of GF(q^t).
 
     Viewing V(n, q) as V(n/t, q^t) coordinate block by coordinate block,
     each point of the big-field geometry becomes a t-dimensional member.
     """
-    _check_ints(n=n, t=t)
-    if t < 1:
-        raise BadRange(f"need t >= 1, got t={t}")
+    _check_space(n, field.q, FILE_POINT_LIMIT)
+    _check_int("t", t, 1)
     if n % t != 0:
         raise NotDivisible(f"{t} does not divide {n}")
-    _check_points(n, field)
     q = field.q
     B = extension_field(field, t)
     m = n // t
@@ -79,11 +67,9 @@ def beutelspacher(n, d, field):
     they cover everything.  For d = 1 the only y is x^0 = 1, so each
     graph is spanned by (b, 1) and no table of E is built.
     """
-    _check_ints(n=n, d=d)
+    _check_space(n, field.q, FILE_POINT_LIMIT)
+    _check_int("d", d, 1, n // 2)
     m = n - d
-    if not 1 <= d <= m:
-        raise BadRange(f"need 1 <= d <= n - d, got d={d}, n={n}")
-    _check_points(n, field)
     q = field.q
     E = extension_field(field, m) if d > 1 else None
     members = []
@@ -109,8 +95,7 @@ def refine(P, index, Q):
     carried into the ambient through the member's canonical basis.  Raises
     NotAPartitionOfMember when Q is not a valid partition of that space.
     """
-    if not 0 <= index < len(P.members):
-        raise BadRange(f"member index {index} out of range")
+    _check_int("index", index, 0, len(P.members) - 1)
     M = P.members[index]
     if Q.n != M.dim or Q.field.q != P.field.q:
         raise NotAPartitionOfMember(
@@ -153,10 +138,8 @@ def minimal_partition(n, t, field):
     dimension t at a time until the leftover is shorter than 2t, and the
     leftover closes with a half-dimension construction.
     """
-    _check_ints(n=n, t=t)
-    if not 1 <= t < n:
-        raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
-    _check_points(n, field)
+    _check_space(n, field.q, FILE_POINT_LIMIT)
+    _check_int("t", t, 1, n - 1)
     if n % t == 0:
         return spread(n, t, field)
     if n < 2 * t:
@@ -194,8 +177,7 @@ def non_minimal_supertail_example(q):
     q^7 - q^6.  The type is returned as numbers only; the space is far too
     large to instantiate.
     """
-    if q < 2:
-        raise BadRange(f"q must be at least 2, got {q}")
+    _check_int("q", q, 2)
     n = 34
     cut = 11
     ptype = PartitionType.of({5: q ** 7, 7: 1, 11: q ** 23 + q ** 12})

@@ -17,10 +17,10 @@ from its pivots and free codes, with no elimination.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import BadRange, BudgetExceeded, NotAHyperplane
-from .fields import _check_ints
+from .fields import _check_int
 from .spaces import (
     Subspace,
     num_points,
@@ -36,11 +36,9 @@ ENUMERATION_BUDGET = 10 ** 8
 
 def gaussian_binomial(n, d, q):
     """Number of d-dimensional subspaces of V(n, q), exactly."""
-    _check_ints(n=n, d=d, q=q)
-    if d < 0 or n < 0:
-        raise BadRange(f"negative arguments: n={n}, d={d}")
-    if q < 2:
-        raise BadRange(f"field order must be at least 2, got {q}")
+    _check_int("n", n, 0)
+    _check_int("d", d, 0)
+    _check_int("q", q, 2)
     if d > n:
         return 0
     result = 1
@@ -50,15 +48,16 @@ def gaussian_binomial(n, d, q):
 
 
 def all_subspaces(n, d, field, budget=None):
-    """Yield every d-dimensional subspace of V(n, q) once.
+    """An iterator over every d-dimensional subspace of V(n, q), each once.
 
-    Raises BudgetExceeded up front when the exact count is beyond the
-    budget (ENUMERATION_BUDGET by default).
+    The arguments are checked at the call, and BudgetExceeded is raised
+    there when the exact count is beyond the budget (ENUMERATION_BUDGET
+    by default), before anything is iterated.
     """
-    _check_ints(n=n, d=d)
-    if not 0 <= d <= n:
-        raise BadRange(f"dimension {d} out of range for ambient {n}")
-    limit = budget if budget is not None else ENUMERATION_BUDGET
+    _check_int("n", n, 0)
+    _check_int("d", d, 0, n)
+    limit = ENUMERATION_BUDGET if budget is None else budget
+    _check_int("budget", limit, 0)
     total = gaussian_binomial(n, d, field.q)
     if total > limit:
         raise BudgetExceeded(
@@ -66,8 +65,12 @@ def all_subspaces(n, d, field, budget=None):
             f"exceed the budget {limit}"
         )
     if d == 0:
-        yield zero_subspace(n, field)
-        return
+        return iter([zero_subspace(n, field)])
+    return _walk(n, d, field)
+
+
+def _walk(n, d, field):
+    """The d-subspaces of V(n, q), d >= 1, in all_subspaces order."""
     q = field.q
     for pivots in combinations(range(n), d):
         free = _free_cells(pivots, n)
@@ -97,11 +100,9 @@ def shape_masks(pi, d):
     order, walked from echelon shapes with no Subspace built (see the
     module docstring)."""
     n, q = pi.n, pi.field.q
-    if not 0 <= d <= n:
-        raise BadRange(f"dimension {d} out of range for ambient {n}")
+    _check_int("d", d, 0, n)
     if d == 0:
-        yield 0
-        return
+        return iter([0])
     # later pivots -> (span values of every fill, q^len each, end to end;
     # point mask of every fill)
     known = {(): ([0], [0])}
@@ -139,8 +140,9 @@ def shape_masks(pi, d):
                 else:
                     yield mask
 
-    for pivots in combinations(range(n), d):
-        yield from fills(pivots, False)
+    return chain.from_iterable(
+        fills(pivots, False) for pivots in combinations(range(n), d)
+    )
 
 
 def shape_basis(n, q, d, index):

@@ -36,6 +36,8 @@ spans over GF(2^e) by XOR of base-q values on that ground.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import BadRange, NotPrimePower, UnsupportedField
 
 # Orders offered to callers for the ambient field of V(n, q).
@@ -43,6 +45,21 @@ MAX_FIELD_ORDER = 16
 # Internal towers used by constructions may be larger, but table size is
 # quadratic in the order so they are capped too.
 MAX_EXTENSION_ORDER = 256
+
+
+def _check_int(name, value, lo=None, hi=None):
+    """Return value if it is an int (a bool is not one) in [lo, hi], a
+    bound of None being open; else raise BadRange naming the argument.
+    Every integer argument of the package is checked here, before any
+    arithmetic or table reads it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadRange(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise BadRange(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise BadRange(f"{name} must be at most {hi}, got {value}")
+    return value
+
 
 def _prime_power(q):
     """Split q into (p, e) with p prime, or raise NotPrimePower."""
@@ -111,6 +128,7 @@ def _is_irreducible(m, K):
     return True
 
 
+@cache
 def _find_irreducible(K, degree):
     for m in _monic_polys(K, degree):
         if _is_irreducible(m, K):
@@ -223,8 +241,7 @@ class FiniteField:
 
     def pow(self, a, k):
         """a**k with 0**0 == 1."""
-        if k < 0:
-            raise BadRange("negative exponents are not supported")
+        _check_int("the exponent", k, 0)
         result = 1
         acc = a
         while k:
@@ -266,19 +283,6 @@ class FiniteField:
 _FIELD_CACHE: dict = {}
 
 
-def _is_int(value):
-    """Whether value is an int; a bool is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_ints(**values):
-    """Refuse an argument that is not an int (a bool is not one) before
-    any range check or table reads it."""
-    for name, value in values.items():
-        if not _is_int(value):
-            raise BadRange(f"{name} must be an integer, got {value!r}")
-
-
 def make_field(q):
     """Return the cached GF(q) for a prime power q up to MAX_FIELD_ORDER.
 
@@ -287,8 +291,7 @@ def make_field(q):
     before any arithmetic on q, and NotPrimePower for the other orders
     that are not prime powers.
     """
-    if not _is_int(q):
-        raise BadRange(f"the field order must be an integer, got {q!r}")
+    _check_int("q", q)
     if q > MAX_FIELD_ORDER:
         raise UnsupportedField(
             f"GF({q}) is above the supported maximum order {MAX_FIELD_ORDER}"
@@ -315,21 +318,19 @@ def extension_field(base, degree, modulus=None):
     m_0 + m_1 q + ... + m_{t-1} q^(t-1) of the coefficients below the
     leading 1; no table of moduli is kept.
     """
-    _check_ints(degree=degree)
-    if degree < 1:
-        raise BadRange(f"extension degree must be positive, got {degree}")
+    _check_int("degree", degree, 1)
     if modulus is not None:
         try:
             modulus = tuple(modulus)
         except TypeError:
             modulus = (modulus,)
-        if not (len(modulus) == degree + 1
-                and all(_is_int(c) and 0 <= c < base.q for c in modulus)
-                and modulus[-1] == 1):
+        if len(modulus) != degree + 1 or modulus[-1] != 1:
             raise BadRange(
                 f"modulus {modulus!r} is not a monic polynomial of degree "
                 f"{degree} over GF({base.q})"
             )
+        for c in modulus:
+            _check_int("each coefficient of a monic modulus", c, 0, base.q - 1)
     if degree == 1:
         return base
     order = base.q ** degree

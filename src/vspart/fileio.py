@@ -16,69 +16,37 @@ round trip is the identity on canonical bases.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
-from .errors import FileFormatError
-from .fields import (
-    MAX_EXTENSION_ORDER,
-    _is_int,
-    extension_field,
-    make_field,
-)
+from .errors import BadRange, FileFormatError, VspartError
+from .fields import MAX_EXTENSION_ORDER, _check_int, _prime_power
+from .fields import extension_field, make_field
 from .partitions import SubspacePartition
-from .spaces import FILE_POINT_LIMIT, Subspace, points_exceed
+from .spaces import FILE_POINT_LIMIT, Subspace, _check_space
 
 FORMAT_NAME = "vspart-partition"
 FORMAT_VERSION = 1
-
-
-def _field_header(field):
-    header = {"q": field.q, "p": field.p, "e": field.e}
-    if field.e > 1:
-        header["modulus"] = list(field.modulus)
-    else:
-        header["modulus"] = None
-    return header
+# The header numbers, in the order of the text form's lines.
+_HEADER = ("n", "q", "p", "e")
 
 
 def _field_from_header(q, p, e, modulus):
-    # Bound q and e before computing p**e: p**e == q needs e < q.bit_length().
-    if not 2 <= q <= MAX_EXTENSION_ORDER:
+    # Bound q before _prime_power, which takes time linear in q.
+    _check_int("q", q, 2, MAX_EXTENSION_ORDER)
+    if _prime_power(q) != (p, e):
         raise FileFormatError(
-            f"field order {q} outside [2, {MAX_EXTENSION_ORDER}]"
+            f"inconsistent field header q={q}, p={p}, e={e}: p is not "
+            f"prime or p^e is not q"
         )
-    if p < 2 or not 1 <= e < q.bit_length() or p**e != q:
-        raise FileFormatError(f"inconsistent field header: q={q}, p={p}, e={e}")
-    if any(p % d == 0 for d in range(2, p)):
-        raise FileFormatError(f"characteristic p={p} is not prime")
-    try:
-        base = make_field(p)
-        if e == 1:
-            if modulus is not None:
-                raise FileFormatError("prime field must not carry a modulus")
-            return base
-        if modulus is None:
-            raise FileFormatError(f"extension field GF({q}) needs a modulus")
-        return extension_field(base, e, modulus=modulus)
-    except FileFormatError:
-        raise
-    except Exception as exc:
-        raise FileFormatError(f"cannot reconstruct the field: {exc}")
-
-
-def _check_ambient(n, q):
-    """Reject an ambient dimension below 1 or a V(n,q) with more than
-    FILE_POINT_LIMIT points."""
-    if n < 1:
-        raise FileFormatError(f"bad ambient dimension {n}")
-    if points_exceed(n, q, FILE_POINT_LIMIT):
-        raise FileFormatError(
-            f"V({n},{q}) has more than {FILE_POINT_LIMIT} points, "
-            f"the limit for partition files"
-        )
-
-
-def _member_codes(member):
-    return [int(c) for row in member.basis for c in row]
+    base = make_field(p)
+    if e == 1:
+        if modulus is not None:
+            raise FileFormatError("prime field must not carry a modulus")
+        return base
+    if modulus is None:
+        raise FileFormatError(f"extension field GF({q}) needs a modulus")
+    return extension_field(base, e, modulus=modulus)
 
 
 def _member_from_codes(codes, n, field):
@@ -90,24 +58,24 @@ def _member_from_codes(codes, n, field):
     if min(codes) < 0 or max(codes) >= q:
         bad = next(c for c in codes if not 0 <= c < q)
         raise FileFormatError(f"element code {bad} outside GF({q})")
-    rows = tuple([tuple(codes[i : i + n]) for i in range(0, len(codes), n)])
+    rows = tuple(zip(*[iter(codes)] * n))  # n codes to a row
     if not _is_canonical(rows):
         raise FileFormatError("member rows are not a canonical basis")
     return Subspace(field, n, rows)
 
 
 def _is_canonical(rows):
-    """Whether rows are in reduced row echelon form with no zero row: one
-    scan of each row finds its lead, and the earlier rows must be 0 in
-    that column (the later ones are, as their leads come after it)."""
+    """Whether rows are in reduced row echelon form with no zero row: each
+    row leads with 1 (its first 1 has only zeros before it), the leads
+    increase, and the earlier rows are 0 in each lead column (the later
+    ones are, as their leads come after it)."""
     last = -1
     for i, row in enumerate(rows):
-        for lead, x in enumerate(row):
-            if x:
-                break
-        else:
+        try:
+            lead = row.index(1)
+        except ValueError:
             return False
-        if x != 1 or lead <= last:
+        if lead <= last or any(row[:lead]):
             return False
         for earlier in rows[:i]:
             if earlier[lead]:
@@ -116,114 +84,105 @@ def _is_canonical(rows):
     return True
 
 
+def _from_document(doc):
+    """The partition a document of ints describes, after every check the
+    two forms share; any refusal is a FileFormatError."""
+    try:
+        if doc.get("format") != FORMAT_NAME:
+            raise FileFormatError("not a partition document")
+        if doc.get("version") != FORMAT_VERSION:
+            raise FileFormatError(
+                f"unsupported version {doc.get('version')!r}"
+            )
+        n, members = doc["n"], doc["members"]
+        field = _field_from_header(doc["q"], doc["p"], doc["e"],
+                                   doc["modulus"])
+        _check_space(n, field.q, FILE_POINT_LIMIT)
+        if not members:
+            raise FileFormatError("partition document has no members")
+        subs = [_member_from_codes(codes, n, field) for codes in members]
+    except FileFormatError:
+        raise
+    except VspartError as exc:
+        raise FileFormatError(f"bad partition document: {exc}") from exc
+    return SubspacePartition(n, field, subs)
+
+
 def partition_to_json(P):
-    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "n": P.n}
-    doc.update(_field_header(P.field))
-    doc["members"] = [_member_codes(m) for m in P.members]
-    return doc
+    F = P.field
+    return {
+        "format": FORMAT_NAME, "version": FORMAT_VERSION, "n": P.n,
+        "q": F.q, "p": F.p, "e": F.e,
+        "modulus": None if F.modulus is None else list(F.modulus),
+        "members": [[int(c) for row in m.basis for c in row]
+                    for m in P.members],
+    }
 
 
 def partition_from_json(doc):
+    """Read a partition document.  The text form is split into the same
+    document, and both go through one validator; this reader first
+    checks what only a JSON value can get wrong: n, q, p, e, the modulus
+    coefficients and the member codes must be JSON integers (not bools),
+    and the members, each member and the modulus JSON arrays."""
     if not isinstance(doc, dict):
         raise FileFormatError("partition document must be a JSON object")
-    if doc.get("format") != FORMAT_NAME:
-        raise FileFormatError("not a partition document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FileFormatError(f"unsupported version {doc.get('version')!r}")
     try:
-        n, q, p, e, modulus, members = (
-            doc[key] for key in ("n", "q", "p", "e", "modulus", "members")
-        )
+        header = [doc[key] for key in _HEADER]
+        modulus, members = doc["modulus"], doc["members"]
     except KeyError as exc:
         raise FileFormatError(f"malformed partition document: no {exc}")
-    # As the text reader takes only integers, this one takes only JSON
-    # integers, in JSON arrays where a list is meant.
     if not (isinstance(members, list)
             and all(isinstance(m, list) for m in members)
             and (modulus is None or isinstance(modulus, list))):
         raise FileFormatError(
             "members, each member and the modulus must be JSON arrays"
         )
-    numbers = [n, q, p, e, *(modulus or ()), *(c for m in members for c in m)]
-    if not all(map(_is_int, numbers)):
-        raise FileFormatError(
-            "n, q, p, e, modulus coefficients and member codes must be "
-            "JSON integers"
-        )
-    field = _field_from_header(q, p, e, modulus)
-    _check_ambient(n, field.q)
-    subs = [_member_from_codes(m, n, field) for m in members]
-    if not subs:
-        raise FileFormatError("partition document has no members")
-    return SubspacePartition(n, field, subs)
+    try:
+        for key, value in zip(_HEADER, header):
+            _check_int(key, value)
+        for code in chain(modulus or (), *members):
+            _check_int("a modulus coefficient or member code", code)
+    except BadRange as exc:
+        raise FileFormatError(str(exc)) from exc
+    return _from_document(doc)
 
 
 def format_partition(P):
-    """Render the text form of a partition."""
-    header = _field_header(P.field)
-    lines = [
-        f"{FORMAT_NAME} {FORMAT_VERSION}",
-        f"n {P.n}",
-        f"q {header['q']}",
-        f"p {header['p']}",
-        f"e {header['e']}",
-    ]
-    if header["modulus"] is not None:
-        lines.append("modulus " + " ".join(str(c) for c in header["modulus"]))
-    for m in P.members:
-        lines.append("member " + " ".join(str(c) for c in _member_codes(m)))
+    """Render the text form of a partition: each key of its document on
+    a line of its own, then one line per member."""
+    doc = partition_to_json(P)
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
+    lines += [f"{key} {doc[key]}" for key in _HEADER]
+    if doc["modulus"] is not None:
+        lines.append("modulus " + " ".join(map(str, doc["modulus"])))
+    lines += ["member " + " ".join(map(str, m)) for m in doc["members"]]
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_fields(lines, want):
-    got = {}
-    for key in want:
-        if not lines:
-            raise FileFormatError(f"missing header line {key!r}")
-        parts = lines.pop(0).split()
-        if len(parts) != 2 or parts[0] != key:
-            raise FileFormatError(f"expected {key!r} header, got {parts!r}")
-        try:
-            got[key] = int(parts[1])
-        except ValueError:
-            raise FileFormatError(f"header {key!r} is not an integer")
-    return got
-
-
 def parse_partition(text):
-    """Parse the text form of a partition."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FileFormatError("empty partition file")
-    head = lines.pop(0).split()
-    if head[:1] != [FORMAT_NAME]:
-        raise FileFormatError("not a partition file")
-    if head[1:] != [str(FORMAT_VERSION)]:
-        raise FileFormatError(f"unsupported version {head[1:]}")
-    fields = _parse_int_fields(lines, ["n", "q", "p", "e"])
-    modulus = None
-    if lines and lines[0].startswith("modulus"):
-        try:
-            modulus = [int(c) for c in lines.pop(0).split()[1:]]
-        except ValueError:
-            raise FileFormatError("modulus coefficients must be integers")
-    field = _field_from_header(fields["q"], fields["p"], fields["e"], modulus)
-    n = fields["n"]
-    _check_ambient(n, field.q)
-    subs = []
-    for ln in lines:
-        parts = ln.split()
-        if parts[0] != "member":
-            raise FileFormatError(f"unexpected line {ln!r}")
-        try:
-            codes = list(map(int, parts[1:]))
-        except ValueError:
-            raise FileFormatError(f"member codes must be integers: {ln!r}")
-        subs.append(_member_from_codes(codes, n, field))
-    if not subs:
-        raise FileFormatError("partition file has no members")
-    return SubspacePartition(n, field, subs)
+    """Parse the text form of a partition: split its lines into the
+    document partition_from_json reads, for the same validator."""
+    lines = [words for words in map(str.split, text.splitlines()) if words]
+    keys = list(map(itemgetter(0), lines))
+    if keys[1:5] != list(_HEADER) or any(len(w) != 2 for w in lines[:5]):
+        raise FileFormatError(
+            f"a partition file starts with {FORMAT_NAME} and its version, "
+            f"then one line each for n, q, p and e"
+        )
+    body = 6 if keys[5:6] == ["modulus"] else 5
+    extra = set(keys[body:]) - {"member"}
+    if extra:
+        raise FileFormatError(f"unexpected lines {sorted(extra)} after the "
+                              f"header of a partition file")
+    try:
+        values = [list(map(int, words[1:])) for words in lines]
+    except ValueError:
+        raise FileFormatError("partition file values must be integers")
+    doc = {key: value for key, (value,) in zip(("version", *_HEADER), values)}
+    doc.update(format=keys[0], modulus=values[5] if body == 6 else None,
+               members=values[body:])
+    return _from_document(doc)
 
 
 def write_partition(P, path, form="text"):

@@ -64,6 +64,7 @@ from .errors import (
     IdentityViolation,
     NotAHyperplane,
 )
+from .fields import _check_int
 from .partitions import supertail
 from .spaces import num_points, orthogonal, point_index
 
@@ -373,6 +374,7 @@ def supertail_quotient(P, cut, H):
     """
     n, q = P.n, P.field.q
     dims = P.dims()
+    _check_int("cut", cut)
     if cut not in dims:
         raise BadRange(f"cut {cut} is not an occurring dimension {dims}")
     prof = profile(P, H)
@@ -488,6 +490,7 @@ def alpha_histogram(P, family_dim):
     parameters locate the support of the histogram at {delta, ell}.
     """
     n, q = P.n, P.field.q
+    _check_int("family_dim", family_dim)
     if family_dim not in P.dims():
         raise BadRange(f"no members of dimension {family_dim}")
     fam = P.members_of_dim(family_dim)

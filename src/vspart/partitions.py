@@ -12,7 +12,7 @@ from .errors import (
     BadRange,
     DimensionMismatch,
 )
-from .fields import _check_ints
+from .fields import _check_int
 from .spaces import point_index
 
 
@@ -25,11 +25,13 @@ class PartitionType:
     @staticmethod
     def of(counts):
         """Build from a dim -> count mapping, dropping zero counts."""
-        entries = tuple(sorted((d, c) for d, c in counts.items() if c))
-        for d, c in entries:
-            if d < 1 or c < 1:
-                raise BadRange(f"bad type entry {d}^{c}")
-        return PartitionType(entries)
+        for d, c in counts.items():
+            _check_int(f"the count of dimension {d!r}", c, 0)
+            if c:
+                _check_int("a type dimension", d, 1)
+        return PartitionType(
+            tuple(sorted((d, c) for d, c in counts.items() if c))
+        )
 
     def dims(self):
         return tuple(d for d, _ in self.entries)
@@ -54,12 +56,15 @@ class PartitionType:
 def check_packing(ptype, n, q):
     """Whether the type meets the exact counting condition for V(n, q):
     the members' nonzero vectors add up to q**n - 1."""
+    _check_int("n", n, 0)
+    _check_int("q", q, 2)
     return ptype.packing_sum(q) == q ** n - 1
 
 
 def check_dimension(ptype, n):
     """Whether any two members can be disjoint in V(n, q): n >= d + d' for
     every pair of occurring dimensions taken by two distinct members."""
+    _check_int("n", n, 0)
     dims = ptype.dims()
     for i, d in enumerate(dims):
         if ptype.count(d) >= 2 and n < 2 * d:
@@ -186,13 +191,9 @@ def min_partition_size(n, t, q):
     t-member plus a complement of size q**t); and n >= 2t with remainder,
     where peeling t-layers leaves a short tail.
     """
-    _check_ints(n=n, t=t, q=q)
-    if not 1 <= t < n:
-        raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
-    if n > SIGMA_MAX_N:
-        raise BadRange(f"n = {n} is above the limit {SIGMA_MAX_N}")
-    if q < 2:
-        raise BadRange(f"q must be at least 2, got {q}")
+    _check_int("n", n, 2, SIGMA_MAX_N)
+    _check_int("t", t, 1, n - 1)
+    _check_int("q", q, 2)
     k, r = divmod(n, t)
     if r == 0:
         return (q ** n - 1) // (q ** t - 1)
@@ -223,6 +224,7 @@ def supertail(P, cut, strict=True):
     below it.  With strict=False any positive cut is accepted and the tail
     may be empty, which the exploratory statistics need.
     """
+    _check_int("cut", cut)
     dims = P.dims()
     if strict:
         if cut not in dims:
@@ -240,15 +242,17 @@ def drake_freeman_bound(n, d, q):
     """The strict upper bound on the size of a partial d-spread of V(n, q)
     when d does not divide n, as an exact rational.
 
-    Valid sizes satisfy size < bound.  Raises BadRange when d divides n
-    (the bound needs 1 <= n mod d < d).
+    Valid sizes satisfy size < bound.  Raises BadRange for arguments
+    min_partition_size would refuse, and when d divides n (the bound
+    needs 1 <= n mod d < d).
     """
     # Imported here, where it is used: fractions loads decimal, and no
     # command-line run needs either.
     from fractions import Fraction
 
-    if not 1 <= d < n:
-        raise BadRange(f"need 1 <= d < n, got d={d}, n={n}")
+    _check_int("n", n, 2, SIGMA_MAX_N)
+    _check_int("d", d, 1, n - 1)
+    _check_int("q", q, 2)
     k, r = divmod(n, d)
     if r == 0:
         raise BadRange(f"{d} divides {n}; the bound needs a nonzero remainder")

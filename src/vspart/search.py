@@ -69,7 +69,7 @@ from .errors import (
     HypothesisNotMet,
     VspartError,
 )
-from .fields import _check_ints, _is_int, make_field
+from .fields import _check_int, make_field
 from .partitions import (
     PartitionType,
     SubspacePartition,
@@ -77,25 +77,12 @@ from .partitions import (
     supertail,
     validate,
 )
-from .spaces import Subspace, num_points, points_exceed, span
+from .spaces import Subspace, _check_space, num_points, span
 
 ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
 CHECKPOINT_VERSION = 1
 _TIME_CHECK_MASK = 0x3FF
-
-
-def _checked_field(n, q, point_limit):
-    """GF(q), once q is a supported order and V(n,q) has at most
-    point_limit points."""
-    _check_ints(point_limit=point_limit)
-    field = make_field(q)
-    if points_exceed(n, q, point_limit):
-        raise BadRange(
-            f"V({n},{q}) has more than {point_limit} points, the search "
-            f"limit; pass point_limit to override"
-        )
-    return field
 
 
 def _canonical_subspace(n, field, d):
@@ -123,8 +110,8 @@ def _normalize_filter(type_filter):
     if not filt:
         raise BadRange("the type filter names no dimension")
     for d, c in filt.items():
-        if not (_is_int(d) and _is_int(c)) or d < 1 or c < 1:
-            raise BadRange(f"bad type filter entry {d}^{c}")
+        _check_int("a type filter dimension", d, 1)
+        _check_int(f"the type filter count of dimension {d}", c, 1)
     return filt
 
 
@@ -135,21 +122,19 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
     time_limit an int or a float other than NaN; budget and time_limit
     must not be negative.  None means no limit, except for the budget:
     the node budget returned is ORACLE_NODE_BUDGET when none is given."""
-    for name, value in (("budget", budget), ("size_limit", size_limit),
-                        ("count_limit", count_limit)):
-        if value is not None and not _is_int(value):
-            raise BadRange(f"{name} must be an integer, got {value!r}")
-    if time_limit is not None and (
-        not (_is_int(time_limit) or isinstance(time_limit, float))
-        or time_limit != time_limit
-    ):
-        raise BadRange(f"time_limit must be a number, got {time_limit!r}")
-    for name, value, least in (("budget", budget, 0),
-                               ("time_limit", time_limit, 0),
-                               ("count_limit", count_limit, 1)):
-        if value is not None and value < least:
-            raise BadRange(f"{name} must be at least {least}, got {value}")
-    return ORACLE_NODE_BUDGET if budget is None else budget
+    if isinstance(time_limit, float):
+        if not time_limit >= 0:  # NaN too
+            raise BadRange(f"time_limit must be a number at least 0, got "
+                           f"{time_limit}")
+    elif time_limit is not None:
+        _check_int("time_limit", time_limit, 0)
+    if size_limit is not None:
+        _check_int("size_limit", size_limit)
+    if count_limit is not None:
+        _check_int("count_limit", count_limit, 1)
+    if budget is None:
+        return ORACLE_NODE_BUDGET
+    return _check_int("budget", budget, 0)
 
 
 def save_checkpoint(path, checkpoint):
@@ -326,12 +311,12 @@ def enumerate_partitions(
     cut because no vector of member counts holds the uncovered points
     and because none fits the hyperplanes.
     """
-    _check_ints(n=n, max_dim=max_dim)
-    if not 1 <= max_dim <= n:
-        raise BadRange(f"max_dim {max_dim} not in [1, {n}]")
+    _check_int("n", n)
+    _check_int("max_dim", max_dim, 1, n)
     budget = _check_limits(budget=budget, time_limit=time_limit,
                            size_limit=size_limit, count_limit=count_limit)
-    field = _checked_field(n, q, point_limit)
+    field = make_field(q)
+    _check_space(n, q, point_limit)
     stats = {} if stats is None else stats
     stats.setdefault("nodes", 0)
     filt = _normalize_filter(type_filter)
@@ -395,45 +380,42 @@ def enumerate_partitions(
         state = resume.get("state", {})
         if not isinstance(state, dict):
             raise FileFormatError("checkpoint state is not an object")
-        emitted = state.get("emitted", 0)
-        nodes_done = state.get("nodes_done", 0)
-        if not all(_is_int(c) and c >= 0 for c in (emitted, nodes_done)):
-            raise FileFormatError(
-                "checkpoint counts are not nonnegative integers"
-            )
         stack = state.get("stack", [])
         if not isinstance(stack, list) or not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
         frames = []
-        for entry in stack:
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(map(_is_int, entry))):
-                raise FileFormatError(
-                    f"checkpoint frame {entry!r} is not a [point, position] "
-                    f"pair of integers"
-                )
-            point, pos = entry
-            free = full & ~covered
-            # The engine branches on the least uncovered point, and every
-            # frame below the last one holds its choice at pos - 1.
-            last = len(frames) == len(stack) - 1
-            if (not free or point != _least_point(free)
-                    or not (0 if last else 1) <= pos <= len(per_point[point])):
-                raise FileFormatError(
-                    f"checkpoint frame {entry!r} is off the frontier"
-                )
-            cid = None if last else per_point[point][pos - 1]
-            if cid is not None:
-                mask, d = cands[cid]
-                if mask & covered or filt is not None and counts[d] == filt[d]:
-                    raise FileFormatError(
-                        f"checkpoint frame {entry!r} chooses a member that "
-                        f"does not fit"
-                    )
-                covered |= mask
-                taken += 1
-                counts[d] += 1
-            frames.append([point, pos, cid])
+        try:
+            emitted = _check_int("emitted", state.get("emitted", 0), 0)
+            nodes_done = _check_int("nodes_done",
+                                    state.get("nodes_done", 0), 0)
+            for entry in stack:
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise FileFormatError(f"checkpoint frame {entry!r} is "
+                                          f"not a [point, position] pair")
+                point = _check_int("frame point", entry[0])
+                free = full & ~covered
+                # The engine branches on the least uncovered point, and
+                # every frame below the last one holds its choice at pos - 1.
+                if not free or point != _least_point(free):
+                    raise FileFormatError(f"checkpoint frame {entry!r} is "
+                                          f"off the frontier")
+                last = len(frames) == len(stack) - 1
+                pos = _check_int("frame position", entry[1], 0 if last else 1,
+                                 len(per_point[point]))
+                cid = None if last else per_point[point][pos - 1]
+                if cid is not None:
+                    mask, d = cands[cid]
+                    if (mask & covered
+                            or filt is not None and counts[d] == filt[d]):
+                        raise FileFormatError(f"checkpoint frame {entry!r} "
+                                              f"chooses a member that does "
+                                              f"not fit")
+                    covered |= mask
+                    taken += 1
+                    counts[d] += 1
+                frames.append([point, pos, cid])
+        except BadRange as exc:
+            raise FileFormatError(f"checkpoint {exc}") from exc
     else:
         frames = [[_least_point(full & ~covered), 0, None]]
     # The filtered members must fill exactly the points the seed leaves.
@@ -556,11 +538,11 @@ def search_min_partition_size(
     onto M'.  (When 2t > n no such M exists, and only smaller candidates
     remain at p1.)
     """
-    _check_ints(n=n, t=t)
-    if not 1 <= t < n:
-        raise BadRange(f"need 1 <= t < n, got t={t}, n={n}")
+    _check_int("n", n)
+    _check_int("t", t, 1, n - 1)
     budget = _check_limits(budget=budget, time_limit=time_limit)
-    field = _checked_field(n, q, point_limit)
+    field = make_field(q)
+    _check_space(n, q, point_limit)
     tables = _SubspaceCandidates(n, field, range(t, 0, -1))
     cands = tables.cands
     full = tables.pi.full_mask
@@ -653,15 +635,15 @@ def check_no_minimum_supertail(
     found.  By the lemma it finds none, so sweep_partitions is 0.  The
     budget and time limit cover the whole call.
     """
-    _check_ints(n=n, cut=cut)
-    if not 1 <= cut < n:
-        raise BadRange(f"need 1 <= cut < n, got cut={cut}, n={n}")
+    _check_int("n", n)
+    _check_int("cut", cut, 1, n - 1)
     if not n < 2 * cut:
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
     budget = _check_limits(budget=budget, time_limit=time_limit)
-    field = _checked_field(n, q, point_limit)
+    field = make_field(q)
+    _check_space(n, q, point_limit)
     counters = {"nodes": 0}
     started = time.monotonic()
     max_tail_dim = min(cut - 1, n - cut)
@@ -761,11 +743,13 @@ def conjecture_search(
     near-spread are counterexamples.  Findings are reported,
     never asserted.
     """
+    _check_int("n", n)
     if max_dim is None:
         max_dim = n - 1
-    _check_ints(n=n, max_dim=max_dim)
+    _check_int("max_dim", max_dim)
     _check_limits(budget=budget, time_limit=time_limit)
-    _checked_field(n, q, point_limit)
+    make_field(q)
+    _check_space(n, q, point_limit)
     cuts = tuple(range(2, n) if cut_range is None else cut_range)
     if not cuts:
         return ConjectureFindings(
@@ -776,9 +760,7 @@ def conjecture_search(
         # with a member of dimension n has another member.
         top = min(max_dim, n - 1)
         for cut in cuts:
-            if not (_is_int(cut) and 2 <= cut <= top):
-                raise BadRange(f"cut {cut!r} is never a case: cuts lie in "
-                               f"[2, {top}]")
+            _check_int("cut", cut, 2, top)
     partitions = 0
     cases = 0
     narrow = 0

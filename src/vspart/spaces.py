@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BadRange, DimensionMismatch
-from .fields import _check_ints
+from .fields import _check_int
 
 
 def num_points(dim, q):
@@ -52,11 +52,8 @@ def num_points(dim, q):
 
     Equals (q**dim - 1) // (q - 1); zero for dimension 0.
     """
-    _check_ints(dim=dim, q=q)
-    if dim < 0:
-        raise BadRange(f"dimension must be nonnegative, got {dim}")
-    if q < 2:
-        raise BadRange(f"field order must be at least 2, got {q}")
+    _check_int("dim", dim, 0)
+    _check_int("q", q, 2)
     return (q ** dim - 1) // (q - 1)
 
 
@@ -67,16 +64,18 @@ def num_points(dim, q):
 FILE_POINT_LIMIT = 4369
 
 
-def points_exceed(dim, q, limit):
-    """Whether a space of the given dimension over GF(q), q >= 2, has more
-    than limit points.  Points are counted up one dimension at a time, so a
-    huge dimension costs no more than about log_q(limit) steps."""
+def _check_space(n, q, limit):
+    """Refuse with BadRange an ambient dimension n below 1, or a V(n, q),
+    q >= 2, with more than limit points.  Points are counted up one
+    dimension at a time, so a huge n costs no more than about
+    log_q(limit) steps."""
+    _check_int("n", n, 1)
+    _check_int("point_limit", limit)
     points = 0
-    for _ in range(dim):
+    for _ in range(n):
         points = points * q + 1
         if points > limit:
-            return True
-    return False
+            raise BadRange(f"V({n},{q}) has more than {limit} points")
 
 
 def _check_vector(vec, n, q):
@@ -199,16 +198,19 @@ def _check_ambient(U, W):
 
 
 def span(vectors, n, field):
+    _check_int("n", n, 0)
     for v in vectors:
         _check_vector(v, n, field.q)
     return Subspace(field, n, _rref(vectors, n, field))
 
 
 def zero_subspace(n, field):
+    _check_int("n", n, 0)
     return Subspace(field, n, ())
 
 
 def full_space(n, field):
+    _check_int("n", n, 0)
     rows = tuple(
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     )
@@ -301,8 +303,7 @@ class PointIndex:
 
     def unrank(self, i):
         """Canonical representative of the point of rank i."""
-        if not 0 <= i < self.size:
-            raise BadRange(f"point rank {i} outside [0, {self.size})")
+        _check_int("point rank", i, 0, self.size - 1)
         q, m, below = self.field.q, 0, 0
         while below * q + 1 <= i:
             below = below * q + 1
@@ -411,6 +412,7 @@ _POINT_INDEX_CACHE: dict = {}
 
 
 def point_index(n, field):
+    _check_int("n", n, 0)
     key = (n, field.key)
     if key not in _POINT_INDEX_CACHE:
         _POINT_INDEX_CACHE[key] = PointIndex(n, field)

@@ -116,6 +116,20 @@ def test_cli_construct_refuses_a_space_above_the_point_limit(
     assert "more than 4369 points" in capsys.readouterr().err
 
 
+def test_cli_construct_refuses_the_zero_space(tmp_path, capsys, monkeypatch):
+    """V(0, q) has no point, so no partition file may hold it: construct
+    exits 3 and writes nothing, where it used to write a file that verify
+    then refused."""
+    forbid_building(monkeypatch)
+    out = tmp_path / "z.vspart"
+    assert main([
+        "construct", "spread", "--n", "0", "--t", "1", "--q", "2",
+        "--out", str(out),
+    ]) == 3
+    assert not out.exists()
+    assert "n must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_constructions_build_at_the_point_limit():
     """V(4, 16) has exactly FILE_POINT_LIMIT points and still builds."""
     F16 = make_field(16)

@@ -61,6 +61,23 @@ def test_numeric_helpers_take_only_ints(call):
         call()
 
 
+@pytest.mark.parametrize("args, error", [
+    ((4, 9, None), BadRange),
+    ((4, 2.0, None), BadRange),
+    ((-1, 0, None), BadRange),
+    ((4, 2, "many"), BadRange),
+    ((4, 2, -1), BadRange),
+    ((6, 3, 100), BudgetExceeded),
+], ids=["d-above-n", "d-float", "n-negative", "budget-text",
+        "budget-negative", "over-budget"])
+def test_all_subspaces_checks_at_the_call(args, error):
+    """all_subspaces refuses its arguments, and a count over the budget,
+    when it is called, not when the walk is first iterated."""
+    n, d, budget = args
+    with pytest.raises(error):
+        all_subspaces(n, d, make_field(2), budget=budget)
+
+
 def test_gaussian_binomial_symmetry():
     for q in (2, 3):
         for n in range(7):
@@ -227,7 +244,7 @@ def test_shape_walk_edges():
     assert shape_basis(3, 3, 0, 0) == ()
     for d in (-1, 4):
         with pytest.raises(BadRange):
-            list(shape_masks(pi, d))
+            shape_masks(pi, d)
     for index in (-1, gaussian_binomial(3, 2, 3)):
         with pytest.raises(BadRange):
             shape_basis(3, 3, 2, index)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from vspart import fields
 from vspart.errors import BadRange, NotPrimePower, UnsupportedField
 from vspart.fields import extension_field, make_field
 from vspart.fileio import parse_partition
@@ -226,6 +227,21 @@ def test_characteristic_two_addition_is_xor():
         assert F.p == 2
         for a, row in enumerate(F._add):
             assert row == [a ^ b for b in range(F.q)], (F, a)
+
+
+def test_default_modulus_is_found_once(monkeypatch):
+    """The default modulus of each (base, degree) is searched for once: a
+    later call for a cached field tests no polynomial for irreducibility."""
+    F4 = make_field(4)
+    tower = extension_field(F4, 2)
+    F16 = make_field(16)
+    tested = []
+    irreducible = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible",
+                        lambda m, K: tested.append(m) or irreducible(m, K))
+    assert extension_field(F4, 2) is tower
+    assert make_field(16) is F16
+    assert tested == []
 
 
 def test_bad_orders_rejected():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, and
+"""Every name a package module imports is used in that module, every
+module-level private name is read somewhere else in the package, and
 importing the package stays light.
 
 No linter ships with the package, so the module sources are parsed with
@@ -63,3 +64,54 @@ def test_import_loads_no_code_generation_modules():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _stranded_private_names(sources):
+    """Module-level _private names that no statement other than their own
+    definition reads, over the given {module name: source} package."""
+    defined = []
+    readers = {}  # name -> {(module, top-level statement index)}
+    for module, source in sources.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, index, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    read = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    read = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    read = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in read:
+                    readers.setdefault(name, set()).add((module, index))
+    return sorted(
+        f"{module}.{name}" for module, index, name in defined
+        if not readers.get(name, set()) - {(module, index)}
+    )
+
+
+def test_the_check_sees_a_stranded_private_name():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _stranded():\n    _stranded()\n"
+             "_LIMIT = 3\n",
+        "b": "from .a import _used\nprint(_used)\n",
+    }
+    assert _stranded_private_names(sources) == ["a._LIMIT", "a._stranded"]
+
+
+def test_every_private_name_is_used_elsewhere_in_the_package():
+    """A module-level helper that no other statement of the package reads
+    is dead code; a consolidation must delete the copies it replaces."""
+    package = Path(vspart.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _stranded_private_names(sources) == []
