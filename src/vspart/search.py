@@ -38,13 +38,20 @@ transitive on the t-subspaces through p1 that meet L0 trivially, so the
 member through p1 can be taken to be the first such candidate whenever
 it has dimension t (proof in search_min_partition_size).
 
-Both searches run on one backtracking engine, _exact_cover, over the
-candidate tables of candidates.py: every subspace of the member
-dimensions as a point mask, walked from its echelon shape, and a Subspace
-only for a member of an emitted partition.  Budgets are
-node counts (and optional wall-clock limits) for the whole call, and
-running out raises BudgetExceeded.  Only enumerate_partitions attaches a
-checkpoint: a JSON-serializable frontier that it can resume from.
+The three searches, enumerate_partitions, search_min_partition_size and
+check_no_minimum_supertail, drive one backtracking engine, _exact_cover,
+through one front end, _covers: it takes the pinned members as a covered
+mask and their count, and starts at the least uncovered point unless it
+is given a resumed frontier.  conjecture_search streams
+enumerate_partitions.  The candidate tables come from candidates.py:
+every subspace of the member dimensions as a point mask, walked from its
+echelon shape, and a Subspace only for a member of an emitted partition.
+Each call checks its limits once, in _checked_call, which fixes one node
+budget and one deadline for the whole call; the engine counts the nodes
+of all the call's cover streams together, reads the clock every 1024 of
+them, and raises BudgetExceeded past either limit.  Only
+enumerate_partitions attaches a checkpoint: a JSON-serializable frontier
+that it can resume from.
 
 check_no_minimum_supertail rests on a lemma, proved in its docstring:
 when n < 2*cut, a partition of V(n,q) has exactly one member of
@@ -115,13 +122,32 @@ def _normalize_filter(type_filter):
     return filt
 
 
-def _check_limits(budget=None, time_limit=None, size_limit=None,
-                  count_limit=None):
-    """Refuse a limit of the wrong type before any table is built: budget,
-    size_limit and count_limit must be ints, count_limit at least 1, and
-    time_limit an int or a float other than NaN; budget and time_limit
-    must not be negative.  None means no limit, except for the budget:
-    the node budget returned is ORACLE_NODE_BUDGET when none is given."""
+class _Call:
+    """The limits of one search call, fixed when _checked_call checks them:
+    the node budget and the deadline (None without a time limit) of the
+    whole call, the nodes its cover streams have spent so far, and the
+    stats dict the engine adds its counts to."""
+
+    __slots__ = ("budget", "time_limit", "deadline", "nodes", "stats")
+
+    def __init__(self, budget, time_limit, stats):
+        self.budget = budget
+        self.time_limit = time_limit
+        self.deadline = (None if time_limit is None
+                         else time.monotonic() + time_limit)
+        self.nodes = 0
+        self.stats = {} if stats is None else stats
+        self.stats.setdefault("nodes", 0)
+
+
+def _checked_call(n, q, point_limit, budget=None, time_limit=None,
+                  size_limit=None, count_limit=None, stats=None):
+    """Check a search call's limits, field and space before any table is
+    built, and return the field and the call's _Call.  budget, size_limit
+    and count_limit must be ints, count_limit at least 1, and time_limit
+    an int or a float other than NaN; budget and time_limit must not be
+    negative.  None means no limit, except for the budget, which is then
+    ORACLE_NODE_BUDGET.  The time limit counts from here."""
     if isinstance(time_limit, float):
         if not time_limit >= 0:  # NaN too
             raise BadRange(f"time_limit must be a number at least 0, got "
@@ -132,9 +158,11 @@ def _check_limits(budget=None, time_limit=None, size_limit=None,
         _check_int("size_limit", size_limit)
     if count_limit is not None:
         _check_int("count_limit", count_limit, 1)
-    if budget is None:
-        return ORACLE_NODE_BUDGET
-    return _check_int("budget", budget, 0)
+    budget = (ORACLE_NODE_BUDGET if budget is None
+              else _check_int("budget", budget, 0))
+    field = make_field(q)
+    _check_space(n, q, point_limit)
+    return field, _Call(budget, time_limit, stats)
 
 
 def save_checkpoint(path, checkpoint):
@@ -154,8 +182,8 @@ def load_checkpoint(path):
     return data
 
 
-def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
-                 stats, size_limit=None, filt=None, counts=None):
+def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
+                 counts):
     """Backtrack from the frames stack, yielding at every exact cover of
     the space that extends covered (taken members so far) by candidates
     of tables, a candidates._Candidates.
@@ -163,11 +191,12 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     A frame is [point, next position in per_point[point], chosen candidate
     id or None]; each yield is the list of chosen ids, frame by frame.
     With filt, counts (dimension to members taken) caps each dimension at
-    filt[dimension].  Every disjoint extension attempt is a node, added
-    to stats["nodes"]; past budget nodes, or time_limit seconds (read
-    every 1024 nodes), BudgetExceeded is raised with the top frame
-    positioned to retry that attempt, so frames stays a resumable
-    frontier.
+    filt[dimension].  Every disjoint extension attempt is a node, counted
+    in call.nodes over all the call's streams and added to
+    call.stats["nodes"]; past call.budget nodes, or past call.deadline
+    (the clock read every 1024 nodes of the call), BudgetExceeded is
+    raised with the top frame positioned to retry that attempt, so frames
+    stays a resumable frontier.
 
     size_limit prunes extensions that cannot finish within that many
     members, and the consumer may then send() a tighter limit back after
@@ -199,15 +228,16 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
     h_H (tables.totals), so a vector whose sums of those bounds miss
     a_d theta(n-d) for some d is cut as well.
 
-    stats also accumulates the prunes of each reason: "size_prunes" (the
-    table lists no vector) and "hyperplane_prunes" (no vector fits the
-    hyperplanes, one at a time or in total).
+    call.stats also accumulates the prunes of each reason: "size_prunes"
+    (the table lists no vector) and "hyperplane_prunes" (no vector fits
+    the hyperplanes, one at a time or in total).
     """
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    nodes = size_prunes = hyperplane_prunes = 0
-    started = time.monotonic()
+    budget, deadline = call.budget, call.deadline
+    nodes = call.nodes
+    size_prunes = hyperplane_prunes = 0
     try:
         while frames:
             frame = frames[-1]
@@ -228,14 +258,14 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
                     continue
                 nodes += 1
                 if nodes > budget or (
-                    time_limit is not None
+                    deadline is not None
                     and nodes & _TIME_CHECK_MASK == 0
-                    and time.monotonic() - started > time_limit
+                    and time.monotonic() > deadline
                 ):
                     frame[1] = pos
                     spent = (
                         f"{budget} nodes" if nodes > budget
-                        else f"{time_limit} seconds"
+                        else f"{call.time_limit} seconds"
                     )
                     raise BudgetExceeded(f"search stopped after {spent}")
                 pos += 1
@@ -269,13 +299,38 @@ def _exact_cover(tables, frames, covered, taken, *, budget, time_limit,
             else:
                 frames.pop()
     finally:
-        for key, value in (("nodes", nodes), ("size_prunes", size_prunes),
+        stats = call.stats
+        stats["nodes"] += nodes - call.nodes
+        call.nodes = nodes
+        for key, value in (("size_prunes", size_prunes),
                            ("hyperplane_prunes", hyperplane_prunes)):
             stats[key] = stats.get(key, 0) + value
 
 
 def _least_point(mask):
     return (mask & -mask).bit_length() - 1
+
+
+def _covers(tables, call, covered, taken, size_limit=None, filt=None,
+            counts=None, frames=None):
+    """The stream of _exact_cover: the exact covers by candidates of
+    tables that extend the pinned members, taken of them holding the
+    points of covered.  A caller that saves the frontier after
+    BudgetExceeded passes frames, the resumed stack or an empty list,
+    which the engine then backtracks on in place; an empty stack starts
+    at the least uncovered point."""
+    frames = [] if frames is None else frames
+    if not frames:
+        frames.append([_least_point(tables.pi.full_mask & ~covered), 0, None])
+    return _exact_cover(tables, frames, covered, taken, call, size_limit,
+                        filt, counts)
+
+
+def _partition(tables, pins, chosen):
+    """The partition of the pinned members pins and the candidates
+    chosen, one cover of _covers."""
+    return SubspacePartition(tables.pi.n, tables.pi.field,
+                             pins + list(map(tables.member, chosen)))
 
 
 def enumerate_partitions(
@@ -313,12 +368,8 @@ def enumerate_partitions(
     """
     _check_int("n", n)
     _check_int("max_dim", max_dim, 1, n)
-    budget = _check_limits(budget=budget, time_limit=time_limit,
-                           size_limit=size_limit, count_limit=count_limit)
-    field = make_field(q)
-    _check_space(n, q, point_limit)
-    stats = {} if stats is None else stats
-    stats.setdefault("nodes", 0)
+    field, call = _checked_call(n, q, point_limit, budget, time_limit,
+                                size_limit, count_limit, stats)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
         return
@@ -327,7 +378,6 @@ def enumerate_partitions(
         return
     tables = _SubspaceCandidates(n, field, dims)
     pi, cands, per_point = tables.pi, tables.cands, tables.per_point
-    full = pi.full_mask
 
     options = {
         "n": n,
@@ -338,7 +388,6 @@ def enumerate_partitions(
         "count_limit": count_limit,
     }
     covered = 0
-    taken = 0
     counts = dict.fromkeys(dims, 0)
     try:
         seed = list(seed) if seed else []
@@ -356,18 +405,19 @@ def enumerate_partitions(
         if mask & covered:
             raise BadRange("seed members are not pairwise disjoint")
         covered |= mask
-        taken += 1
+    taken = len(seed)
     options["seed"] = sorted(
         [[int(c) for c in row] for row in member.basis] for member in seed
     )
-    if seed and covered == full:
+    free_points = (pi.full_mask & ~covered).bit_count()
+    if seed and not free_points:
         # The seed is the whole partition: it has no filtered members.
         if filt is None and (size_limit is None or len(seed) <= size_limit):
             yield SubspacePartition(n, field, seed)
         return
-    free_points = (full & ~covered).bit_count()
     emitted = 0
     nodes_done = 0
+    frames = []
     if resume is not None:
         if (not isinstance(resume, dict)
                 or resume.get("kind") != "partition-enumeration"):
@@ -383,7 +433,6 @@ def enumerate_partitions(
         stack = state.get("stack", [])
         if not isinstance(stack, list) or not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
-        frames = []
         try:
             emitted = _check_int("emitted", state.get("emitted", 0), 0)
             nodes_done = _check_int("nodes_done",
@@ -393,7 +442,7 @@ def enumerate_partitions(
                     raise FileFormatError(f"checkpoint frame {entry!r} is "
                                           f"not a [point, position] pair")
                 point = _check_int("frame point", entry[0])
-                free = full & ~covered
+                free = pi.full_mask & ~covered
                 # The engine branches on the least uncovered point, and
                 # every frame below the last one holds its choice at pos - 1.
                 if not free or point != _least_point(free):
@@ -416,33 +465,18 @@ def enumerate_partitions(
                 frames.append([point, pos, cid])
         except BadRange as exc:
             raise FileFormatError(f"checkpoint {exc}") from exc
-    else:
-        frames = [[_least_point(full & ~covered), 0, None]]
     # The filtered members must fill exactly the points the seed leaves.
     if filt is not None and free_points != sum(
         c * num_points(d, q) for d, c in filt.items()
     ):
         return
 
-    nodes_before = stats["nodes"]
-    covers = _exact_cover(
-        tables,
-        frames,
-        covered,
-        taken,
-        budget=budget,
-        time_limit=time_limit,
-        stats=stats,
-        size_limit=size_limit,
-        filt=filt,
-        counts=counts,
-    )
+    covers = _covers(tables, call, covered, taken, size_limit, filt, counts,
+                     frames)
     try:
         for chosen in covers:
             emitted += 1
-            yield SubspacePartition(
-                n, field, seed + list(map(tables.member, chosen))
-            )
+            yield _partition(tables, seed, chosen)
             if count_limit is not None and emitted >= count_limit:
                 return
     except BudgetExceeded as exc:
@@ -453,7 +487,7 @@ def enumerate_partitions(
             "state": {
                 "stack": [[f[0], f[1]] for f in frames],
                 "emitted": emitted,
-                "nodes_done": nodes_done + stats["nodes"] - nodes_before,
+                "nodes_done": nodes_done + call.nodes,
             },
         }
         raise
@@ -540,35 +574,23 @@ def search_min_partition_size(
     """
     _check_int("n", n)
     _check_int("t", t, 1, n - 1)
-    budget = _check_limits(budget=budget, time_limit=time_limit)
-    field = make_field(q)
-    _check_space(n, q, point_limit)
+    field, call = _checked_call(n, q, point_limit, budget, time_limit)
     tables = _SubspaceCandidates(n, field, range(t, 0, -1))
     cands = tables.cands
-    full = tables.pi.full_mask
     root = _canonical_subspace(n, field, t)
     covered = tables.pi.mask_of(root)
-    p1 = _least_point(full & ~covered)
+    p1 = _least_point(tables.pi.full_mask & ~covered)
     plist = tables.per_point[p1]
     second = next(
         (c for c in plist if cands[c][1] == t and not cands[c][0] & covered),
         None,
     )
     tables.per_point[p1] = [c for c in plist if c == second or cands[c][1] < t]
-    stats = {}
     # Without a witness the first limit prunes nothing: a partition has
     # at most one member per point.
     witness = _witness(n, t, field)
-    covers = _exact_cover(
-        tables,
-        [[p1, 0, None]],
-        covered,
-        1,
-        budget=budget,
-        time_limit=time_limit,
-        stats=stats,
-        size_limit=num_points(n, q) if witness is None else witness.size - 1,
-    )
+    covers = _covers(tables, call, covered, 1,
+                     num_points(n, q) if witness is None else witness.size - 1)
     # Every cover found is smaller than the last: the engine prunes to
     # one member fewer after each.
     best = None
@@ -578,11 +600,8 @@ def search_min_partition_size(
             best = covers.send(len(best))
     except StopIteration:
         pass
-    P = witness
-    if best is not None:
-        members = [root] + list(map(tables.member, best))
-        P = SubspacePartition(n, field, members)
-    return SearchResult(P.size, P, stats["nodes"],
+    P = witness if best is None else _partition(tables, [root], best)
+    return SearchResult(P.size, P, call.nodes,
                         None if witness is None else witness.size)
 
 
@@ -641,51 +660,22 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
-    budget = _check_limits(budget=budget, time_limit=time_limit)
-    field = make_field(q)
-    _check_space(n, q, point_limit)
-    counters = {"nodes": 0}
-    started = time.monotonic()
-    max_tail_dim = min(cut - 1, n - cut)
-    targets = [
-        min_partition_size(cut, top, q) for top in range(1, max_tail_dim + 1)
-    ]
+    field, call = _checked_call(n, q, point_limit, budget, time_limit)
+    # Not empty: n < 2*cut and cut < n give cut >= 2.
+    tail_dims = range(1, min(cut - 1, n - cut) + 1)
+    limit = 1 + max(min_partition_size(cut, top, q) for top in tail_dims)
+    tables = _SubspaceCandidates(n, field, tail_dims)
     sweep_partitions = 0
     sweep_hits = 0
-    if targets:
-        limit = 1 + max(targets)
-        tables = _SubspaceCandidates(n, field, range(1, max_tail_dim + 1))
-        full = tables.pi.full_mask
-        for index, covered in enumerate(shape_masks(tables.pi, cut)):
-            # Most searches stop long before the engine's first clock read,
-            # so the clock is also read here.
-            time_left = None
-            if time_limit is not None:
-                time_left = time_limit - (time.monotonic() - started)
-                if time_left < 0:
-                    raise BudgetExceeded(
-                        f"search stopped after {time_limit} seconds"
-                    )
-            for chosen in _exact_cover(
-                tables,
-                [[_least_point(full & ~covered), 0, None]],
-                covered,
-                1,
-                budget=budget - counters["nodes"],
-                time_limit=time_left,
-                stats=counters,
-                size_limit=limit,
-            ):
-                sweep_partitions += 1
-                M = Subspace(field, n, shape_basis(n, q, cut, index))
-                P = SubspacePartition(
-                    n, field, [M] + list(map(tables.member, chosen))
-                )
-                st = supertail(P, cut)
-                if st.size == min_partition_size(cut, st.top_dim, q):
-                    sweep_hits += 1
+    for index, covered in enumerate(shape_masks(tables.pi, cut)):
+        for chosen in _covers(tables, call, covered, 1, limit):
+            sweep_partitions += 1
+            M = Subspace(field, n, shape_basis(n, q, cut, index))
+            st = supertail(_partition(tables, [M], chosen), cut)
+            if st.size == min_partition_size(cut, st.top_dim, q):
+                sweep_hits += 1
     return ImpossibilityReport(
-        n, cut, q, (), 0, sweep_partitions, sweep_hits, counters["nodes"]
+        n, cut, q, (), 0, sweep_partitions, sweep_hits, call.nodes
     )
 
 
@@ -747,9 +737,7 @@ def conjecture_search(
     if max_dim is None:
         max_dim = n - 1
     _check_int("max_dim", max_dim)
-    _check_limits(budget=budget, time_limit=time_limit)
-    make_field(q)
-    _check_space(n, q, point_limit)
+    _checked_call(n, q, point_limit, budget, time_limit)
     cuts = tuple(range(2, n) if cut_range is None else cut_range)
     if not cuts:
         return ConjectureFindings(

@@ -84,7 +84,7 @@ def _check_vector(vec, n, q):
             f"vector of length {len(vec)} in ambient of dimension {n}"
         )
     for x in vec:
-        if not (isinstance(x, int) and 0 <= x < q):
+        if not (type(x) is int and 0 <= x < q):
             raise BadRange(f"element code {x!r} outside GF({q})")
 
 

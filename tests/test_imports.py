@@ -115,3 +115,54 @@ def test_every_private_name_is_used_elsewhere_in_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
     assert _stranded_private_names(sources) == []
+
+
+def _readers(sources, name):
+    """The definitions, as dotted module.function paths (methods and
+    nested functions included), whose code reads the name or attribute
+    name; code outside any definition counts as the module itself."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_the_check_sees_every_reader():
+    source = ("import time\n"
+              "def f():\n    def g():\n        time.monotonic()\n"
+              "    return g\n"
+              "class C:\n    def m(self):\n        _x()\n"
+              "_x()\n")
+    assert _readers({"a": source}, "monotonic") == ["a.f.g"]
+    assert _readers({"a": source}, "_x") == ["a", "a.C.m"]
+
+
+SEARCH_ENTRY_POINTS = ("enumerate_partitions", "search_min_partition_size",
+                       "check_no_minimum_supertail", "conjecture_search")
+
+
+def test_every_search_reaches_the_engine_through_one_front_end():
+    """Only the front end drives the exact-cover engine, and no search
+    entry point reads the clock: each call's node budget and deadline are
+    fixed once and enforced by the engine, so a new search cannot fork
+    its own set-up or limits."""
+    package = Path(vspart.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _readers(sources, "_exact_cover") == ["search._covers"]
+    for entry in SEARCH_ENTRY_POINTS:
+        assert f"def {entry}(" in sources["search"], entry
+    entry_points = {f"search.{entry}" for entry in SEARCH_ENTRY_POINTS}
+    assert [r for r in _readers(sources, "monotonic")
+            if ".".join(r.split(".")[:2]) in entry_points] == []

@@ -271,9 +271,9 @@ def test_size_limit_prune_is_sound(n, q, max_dim, type_filter, seed):
         assert bounded == [P for P in everything if P.size <= limit], limit
 
 
-def _fewest_by_count_vectors(n, q, dims):
-    """fewest from every vector of member counts, one count per dimension:
-    best[u] over the vectors holding u points."""
+def _least_members_by_count_vectors(n, q, dims):
+    """The least number of members of dims that hold u points, best[u],
+    over every vector of member counts, one count per dimension."""
     total = (q**n - 1) // (q - 1)
     thetas = [(q**d - 1) // (q - 1) for d in dims]
     best = [total + 1] * (total + 1)
@@ -290,13 +290,13 @@ DIM_SETS = [(1, 2), (1, 2, 3), (1, 3), (2, 3)]
 
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
-def test_fewest_matches_count_vectors(n, q, dims):
+def test_count_vector_table_matches_brute_force(n, q, dims):
     """The size prune is exact: the table for u points and spare members
     lists no count vector exactly when the fewest members of dims that
     hold u points, by brute force, are more than spare."""
     tables = _SubspaceCandidates(n, make_field(q), dims)
-    fewest = _fewest_by_count_vectors(n, q, dims)
-    for u, least in enumerate(fewest):
+    minima = _least_members_by_count_vectors(n, q, dims)
+    for u, least in enumerate(minima):
         for spare in range(-1, u + 2):
             assert (not tables._table(u, spare)[0]) == (least > spare), (
                 u, spare)
@@ -304,7 +304,7 @@ def test_fewest_matches_count_vectors(n, q, dims):
 
 @pytest.mark.parametrize("n, q", AMBIENTS)
 @pytest.mark.parametrize("dims", DIM_SETS)
-def test_fewest_never_below_the_ceiling_bound(n, q, dims):
+def test_count_vector_table_never_below_the_ceiling_bound(n, q, dims):
     """The ceiling bound the table refines: u points in members of at
     most theta(D) points each, D the top dimension, take ceil(u /
     theta(D)) of them, so with fewer spare members the table lists no
@@ -450,7 +450,7 @@ def test_hyperplane_check_matches_brute_force(case, data):
     assert bool(fit) == _hyperplanes_fit_by_brute_force(n, q, dims, rest,
                                                          spare)
     # None, the size prune, exactly when no count vector holds rest.
-    least = _fewest_by_count_vectors(n, q, dims)[rest.bit_count()]
+    least = _least_members_by_count_vectors(n, q, dims)[rest.bit_count()]
     assert (fit is None) == (least > spare)
 
 
@@ -985,13 +985,26 @@ def test_impossibility_reports_are_pinned(n, cut, q, nodes):
 
 
 def test_impossibility_budget_covers_the_whole_call():
-    """The budget bounds the nodes of all inner streams together."""
+    """The budget bounds the nodes of all inner streams together, and
+    running out names the budget of the call."""
     rep = check_no_minimum_supertail(5, 3, 2)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match=f"after {rep.nodes - 1} nodes$"):
         check_no_minimum_supertail(5, 3, 2, budget=rep.nodes - 1)
     assert check_no_minimum_supertail(5, 3, 2, budget=rep.nodes) == rep
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 100 nodes$"):
+        check_no_minimum_supertail(5, 3, 2, budget=100)
     with pytest.raises(BudgetExceeded):
         check_no_minimum_supertail(5, 3, 2, time_limit=0)
+
+
+def test_one_deadline_per_call():
+    """The clock is read every 1024 nodes of the whole call, counted
+    across its inner streams, and never by the call itself: (5, 4, 2)
+    takes 31 nodes, so even a zero time limit lets it finish.  (5, 3, 2)
+    takes 1395, and stops at the first read (see above)."""
+    assert check_no_minimum_supertail(5, 4, 2, time_limit=0).nodes == 31
 
 
 def test_impossibility_guards():

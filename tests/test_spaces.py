@@ -245,6 +245,17 @@ def test_bad_vectors_are_rejected():
             num_points(3, q)
 
 
+def test_bool_element_codes_are_rejected():
+    """A bool is not an element code, as in both file readers."""
+    F2 = make_field(2)
+    with pytest.raises(BadRange):
+        span([(True, 0)], 2, F2)
+    with pytest.raises(BadRange):
+        span([(1, 0)], 2, F2).contains((True, 0))
+    with pytest.raises(BadRange):
+        point_index(2, F2).rep_of((True, 1))
+
+
 def test_point_index_is_cached():
     F = make_field(2)
     assert point_index(4, F) is point_index(4, F)
