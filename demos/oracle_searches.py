@@ -47,8 +47,9 @@ for n, t, q in [(4, 2, 2), (5, 3, 2), (3, 2, 3), (6, 4, 2)]:
 # impossibility: in V(5,2) the one member of dimension m >= 3 leaves
 # 2^m * theta(5-m) points to tail members of at most theta(5-m) points
 # each, so the tail has at least 2^m >= 8 members, more than
-# sigma(3, t) <= theta(3) = 7; the seeded sweep over all 3-subspaces
-# checks this by brute force and finds no partition at all
+# sigma(3, t) <= theta(3) = 7; the sweep from one pinned 3-subspace
+# (every other is its image under GL(5,2)) checks this by brute force
+# and finds no partition at all
 report = check_no_minimum_supertail(5, 3, 2)
 print(f"V(5,2) cut 3: sweep partitions {report.sweep_partitions}, "
       f"confirmed {report.confirmed}")

@@ -29,14 +29,16 @@ not a formula, so the search stays independent of sigma.  When the
 construction raises or fails those checks, the search starts at one
 member per point.
 
-The minimum-size search additionally pins its first two choices, which
-is sound for size queries (it is NOT sound for counting).  The linear
-group is transitive on t-subspaces, so any partition whose largest
-dimension is t has an image of the same size containing the canonical
-t-subspace L0.  The stabiliser of L0 and the least point p1 outside it is
-transitive on the t-subspaces through p1 that meet L0 trivially, so the
-member through p1 can be taken to be the first such candidate whenever
-it has dimension t (proof in search_min_partition_size).
+search_min_partition_size and check_no_minimum_supertail ask size
+questions that GL(n,q) leaves invariant, so both pin their first two
+choices, in _pinned (it is NOT sound for counting).  The linear group is
+transitive on k-subspaces, so any partition with a k-member has an image
+of the same type containing the canonical k-subspace L0: k is t for the
+minimum and the cut for the sweep.  The stabiliser of L0 and the least
+point p1 outside it is transitive on the d-subspaces through p1 that
+meet L0 trivially, for each d, so the member through p1 can be taken to
+be the first such candidate of its dimension (proof in
+search_min_partition_size).
 
 The three searches, enumerate_partitions, search_min_partition_size and
 check_no_minimum_supertail, drive one backtracking engine, _exact_cover,
@@ -56,7 +58,8 @@ that it can resume from.
 check_no_minimum_supertail rests on a lemma, proved in its docstring:
 when n < 2*cut, a partition of V(n,q) has exactly one member of
 dimension >= cut, so its supertail at the cut has at least q^cut members,
-more than sigma_q(cut, t) <= theta(cut) allows.  Its sweep re-checks that.
+more than sigma_q(cut, t) <= theta(cut) allows.  Its sweep re-checks that
+in one cover stream, from the pinned cut-subspace.
 """
 from __future__ import annotations
 
@@ -67,7 +70,6 @@ from ._record import record
 from .analysis import analyze_supertail, TailClass
 from .candidates import _SubspaceCandidates
 from .constructions import minimal_partition
-from .enumeration import shape_basis, shape_masks
 from .errors import (
     BadRange,
     BudgetExceeded,
@@ -90,16 +92,6 @@ ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
 CHECKPOINT_VERSION = 1
 _TIME_CHECK_MASK = 0x3FF
-
-
-def _canonical_subspace(n, field, d):
-    """The span of the last d unit vectors; contains the least point."""
-    rows = []
-    for i in range(n - d, n):
-        v = [0] * n
-        v[i] = 1
-        rows.append(tuple(v))
-    return span(rows, n, field)
 
 
 def _normalize_filter(type_filter):
@@ -146,8 +138,9 @@ def _checked_call(n, q, point_limit, budget=None, time_limit=None,
     built, and return the field and the call's _Call.  budget, size_limit
     and count_limit must be ints, count_limit at least 1, and time_limit
     an int or a float other than NaN; budget and time_limit must not be
-    negative.  None means no limit, except for the budget, which is then
-    ORACLE_NODE_BUDGET.  The time limit counts from here."""
+    negative; stats, when given, must be a dict.  None means no limit,
+    except for the budget, which is then ORACLE_NODE_BUDGET.  The time
+    limit counts from here."""
     if isinstance(time_limit, float):
         if not time_limit >= 0:  # NaN too
             raise BadRange(f"time_limit must be a number at least 0, got "
@@ -158,6 +151,8 @@ def _checked_call(n, q, point_limit, budget=None, time_limit=None,
         _check_int("size_limit", size_limit)
     if count_limit is not None:
         _check_int("count_limit", count_limit, 1)
+    if stats is not None and not isinstance(stats, dict):
+        raise BadRange(f"stats {stats!r} is not a dict")
     budget = (ORACLE_NODE_BUDGET if budget is None
               else _check_int("budget", budget, 0))
     field = make_field(q)
@@ -311,6 +306,30 @@ def _least_point(mask):
     return (mask & -mask).bit_length() - 1
 
 
+def _pinned(n, field, dims, top):
+    """The candidate tables of the dimensions dims, pinned for a size
+    question that GL(n,q) leaves invariant, with the pinned member L0 and
+    its point mask.  L0 is the span of the last top unit vectors; it
+    holds the least point.  At p1, the least point outside L0 and so the
+    first branch point, only the first candidate of each dimension that
+    meets L0 trivially is kept.  A partition with a member of dimension
+    top has an image under GL(n,q), of the same type, that contains L0
+    and, through p1, the kept candidate of its dimension (proof in
+    search_min_partition_size).  The pins are not sound for counting."""
+    tables = _SubspaceCandidates(n, field, dims)
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n - top, n)]
+    root = span(rows, n, field)
+    covered = tables.pi.mask_of(root)
+    p1 = _least_point(tables.pi.full_mask & ~covered)
+    first = {}
+    for cid in tables.per_point[p1]:
+        mask, d = tables.cands[cid]
+        if not mask & covered:
+            first.setdefault(d, cid)
+    tables.per_point[p1] = list(first.values())
+    return tables, root, covered
+
+
 def _covers(tables, call, covered, taken, size_limit=None, filt=None,
             counts=None, frames=None):
     """The stream of _exact_cover: the exact covers by candidates of
@@ -434,7 +453,9 @@ def enumerate_partitions(
         if not isinstance(stack, list) or not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
         try:
-            emitted = _check_int("emitted", state.get("emitted", 0), 0)
+            # The stream stops at count_limit, so it saves fewer.
+            emitted = _check_int("emitted", state.get("emitted", 0), 0,
+                                 count_limit - 1 if count_limit else None)
             nodes_done = _check_int("nodes_done",
                                     state.get("nodes_done", 0), 0)
             for entry in stack:
@@ -551,41 +572,34 @@ def search_min_partition_size(
     of every hyperplane would need the single point, which 16 hyperplanes
     miss.)
 
-    The second member is pinned too.  Let p1 be the least point outside
-    L0, the first branch point.  Of the t-dimensional candidates through
-    p1 only the first one disjoint from L0, K, is kept; smaller ones all
-    stay.  Claim: the stabiliser G of L0 and p1 = <v1> in GL(n,q) is
-    transitive on the t-subspaces M through p1 with M meet L0 = 0.  So a
-    partition containing L0 whose member through p1 has dimension t has
-    an image under G, of the same size and type, containing L0 and K.
+    The second member is pinned too, by _pinned, which
+    check_no_minimum_supertail shares.  Let p1 be the least point outside
+    L0, the first branch point.  Of the d-dimensional candidates through
+    p1, for each d, only the first one disjoint from L0, K_d, is kept.
+    Claim: for every d <= n - t, the stabiliser G of L0 and p1 = <v1> in
+    GL(n,q) is transitive on the d-subspaces M through p1 with M meet
+    L0 = 0.  So a partition containing L0 whose member through p1 has
+    dimension d has an image under G, of the same size and type,
+    containing L0 and K_d.
 
     Proof.  Fix a complement C of L0 containing v1, and let pi: V -> C
     be the projection along L0.  As M meets L0 trivially, pi is
     injective on M, so M is the graph {w + f(w) : w in W} of a linear map
-    f: W -> L0, where W = pi(M) is a t-subspace of C; and f(v1) = 0,
+    f: W -> L0, where W = pi(M) is a d-subspace of C; and f(v1) = 0,
     since v1 is in M and in C.  Extend f to a linear F: C -> L0 with
     F(v1) = 0 and let u(c + l) = c + l - F(c) for c in C, l in L0.  The
     unipotent u fixes L0 pointwise and v1, and maps M onto W.  For a
     second such M', with W' = pi(M'), some g in GL(C) fixes v1 and maps
     W onto W': extend v1 to bases of W and W', then both to bases of
     C.  Extended by the identity on L0, g is in G, and u'^-1 g u maps M
-    onto M'.  (When 2t > n no such M exists, and only smaller candidates
-    remain at p1.)
+    onto M'.  (Every candidate disjoint from L0 has d <= n - t, as
+    dim C = n - t; and the proof reads dim L0 only there, so it holds
+    for the cut-subspace of the sweep with n - cut in place of n - t.)
     """
     _check_int("n", n)
     _check_int("t", t, 1, n - 1)
     field, call = _checked_call(n, q, point_limit, budget, time_limit)
-    tables = _SubspaceCandidates(n, field, range(t, 0, -1))
-    cands = tables.cands
-    root = _canonical_subspace(n, field, t)
-    covered = tables.pi.mask_of(root)
-    p1 = _least_point(tables.pi.full_mask & ~covered)
-    plist = tables.per_point[p1]
-    second = next(
-        (c for c in plist if cands[c][1] == t and not cands[c][0] & covered),
-        None,
-    )
-    tables.per_point[p1] = [c for c in plist if c == second or cands[c][1] < t]
+    tables, root, covered = _pinned(n, field, range(t, 0, -1), t)
     # Without a witness the first limit prunes nothing: a partition has
     # at most one member per point.
     witness = _witness(n, t, field)
@@ -607,10 +621,12 @@ def search_min_partition_size(
 
 @record
 class ImpossibilityReport:
-    """Tallies of check_no_minimum_supertail.  candidate_types is always
-    () and type_hits always 0: by the lemma proved there, no tail type can
-    meet the bound, so none is searched.  The fields stay for callers that
-    read them."""
+    """Tallies of check_no_minimum_supertail.  sweep_partitions and
+    sweep_hits count only the partitions that its pinned sweep reaches:
+    every partition up to GL(n,q), not every labeled one.
+    candidate_types is always () and type_hits always 0: by the lemma
+    proved there, no tail type can meet the bound, so none is searched.
+    The fields stay for callers that read them."""
 
     n: int
     cut: int
@@ -648,11 +664,15 @@ def check_no_minimum_supertail(
     members.  But sigma_q(cut, t) <= theta(cut) <= q^cut - 1, because a
     partition of V(cut,q) has at most one member per point.
 
-    The sweep checks the lemma by brute force: it extends every
-    cut-subspace by members of dimension at most min(cut-1, n-cut), up
+    The sweep checks the lemma by brute force: it extends the canonical
+    cut-subspace L0 by members of dimension at most min(cut-1, n-cut), up
     to 1 + max_t sigma_q(cut, t) members in all, and tests each partition
-    found.  By the lemma it finds none, so sweep_partitions is 0.  The
-    budget and time limit cover the whole call.
+    found.  Supertail sizes and top dimensions are invariant under
+    GL(n,q), so it runs one cover stream with the pins of
+    search_min_partition_size (proof there), which reach every partition
+    with a cut-member up to GL(n,q).  By the lemma it finds none, so
+    sweep_partitions is 0.  The budget and time limit cover the whole
+    call.
     """
     _check_int("n", n)
     _check_int("cut", cut, 1, n - 1)
@@ -664,16 +684,14 @@ def check_no_minimum_supertail(
     # Not empty: n < 2*cut and cut < n give cut >= 2.
     tail_dims = range(1, min(cut - 1, n - cut) + 1)
     limit = 1 + max(min_partition_size(cut, top, q) for top in tail_dims)
-    tables = _SubspaceCandidates(n, field, tail_dims)
+    tables, root, covered = _pinned(n, field, tail_dims, cut)
     sweep_partitions = 0
     sweep_hits = 0
-    for index, covered in enumerate(shape_masks(tables.pi, cut)):
-        for chosen in _covers(tables, call, covered, 1, limit):
-            sweep_partitions += 1
-            M = Subspace(field, n, shape_basis(n, q, cut, index))
-            st = supertail(_partition(tables, [M], chosen), cut)
-            if st.size == min_partition_size(cut, st.top_dim, q):
-                sweep_hits += 1
+    for chosen in _covers(tables, call, covered, 1, limit):
+        sweep_partitions += 1
+        st = supertail(_partition(tables, [root], chosen), cut)
+        if st.size == min_partition_size(cut, st.top_dim, q):
+            sweep_hits += 1
     return ImpossibilityReport(
         n, cut, q, (), 0, sweep_partitions, sweep_hits, call.nodes
     )
@@ -738,7 +756,10 @@ def conjecture_search(
         max_dim = n - 1
     _check_int("max_dim", max_dim)
     _checked_call(n, q, point_limit, budget, time_limit)
-    cuts = tuple(range(2, n) if cut_range is None else cut_range)
+    try:
+        cuts = tuple(range(2, n) if cut_range is None else cut_range)
+    except TypeError as exc:
+        raise BadRange(f"cut_range {cut_range!r} is not a list of cuts") from exc
     if not cuts:
         return ConjectureFindings(
             n, q, cuts, 0, 0, 0, 0, (0, 0, 0), (), (), (), ()

@@ -166,3 +166,80 @@ def test_every_search_reaches_the_engine_through_one_front_end():
     entry_points = {f"search.{entry}" for entry in SEARCH_ENTRY_POINTS}
     assert [r for r in _readers(sources, "monotonic")
             if ".".join(r.split(".")[:2]) in entry_points] == []
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+             "reverse"}
+
+
+def _chain(node):
+    """The names and attributes along a chain of subscripts and
+    attributes, such as tables.per_point[p]."""
+    names = []
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    return names
+
+
+def _writers(source, name):
+    """The definitions, as dotted paths, whose code writes into the
+    container called name: assigns or deletes an item or attribute
+    along a chain through it, or calls a list mutator on one.  Binding a
+    plain local of that name is not a write into it."""
+    found = set()
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        return (isinstance(target, (ast.Subscript, ast.Attribute))
+                and name in _chain(target))
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            targets = [node.func.value]
+        else:
+            targets = []
+        if any(map(written, targets)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(owner.lstrip(".") for owner in found)
+
+
+def test_the_check_sees_every_write():
+    source = ("def reads(t):\n    per_point = t.per_point\n"
+              "    return per_point[0], t.other[t.per_point[1]]\n"
+              "def sets(t):\n    t.per_point[0] = []\n"
+              "def unpacks(t):\n    a, t.per_point[1] = 1, 2\n"
+              "def appends(t):\n    t.per_point[2].append(3)\n"
+              "def rebinds(t):\n    t.per_point = None\n"
+              "class C:\n    def m(self, per_point):\n"
+              "        del per_point[0]\n")
+    assert _writers(source, "per_point") == [
+        "C.m", "appends", "rebinds", "sets", "unpacks"]
+
+
+def test_one_function_pins_the_search_tables():
+    """Both size searches take their symmetry pins from one helper, and
+    nothing else in search.py edits the per-point candidate lists, so a
+    new search cannot fork the pin."""
+    source = (Path(vspart.__file__).parent / "search.py").read_text(
+        encoding="utf-8")
+    assert _writers(source, "per_point") == ["_pinned"]

@@ -384,13 +384,9 @@ def test_hyperplane_check_refutes_ten_lines_and_a_point():
     """V(5,2) with L0, K and one point placed leaves 24 points, which 9
     members can only cover as 8 lines; every hyperplane would then hold
     an even number of them, but those missing the point hold 13."""
-    F = F2
-    tables = _SubspaceCandidates(5, F, (2, 1))
-    covered = tables.pi.mask_of(search._canonical_subspace(5, F, 2))
+    tables, _, covered = search._pinned(5, F2, (2, 1), 2)
     p1 = search._least_point(tables.pi.full_mask & ~covered)
-    K = next(mask for mask, d in tables.cands
-             if d == 2 and mask >> p1 & 1 and not mask & covered)
-    covered |= K
+    covered |= tables.cands[tables.per_point[p1][0]][0]
     covered |= 1 << search._least_point(tables.pi.full_mask & ~covered)
     rest = tables.pi.full_mask & ~covered
     assert not tables.hyperplanes_fit(rest, 12 - 3)
@@ -576,6 +572,34 @@ def test_checkpoint_file_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_emitted_stays_below_the_count_limit():
+    """The stream stops at count_limit, so a saved checkpoint has emitted
+    below it; one that claims count_limit or more partitions is refused
+    instead of emitting one more."""
+    with pytest.raises(BudgetExceeded) as info:
+        for _ in enumerate_partitions(4, 2, 3, count_limit=50, budget=40):
+            pass
+    ck = info.value.checkpoint
+    assert ck["state"]["emitted"] < 50
+    ck["state"]["emitted"] = 49
+    assert len(list(enumerate_partitions(4, 2, 3, count_limit=50,
+                                         resume=ck))) == 1
+    for emitted in (50, 10**6):
+        ck["state"]["emitted"] = emitted
+        with pytest.raises(FileFormatError, match="emitted must be at most"):
+            list(enumerate_partitions(4, 2, 3, count_limit=50, resume=ck))
+
+
+def test_stats_that_is_not_a_dict_is_refused():
+    with pytest.raises(BadRange, match="stats"):
+        list(enumerate_partitions(3, 2, 2, stats=[]))
+
+
+def test_cut_range_that_is_not_a_list_is_refused():
+    with pytest.raises(BadRange, match="cut_range"):
+        conjecture_search(3, 2, 5)
+
+
 def _checkpoint_after(budget, options):
     try:
         for _ in enumerate_partitions(4, 2, 2, budget=budget, **options):
@@ -756,13 +780,13 @@ def _refuse(n, t, field):
 
 
 @pytest.mark.parametrize("n, t, q, size, nodes", [
-    (5, 3, 2, 9, 65),
-    (6, 4, 2, 17, 112),
+    (5, 3, 2, 9, 58),
+    (6, 4, 2, 17, 97),
     (4, 2, 3, 10, 28),
     (5, 2, 2, 13, 86),
     (7, 2, 2, 45, 3_108),
     (5, 2, 3, 37, 6_721),
-    (7, 4, 2, 17, 1_010),
+    (7, 4, 2, 17, 708),
 ])
 def test_search_min_node_counts_are_pinned(monkeypatch, n, t, q, size,
                                            nodes):
@@ -771,22 +795,30 @@ def test_search_min_node_counts_are_pinned(monkeypatch, n, t, q, size,
     nodes, and (7,2,2) and (5,2,3) did not finish in a minute.  From
     there (7,3,2) does not finish in 30 s: it finds no 21-member cover.
     With the prune by points on no disjoint top candidate, (7,2,2) took
-    2,933 nodes and (5,2,3) 3,109."""
+    2,933 nodes and (5,2,3) 3,109.  Pinning at p1 only the candidates
+    of dimension t gives (5,3,2) 65 nodes, (6,4,2) 112 and (7,4,2)
+    1,010; for t <= 2 it is the same pin."""
     monkeypatch.setattr(search, "minimal_partition", _refuse)
     res = search_min_partition_size(n, t, q)
     assert (res.size, res.nodes, res.witness) == (size, nodes, None)
 
 
 @pytest.mark.parametrize("n, t, q, size, nodes", [
-    (5, 3, 2, 9, 9),
-    (6, 4, 2, 17, 17),
+    (5, 3, 2, 9, 2),
+    (6, 4, 2, 17, 2),
     (4, 2, 3, 10, 2),
     (7, 2, 2, 45, 2),
     (5, 2, 3, 37, 2),
-    (7, 3, 2, 21, 58),
-    (7, 4, 2, 17, 305),
+    (6, 3, 2, 9, 3),
+    (7, 3, 2, 21, 3),
+    (7, 4, 2, 17, 3),
+    (5, 3, 3, 28, 2),
 ])
 def test_search_min_node_counts_from_the_witness(n, t, q, size, nodes):
+    """With one candidate per dimension kept at p1, each search from its
+    witness cuts every choice there.  Pinning only the candidates of
+    dimension t at p1 gives (5,3,2) 9 nodes, (6,4,2) 17, (6,3,2) 26,
+    (7,3,2) 58, (7,4,2) 305 and (5,3,3) 28."""
     res = search_min_partition_size(n, t, q)
     assert (res.size, res.nodes, res.witness) == (size, nodes, size)
     assert not res.beat_witness
@@ -834,7 +866,7 @@ def test_search_min_falls_back_without_a_witness(monkeypatch, how):
     per point and still finds the minimum."""
     monkeypatch.setattr(search, "minimal_partition", _spoiled(how))
     res = search_min_partition_size(5, 3, 2)
-    assert (res.size, res.nodes, res.witness) == (9, 65, None)
+    assert (res.size, res.nodes, res.witness) == (9, 58, None)
     assert not res.beat_witness
     assert validate(res.partition).ok and max(res.partition.dims()) == 3
 
@@ -977,34 +1009,96 @@ def test_impossibility_v52_cut3():
 
 
 @pytest.mark.parametrize("n, cut, q, nodes", [
-    (5, 3, 2, 1395), (6, 4, 2, 11067), (5, 4, 2, 31), (3, 2, 3, 13),
+    (5, 3, 2, 2), (6, 4, 2, 2), (5, 4, 2, 1), (3, 2, 3, 1),
+    (7, 5, 2, 2), (5, 3, 3, 2), (7, 4, 2, 3),
 ])
 def test_impossibility_reports_are_pinned(n, cut, q, nodes):
+    """One cover stream from the pinned cut-subspace.  One stream per
+    cut-subspace gives 1,395, 11,067, 31, 13, 88,011, 33,880 and
+    3,602,355 nodes."""
     rep = check_no_minimum_supertail(n, cut, q)
     assert rep == search.ImpossibilityReport(n, cut, q, (), 0, 0, 0, nodes)
 
 
+@pytest.mark.parametrize("n, cut, q", [(5, 3, 2), (5, 4, 2), (6, 4, 2),
+                                       (3, 2, 3)])
+def test_impossibility_matches_the_sweep_over_every_cut_subspace(n, cut, q):
+    """The pin-free reference: every cut-subspace, extended by the tail
+    dimensions up to the size limit of the sweep, as a seeded
+    enumeration.  It finds no partition, so no minimum supertail, as the
+    pinned sweep does."""
+    F = make_field(q)
+    top = min(cut - 1, n - cut)
+    limit = 1 + max(min_partition_size(cut, d, q) for d in range(1, top + 1))
+    found = [P for M in all_subspaces(n, cut, F)
+             for P in enumerate_partitions(n, q, top, seed=[M],
+                                           size_limit=limit)]
+    assert found == []
+    rep = check_no_minimum_supertail(n, cut, q)
+    assert rep.confirmed and rep.sweep_partitions == 0
+
+
+@pytest.mark.parametrize("n, t, q", [(5, 3, 2), (6, 3, 2), (5, 3, 3),
+                                     (7, 4, 2)])
+def test_search_min_matches_the_unpinned_enumeration(n, t, q):
+    """The pin-free reference for the minimum: no partition with top
+    dimension t has fewer members than the oracle's, by a size-limited
+    enumeration with no member pinned.  ((6,4,2) is left out: there it
+    spent 5M nodes without finishing.)"""
+    res = search_min_partition_size(n, t, q)
+    assert not [P for P in enumerate_partitions(n, q, t,
+                                                size_limit=res.size - 1)
+                if max(P.dims()) == t]
+
+
+@pytest.mark.parametrize("n, q, top, dims", [
+    (4, 2, 2, (2, 1)), (4, 2, 3, (3, 2, 1)), (4, 2, 3, (1,)),
+    (3, 3, 2, (2, 1)), (3, 4, 2, (1,)),
+])
+def test_pinned_covers_reach_every_type(n, q, top, dims):
+    """Types are invariant under GL(n,q), so the covers of the pinned
+    tables, with no size limit, realize every type that the pin-free
+    enumeration does among partitions with a top-member and otherwise
+    members of the dimensions dims."""
+    tables, root, covered = search._pinned(n, make_field(q), dims, top)
+    call = search._Call(10**6, None, None)
+    pinned = {search._partition(tables, [root], chosen).type()
+              for chosen in search._covers(tables, call, covered, 1)}
+    every = {P.type() for P in enumerate_partitions(n, q, max(top, *dims))
+             if top in P.dims() and set(P.dims()) <= {top, *dims}}
+    assert pinned == every
+
+
 def test_impossibility_budget_covers_the_whole_call():
-    """The budget bounds the nodes of all inner streams together, and
-    running out names the budget of the call."""
-    rep = check_no_minimum_supertail(5, 3, 2)
+    """The budget bounds the nodes of the whole call, and running out
+    names the budget of the call."""
+    rep = check_no_minimum_supertail(7, 4, 2)
     with pytest.raises(BudgetExceeded,
-                       match=f"after {rep.nodes - 1} nodes$"):
-        check_no_minimum_supertail(5, 3, 2, budget=rep.nodes - 1)
-    assert check_no_minimum_supertail(5, 3, 2, budget=rep.nodes) == rep
-    with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 100 nodes$"):
-        check_no_minimum_supertail(5, 3, 2, budget=100)
-    with pytest.raises(BudgetExceeded):
-        check_no_minimum_supertail(5, 3, 2, time_limit=0)
+                       match=f"^search stopped after {rep.nodes - 1} nodes$"):
+        check_no_minimum_supertail(7, 4, 2, budget=rep.nodes - 1)
+    assert check_no_minimum_supertail(7, 4, 2, budget=rep.nodes) == rep
 
 
-def test_one_deadline_per_call():
-    """The clock is read every 1024 nodes of the whole call, counted
-    across its inner streams, and never by the call itself: (5, 4, 2)
-    takes 31 nodes, so even a zero time limit lets it finish.  (5, 3, 2)
-    takes 1395, and stops at the first read (see above)."""
-    assert check_no_minimum_supertail(5, 4, 2, time_limit=0).nodes == 31
+def test_search_min_budget_covers_the_whole_call(monkeypatch):
+    """The same holds across the tightening passes of the minimum search:
+    without a witness, (7,2,2) takes 3,108 nodes in all."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 3107 nodes$"):
+        search_min_partition_size(7, 2, 2, budget=3107)
+    assert search_min_partition_size(7, 2, 2, budget=3108).nodes == 3108
+
+
+def test_one_deadline_per_call(monkeypatch):
+    """The clock is read every 1024 nodes of the whole call, and never by
+    the call itself: (5, 4, 2) takes 1 node, so even a zero time limit
+    lets it finish.  The (7,2,2) minimum without a witness takes 3,108
+    nodes, and stops at the first read."""
+    assert check_no_minimum_supertail(5, 4, 2, time_limit=0).nodes == 1
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 0 seconds$"):
+        search_min_partition_size(7, 2, 2, time_limit=0)
 
 
 def test_impossibility_guards():
