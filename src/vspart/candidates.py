@@ -6,22 +6,25 @@ order and from any source, with the tables the engine reads: the
 candidates through each point, and the count-vector table whose two
 prunes are proved in search._exact_cover.  _SubspaceCandidates fills the
 list with every subspace of some dimensions, walked from echelon shapes
-(enumeration.shape_masks), and makes a Subspace only for a candidate that
-an emitted cover names, decoded from its shape once and kept, so that
-covers streamed one after another share their member objects.
+(enumeration.shape_masks).  A Subspace is made only for a candidate that
+an emitted cover names, spanned by its points once and kept, so that
+covers streamed one after another share their member objects; it reads
+only the candidate's mask, so any list of subspace masks decodes, in any
+order.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property
+from functools import cached_property
 
-from .enumeration import shape_basis, shape_masks
-from .spaces import Subspace, num_points, point_index
+from .enumeration import shape_masks
+from .spaces import num_points, point_index, span
 
 
 class _Candidates:
     """Candidates cands, a list of (point mask, dimension) pairs over the
     point index pi, plus per-point lists of candidate ids in list order.
+    A mask that member reads must be the point set of a subspace.
 
     The size limit reads one table per (uncovered points, spare members):
     the vectors of member counts of the candidate dimensions that can hold
@@ -45,6 +48,19 @@ class _Candidates:
         self._steps = [(num_points(d - 1, q), q ** (d - 1))
                        for d in self._dims]
         self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
+        self._members = {}
+
+    def member(self, cid):
+        """Candidate cid as a Subspace, spanned by its points on first call
+        and kept, with its point mask already filled in."""
+        U = self._members.get(cid)
+        if U is None:
+            mask = self.cands[cid][0]
+            pi = self.pi
+            U = self._members[cid] = span(pi.vectors_of_mask(mask), pi.n,
+                                          pi.field)
+            U._mask = mask
+        return U
 
     @cached_property
     def hyperplanes(self):
@@ -138,28 +154,12 @@ class _Candidates:
 
 class _SubspaceCandidates(_Candidates):
     """Every subspace of V(n, q) of the dimensions dims as a candidate:
-    dims in the order given, all_subspaces order within a dimension.
-    member(cid) is candidate cid as a Subspace, decoded from its shape on
-    first call and kept, with its point mask already filled in."""
+    dims in the order given, all_subspaces order within a dimension."""
 
     def __init__(self, n, field, dims):
         pi = point_index(n, field)
-        cands = []
-        # (first id, dimension) of each dimension's block of ids
-        blocks = []
-        for d in dims:
-            blocks.append((len(cands), d))
-            cands += [(mask, d) for mask in shape_masks(pi, d)]
-        super().__init__(pi, cands)
-
-        @cache
-        def member(cid):
-            start, d = max(b for b in blocks if b[0] <= cid)
-            U = Subspace(field, n, shape_basis(n, field.q, d, cid - start))
-            U._mask = cands[cid][0]
-            return U
-
-        self.member = member
+        super().__init__(pi, [(mask, d) for d in dims
+                              for mask in shape_masks(pi, d)])
 
 
 def _count_vectors(thetas, u, spare):

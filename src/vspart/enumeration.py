@@ -12,8 +12,7 @@ same way whatever rows come before them.  The walk therefore fills rows
 last first: for each tuple of later pivots it keeps the point mask and the
 span values of every fill of those rows, and a shape with those later rows
 adds only the points its first row leads (PointIndex._row_step, the step
-PointIndex._ranks takes for odd q).  shape_basis decodes the i-th shape back into its basis
-from its pivots and free codes, with no elimination.
+PointIndex._ranks takes for odd q).
 """
 from __future__ import annotations
 
@@ -73,7 +72,10 @@ def _walk(n, d, field):
     """The d-subspaces of V(n, q), d >= 1, in all_subspaces order."""
     q = field.q
     for pivots in combinations(range(n), d):
-        free = _free_cells(pivots, n)
+        # The free entries (row, column), row-major: the columns after
+        # each row's pivot that are no pivot.
+        free = [(i, j) for i, p in enumerate(pivots)
+                for j in range(p + 1, n) if j not in pivots]
         base = [[0] * n for _ in range(d)]
         for i, pc in enumerate(pivots):
             base[i][pc] = 1
@@ -82,17 +84,6 @@ def _walk(n, d, field):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield Subspace(field, n, tuple(tuple(r) for r in rows))
-
-
-def _free_cells(pivots, n):
-    """The free entries (row, column) of an echelon shape, row-major: the
-    columns after each row's pivot that are no pivot."""
-    return [
-        (i, j)
-        for i, p in enumerate(pivots)
-        for j in range(p + 1, n)
-        if j not in pivots
-    ]
 
 
 def shape_masks(pi, d):
@@ -143,26 +134,6 @@ def shape_masks(pi, d):
     return chain.from_iterable(
         fills(pivots, False) for pivots in combinations(range(n), d)
     )
-
-
-def shape_basis(n, q, d, index):
-    """Reduced echelon basis of the index-th d-subspace of V(n, q) in
-    all_subspaces order: the free codes are the base-q digits of its
-    offset within its pivot pattern, the last free entry least."""
-    offset = index
-    for pivots in combinations(range(n), d):
-        free = _free_cells(pivots, n)
-        if 0 <= offset < q ** len(free):
-            break
-        offset -= q ** len(free)
-    else:
-        raise BadRange(f"no {d}-subspace of V({n},{q}) has index {index}")
-    rows = [[0] * n for _ in pivots]
-    for i, p in enumerate(pivots):
-        rows[i][p] = 1
-    for i, j in reversed(free):
-        offset, rows[i][j] = divmod(offset, q)
-    return tuple(map(tuple, rows))
 
 
 def all_hyperplanes(n, field):

@@ -385,7 +385,7 @@ def enumerate_partitions(
     cut because no vector of member counts holds the uncovered points
     and because none fits the hyperplanes.
     """
-    _check_int("n", n)
+    _check_int("n", n, 1)
     _check_int("max_dim", max_dim, 1, n)
     field, call = _checked_call(n, q, point_limit, budget, time_limit,
                                 size_limit, count_limit, stats)
@@ -393,8 +393,6 @@ def enumerate_partitions(
     if filt is not None and max(filt) > max_dim:
         return
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
-    if not dims:
-        return
     tables = _SubspaceCandidates(n, field, dims)
     pi, cands, per_point = tables.pi, tables.cands, tables.per_point
 
@@ -596,7 +594,7 @@ def search_min_partition_size(
     dim C = n - t; and the proof reads dim L0 only there, so it holds
     for the cut-subspace of the sweep with n - cut in place of n - t.)
     """
-    _check_int("n", n)
+    _check_int("n", n, 2)
     _check_int("t", t, 1, n - 1)
     field, call = _checked_call(n, q, point_limit, budget, time_limit)
     tables, root, covered = _pinned(n, field, range(t, 0, -1), t)
@@ -674,7 +672,7 @@ def check_no_minimum_supertail(
     sweep_partitions is 0.  The budget and time limit cover the whole
     call.
     """
-    _check_int("n", n)
+    _check_int("n", n, 2)
     _check_int("cut", cut, 1, n - 1)
     if not n < 2 * cut:
         raise HypothesisNotMet(
@@ -751,7 +749,7 @@ def conjecture_search(
     near-spread are counterexamples.  Findings are reported,
     never asserted.
     """
-    _check_int("n", n)
+    _check_int("n", n, 1)
     if max_dim is None:
         max_dim = n - 1
     _check_int("max_dim", max_dim)

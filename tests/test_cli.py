@@ -468,3 +468,10 @@ def test_search_conjecture_refuses_cuts_that_are_never_cases(cuts, capsys):
                  "--cuts", *cuts]) == 3
     assert time.monotonic() - started < 1
     assert "examined" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["partitions", "conjecture"])
+def test_search_blames_n_below_one(kind, capsys):
+    """--n 0 exits 3 naming n, not the max_dim of n - 1 derived from it."""
+    assert main(["search", kind, "--n", "0", "--q", "2"]) == 3
+    assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"

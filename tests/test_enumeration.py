@@ -11,7 +11,6 @@ from vspart.enumeration import (
     hyperplane_functional,
     hyperplanes_containing,
     recognize_subspace,
-    shape_basis,
     shape_masks,
 )
 from vspart.errors import BadRange, BudgetExceeded
@@ -222,7 +221,7 @@ def _reference_mask(F, n, basis):
 def test_shape_masks_match_every_vector(q, top):
     """The i-th mask of the shape walk is the point set of all_subspaces'
     i-th subspace, found from every vector of the ambient, and its
-    mask_of; shape_basis decodes i back to that subspace's basis."""
+    mask_of."""
     F = make_field(q)
     for n in range(1, top + 1):
         pi = point_index(n, F)
@@ -233,7 +232,6 @@ def test_shape_masks_match_every_vector(q, top):
             for i, (U, mask) in enumerate(zip(subspaces, masks)):
                 assert mask == _reference_mask(F, n, U.basis), (n, d, i)
                 assert mask == pi.mask_of(U)
-                assert shape_basis(n, q, d, i) == U.basis
 
 
 def test_shape_walk_edges():
@@ -241,10 +239,6 @@ def test_shape_walk_edges():
     pi = point_index(3, F)
     assert list(shape_masks(pi, 0)) == [0]
     assert list(shape_masks(pi, 3)) == [pi.full_mask]
-    assert shape_basis(3, 3, 0, 0) == ()
     for d in (-1, 4):
         with pytest.raises(BadRange):
             shape_masks(pi, d)
-    for index in (-1, gaussian_binomial(3, 2, 3)):
-        with pytest.raises(BadRange):
-            shape_basis(3, 3, 2, index)

@@ -243,3 +243,52 @@ def test_one_function_pins_the_search_tables():
     source = (Path(vspart.__file__).parent / "search.py").read_text(
         encoding="utf-8")
     assert _writers(source, "per_point") == ["_pinned"]
+
+
+def _unexported_public_functions(sources):
+    """Public module-level functions, over the given {module name: source}
+    package, that __init__ does not export and no other module reads."""
+    defined = []
+    readers = {}  # name -> {module}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module != "__init__":
+            defined += [(module, stmt.name) for stmt in tree.body
+                        if isinstance(stmt, ast.FunctionDef)
+                        and not stmt.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read = [node.id]
+            elif isinstance(node, ast.Attribute):
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                read = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in read:
+                readers.setdefault(name, set()).add(module)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not readers.get(name, set()) - {module})
+
+
+def test_the_check_sees_an_unexported_public_function():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "def exported():\n    pass\n\ndef shared():\n    pass\n\n"
+             "def alone():\n    alone()\n\ndef _private():\n    pass\n\n"
+             "class C:\n    def method(self):\n        pass\n",
+        "b": "from . import a\na.shared()\n",
+    }
+    assert _unexported_public_functions(sources) == ["a.alone"]
+
+
+def test_every_public_function_is_exported_or_read_elsewhere():
+    """A public function that neither the API nor another module reads is
+    left behind, as a decoder is when a refactor replaces it.  The command
+    line's entry point and parser builder are read by the console script
+    and the tests, and hstats.hyperplane_masks is the tests' reference."""
+    package = Path(vspart.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _unexported_public_functions(sources) == [
+        "cli.build_parser", "cli.main", "hstats.hyperplane_masks"]

@@ -1,5 +1,6 @@
 """Exhaustive enumeration, minimum-size search, and the sweep oracles."""
 import json
+import random
 from functools import cache
 from itertools import islice, product
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vspart.search as search
+from vspart.analysis import SupertailReport, TailClass, analyze_supertail
 from vspart.candidates import _Candidates, _SubspaceCandidates
 from vspart.constructions import minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes, all_subspaces
@@ -931,6 +933,24 @@ def test_stream_members_are_shared():
     assert len(first) == 15 + 35 < held
 
 
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3)])
+def test_candidates_decode_members_from_their_masks_in_any_order(n, q):
+    """member(cid) reads only the mask of candidate cid, so a shuffled
+    list of every subspace mask decodes: each member is the subspace with
+    that mask, already holds it, and is made once."""
+    F = make_field(q)
+    pi = point_index(n, F)
+    subspaces = {pi.mask_of(U): U for d in range(1, n + 1)
+                 for U in all_subspaces(n, d, F)}
+    cands = [(mask, U.dim) for mask, U in subspaces.items()]
+    random.Random(n * q).shuffle(cands)
+    tables = _Candidates(pi, cands)
+    for cid, (mask, d) in enumerate(cands):
+        M = tables.member(cid)
+        assert (M, M.dim, M._mask) == (subspaces[mask], d, mask)
+        assert tables.member(cid) is M
+
+
 def test_subspace_candidates_decode_all_subspaces():
     """Candidate ids run over the dimensions in the order given, each in
     all_subspaces order; member(cid) is that subspace, with its mask."""
@@ -1122,6 +1142,74 @@ def test_conjecture_search_v32():
     assert f.counterexamples == ()
     assert f.violations == ()
     assert f.ok
+
+
+def _split_spread_stream(monkeypatch):
+    """Make conjecture_search stream one partition of V(6, 2), a 3-spread
+    with one member split into a line and four points, and return it."""
+    P = refine(spread(6, 3, F2), 0, minimal_partition(3, 2, F2))
+    assert str(P.type()) == "[1^4, 2^1, 3^8]"
+    monkeypatch.setattr(search, "enumerate_partitions",
+                        lambda *args, **kwargs: iter([P]))
+    return P
+
+
+def test_conjecture_search_counts_a_narrow_minimum_case(monkeypatch):
+    """Labeled enumeration finishes only where no narrow case exists, so
+    the narrow bookkeeping runs on a streamed [1^4, 2^1, 3^8]: at cut 3
+    its tail [1^4, 2^1] is narrow (3 < 2 * 2), has the minimum size 5,
+    meets all three side conditions and is two-dim; cut 2 is not in the
+    range and is skipped."""
+    _split_spread_stream(monkeypatch)
+    f = conjecture_search(6, 2, (3,))
+    assert (f.partitions_examined, f.cases_examined) == (1, 1)
+    assert (f.narrow_cases, f.minimum_narrow_cases) == (1, 1)
+    assert f.condition_counts == (1, 1, 1)
+    assert f.class_counts == (("two-dim", 1),)
+    assert (f.open_cases, f.counterexamples, f.violations) == ((), (), ())
+    assert f.ok
+
+
+def test_conjecture_search_reports_open_cases_and_violations(monkeypatch):
+    """A minimum narrow case that meets no side condition is open, and a
+    counterexample when its union is not a subspace; every violation
+    text of a report is kept with its type and cut."""
+    P = _split_spread_stream(monkeypatch)
+    real = analyze_supertail(P, 3, mode="explore")
+    fields = {f: getattr(real, f) for f in SupertailReport.__annotations__}
+    held = tuple((name, False) for name, _ in real.conditions)
+    reports = iter([
+        SupertailReport(**{**fields, "conditions": held,
+                           "classification": TailClass.NOT_SUBSPACE}),
+        SupertailReport(**{**fields, "violations": ("broken",)}),
+    ])
+    monkeypatch.setattr(search, "analyze_supertail",
+                        lambda *args, **kwargs: next(reports))
+    f = conjecture_search(6, 2, (2, 3))
+    assert (f.cases_examined, f.narrow_cases, f.minimum_narrow_cases) == (
+        2, 2, 2)
+    assert f.condition_counts == (1, 1, 1)
+    assert f.class_counts == (("not-subspace", 1), ("two-dim", 1))
+    case = search.ConjectureCase("[1^4, 2^1, 3^8]", 2, 2, 5, 5,
+                                 (False, False, False), "not-subspace", 3)
+    assert f.open_cases == f.counterexamples == (case,)
+    assert f.violations == ("[1^4, 2^1, 3^8] cut 3: broken",)
+    assert not f.ok
+
+
+def test_searches_blame_n_below_its_least_value():
+    """An ambient dimension below what a search takes is refused by the
+    check on n, not by a bound on max_dim, t or cut derived from it."""
+    for call, least in [
+        (lambda n: list(enumerate_partitions(n, 2, 1)), 1),
+        (lambda n: conjecture_search(n, 2), 1),
+        (lambda n: search_min_partition_size(n, 1, 2), 2),
+        (lambda n: check_no_minimum_supertail(n, 1, 2), 2),
+    ]:
+        for n in range(-1, least):
+            with pytest.raises(BadRange, match=f"^n must be at least "
+                                               f"{least}, got {n}$"):
+                call(n)
 
 
 def test_conjecture_search_empty_range():
