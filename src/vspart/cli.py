@@ -9,13 +9,21 @@ Exit codes: 0 success, 2 I/O or file format problems, 3 validation
 failures and out-of-range arguments, 4 assertion failures (a proven
 conclusion did not hold, or the oracle disagreed with the formula),
 5 exhausted search budget.
+
+Every subcommand's arguments are one table, _COMMANDS, read two ways.
+build_parser builds the argparse parser from it.  _plain_parse reads a
+well-formed command line straight from it, with no parser built and
+argparse not imported: exact option spellings, values that int() and
+the choices accept, and every required argument present.  Any other
+command line, help included, goes to argparse, so every usage, help
+and error text and every exit status is argparse's own.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from .analysis import analyze_supertail, check_dimension_gap, check_nested_bound
 from .constructions import beutelspacher, minimal_partition, spread
@@ -239,81 +247,82 @@ def _cmd_search_conjecture(args):
     return EXIT_OK if findings.ok else EXIT_ASSERTION
 
 
-def _add_construct(sub):
-    c = sub.add_parser("construct", help="build a partition and write it")
-    c.add_argument("kind", choices=["spread", "beutelspacher", "minimal"])
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--t", type=int, help="largest dimension (spread, minimal)")
-    c.add_argument("--d", type=int, help="small dimension (beutelspacher)")
-    c.add_argument("--out", required=True)
-    c.add_argument("--format", choices=["text", "json"], default="text")
-    c.set_defaults(func=_cmd_construct)
-
-
-def _add_verify(sub):
-    v = sub.add_parser("verify", help="validate a partition file")
-    v.add_argument("file")
-    v.add_argument("--all-identities", action="store_true")
-    v.set_defaults(func=_cmd_verify)
-
-
-def _add_analyze(sub):
-    a = sub.add_parser("analyze", help="supertail structure report")
-    a.add_argument("file")
-    a.add_argument("--cut", type=int, required=True)
-    a.add_argument("--mode", choices=["assert", "explore"], default="assert")
-    a.set_defaults(func=_cmd_analyze)
-
-
-def _add_sigma(sub):
-    s = sub.add_parser("sigma", help="minimum partition size")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--oracle", action="store_true",
-                   help="cross-check with brute-force search")
-    s.add_argument("--budget", type=int)
-    s.set_defaults(func=_cmd_sigma)
-
-
-def _add_search(sub):
-    se = sub.add_parser("search", help="exhaustive searches")
-    sesub = se.add_subparsers(dest="search_kind", required=True)
-
-    sp = sesub.add_parser("partitions", help="enumerate all partitions")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--size-limit", type=int)
-    sp.add_argument("--count-limit", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--checkpoint", help="resume file for long runs")
-    sp.set_defaults(func=_cmd_search_partitions)
-
-    sc = sesub.add_parser("conjecture", help="sweep supertail cases")
-    sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--q", type=int, required=True)
-    sc.add_argument("--max-dim", type=int)
-    sc.add_argument("--cuts", type=int, nargs="*")
-    sc.add_argument("--budget", type=int)
-    sc.set_defaults(func=_cmd_search_conjecture)
-
-
-# Subcommands in the order they are listed in usage and help.
+# Every subcommand in the order that usage and help list them: its help
+# and either its handler and arguments, each a name and the keywords of
+# add_argument, or its own subcommands.  build_parser and _plain_parse
+# both read this table.
 _COMMANDS = {
-    "construct": _add_construct,
-    "verify": _add_verify,
-    "analyze": _add_analyze,
-    "sigma": _add_sigma,
-    "search": _add_search,
+    "construct": ("build a partition and write it", _cmd_construct, (
+        ("kind", {"choices": ["spread", "beutelspacher", "minimal"]}),
+        ("--n", {"type": int, "required": True}),
+        ("--q", {"type": int, "required": True}),
+        ("--t", {"type": int, "help": "largest dimension (spread, minimal)"}),
+        ("--d", {"type": int, "help": "small dimension (beutelspacher)"}),
+        ("--out", {"required": True}),
+        ("--format", {"choices": ["text", "json"], "default": "text"}),
+    )),
+    "verify": ("validate a partition file", _cmd_verify, (
+        ("file", {}),
+        ("--all-identities", {"action": "store_true"}),
+    )),
+    "analyze": ("supertail structure report", _cmd_analyze, (
+        ("file", {}),
+        ("--cut", {"type": int, "required": True}),
+        ("--mode", {"choices": ["assert", "explore"], "default": "assert"}),
+    )),
+    "sigma": ("minimum partition size", _cmd_sigma, (
+        ("--n", {"type": int, "required": True}),
+        ("--t", {"type": int, "required": True}),
+        ("--q", {"type": int, "required": True}),
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check with brute-force search"}),
+        ("--budget", {"type": int}),
+    )),
+    "search": ("exhaustive searches", {
+        "partitions": ("enumerate all partitions", _cmd_search_partitions, (
+            ("--n", {"type": int, "required": True}),
+            ("--q", {"type": int, "required": True}),
+            ("--max-dim", {"type": int}),
+            ("--size-limit", {"type": int}),
+            ("--count-limit", {"type": int}),
+            ("--budget", {"type": int}),
+            ("--checkpoint", {"help": "resume file for long runs"}),
+        )),
+        "conjecture": ("sweep supertail cases", _cmd_search_conjecture, (
+            ("--n", {"type": int, "required": True}),
+            ("--q", {"type": int, "required": True}),
+            ("--max-dim", {"type": int}),
+            ("--cuts", {"type": int, "nargs": "*"}),
+            ("--budget", {"type": int}),
+        )),
+    }),
 }
+
+
+def _add_commands(sub, commands, only=None):
+    """Add to the subparsers sub the parser of each command of the table
+    commands, or only of the one named only; the subcommands of a
+    command name their choice as f"{name}_kind"."""
+    for name, (text, *body) in commands.items():
+        if only not in (None, name):
+            continue
+        parser = sub.add_parser(name, help=text)
+        if len(body) == 1:
+            _add_commands(parser.add_subparsers(dest=f"{name}_kind",
+                                                required=True), body[0])
+            continue
+        func, arguments = body
+        for flag, options in arguments:
+            parser.add_argument(flag, **options)
+        parser.set_defaults(func=func)
 
 
 def build_parser(command=None):
     """The command line parser.  With a command name, only that
     subcommand's parser is built; the top-level usage still lists every
     subcommand, so all usage, help and error texts read the same."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vspart",
         description="Construct, verify, analyze, and search subspace "
@@ -323,17 +332,92 @@ def build_parser(command=None):
     # the full parser keeps argparse's own name for the argument in errors.
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in _COMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    _add_commands(sub, _COMMANDS, command)
     return parser
+
+
+def _plain_parse(argv):
+    """The namespace that build_parser().parse_args(argv) returns, read
+    straight from _COMMANDS, or None when argv is not a plain,
+    well-formed command line (see the module docstring); argparse then
+    reads it."""
+    values = {}
+    commands, dest, rest = _COMMANDS, "command", list(argv)
+    while True:
+        if not rest or rest[0] not in commands:
+            return None
+        name = values[dest] = rest.pop(0)
+        _, *body = commands[name]
+        if len(body) == 2:
+            break
+        commands, dest = body[0], f"{name}_kind"
+    func, arguments = body
+    options = {flag: spec for flag, spec in arguments if flag[0] == "-"}
+    for flag, spec in options.items():
+        values[_dest(flag)] = spec.get("default",
+                                       False if "action" in spec else None)
+    words = []
+    seen = set()
+    while rest:
+        token = rest.pop(0)
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        spec = options.get(token)
+        if spec is None:
+            return None
+        seen.add(token)
+        if "action" in spec:  # store_true
+            values[_dest(token)] = True
+            continue
+        if "nargs" in spec:  # "*": every value up to the next option
+            count = next((i for i, w in enumerate(rest) if w[:1] == "-"),
+                         len(rest))
+        elif rest and rest[0][:1] != "-":
+            count = 1
+        else:
+            return None
+        given = [_plain_value(spec, w) for w in rest[:count]]
+        del rest[:count]
+        if None in given:
+            return None
+        values[_dest(token)] = given if "nargs" in spec else given[0]
+    positionals = [(flag, spec) for flag, spec in arguments
+                   if flag[0] != "-"]
+    if len(words) != len(positionals) or any(
+            spec.get("required") and flag not in seen
+            for flag, spec in options.items()):
+        return None
+    for (flag, spec), word in zip(positionals, words):
+        values[flag] = _plain_value(spec, word)
+        if values[flag] is None:
+            return None
+    return SimpleNamespace(func=func, **values)
+
+
+def _dest(flag):
+    """The attribute argparse names an option --flag-name by."""
+    return flag[2:].replace("-", "_")
+
+
+def _plain_value(spec, word):
+    """word converted by the type of the argument spec and in its
+    choices, or None where argparse would refuse it."""
+    if spec.get("type") is int:
+        try:
+            word = int(word)
+        except ValueError:
+            return None
+    return word if word in spec.get("choices", (word,)) else None
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain_parse(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, FileFormatError) as exc:

@@ -48,10 +48,15 @@ is given a resumed frontier.  conjecture_search streams
 enumerate_partitions.  The candidate tables come from candidates.py:
 every subspace of the member dimensions as a point mask, walked from its
 echelon shape, and a Subspace only for a member of an emitted partition.
+enumerate_partitions lists them all before its first node.  The two
+size searches write their pins down (_pinned) and walk the other
+subspaces only when the engine first reads a point past p1, so a search
+that the pins settle, as most oracle calls are, lists no table.
 Each call checks its limits once, in _checked_call, which fixes one node
 budget and one deadline for the whole call; the engine counts the nodes
 of all the call's cover streams together, reads the clock every 1024 of
-them, and raises BudgetExceeded past either limit.  Only
+them, and raises BudgetExceeded past either limit.  A table walk, up
+front or past p1, is neither counted nor timed.  Only
 enumerate_partitions attaches a checkpoint: a JSON-serializable frontier
 that it can resume from.
 
@@ -68,7 +73,7 @@ import time
 
 from ._record import record
 from .analysis import analyze_supertail, TailClass
-from .candidates import _SubspaceCandidates
+from .candidates import _PinnedCandidates, _SubspaceCandidates
 from .constructions import minimal_partition
 from .errors import (
     BadRange,
@@ -86,7 +91,7 @@ from .partitions import (
     supertail,
     validate,
 )
-from .spaces import Subspace, _check_space, num_points, span
+from .spaces import Subspace, _check_space, num_points, point_index, span
 
 ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
@@ -315,18 +320,27 @@ def _pinned(n, field, dims, top):
     meets L0 trivially is kept.  A partition with a member of dimension
     top has an image under GL(n,q), of the same type, that contains L0
     and, through p1, the kept candidate of its dimension (proof in
-    search_min_partition_size).  The pins are not sound for counting."""
-    tables = _SubspaceCandidates(n, field, dims)
+    search_min_partition_size).  The pins are not sound for counting.
+
+    The kept candidates are written down.  Let m = n - top - 1.  L0's
+    points lead at a column after m, so they rank first and p1 = e_m.
+    A d-subspace M through e_m that meets L0 trivially has every pivot
+    at most m, as a row pivoted after m lies in L0, and m is a pivot,
+    as e_m is 0 at every pivot before m.  So the least pivot tuple in
+    shape order is (0, ..., d-2, m) and its first fill is the zero one:
+    K_d = <e_0, ..., e_{d-2}, e_m>, for each d <= n - top, and there is
+    none for larger d.  The other points' lists are built only when the
+    engine first reads one (candidates._PinnedCandidates), in the order
+    of the full tables."""
+    pi = point_index(n, field)
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n - top, n)]
     root = span(rows, n, field)
-    covered = tables.pi.mask_of(root)
-    p1 = _least_point(tables.pi.full_mask & ~covered)
-    first = {}
-    for cid in tables.per_point[p1]:
-        mask, d = tables.cands[cid]
-        if not mask & covered:
-            first.setdefault(d, cid)
-    tables.per_point[p1] = list(first.values())
+    covered = pi.mask_of(root)
+    p1 = _least_point(pi.full_mask & ~covered)
+    pins = [(pi._unit_mask([*range(d - 1), n - top - 1]), d)
+            for d in dims if d <= n - top]
+    tables = _PinnedCandidates(pi, dims, pins)
+    tables.per_point[p1] = list(range(len(pins)))
     return tables, root, covered
 
 

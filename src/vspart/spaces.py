@@ -399,6 +399,21 @@ class PointIndex:
             U._mask = mask
         return U._mask
 
+    def _unit_mask(self, cols):
+        """Point mask of the span of the unit vectors e_j, j in the
+        increasing cols, with no Subspace built: its points lead with 1
+        at some j in cols and have any codes at the later columns of
+        cols, so each rank is read off its base-q value."""
+        place, shift = self._place, self._shift
+        mask = 0
+        later = [0]  # base-q values of the vectors on the columns after j
+        for j in reversed(cols):
+            for v in later:
+                mask |= 1 << v + place[j] - shift[j]
+            later = [v + c * place[j] for c in range(self.field.q)
+                     for v in later]
+        return mask
+
     def vectors_of_mask(self, mask):
         out = []
         while mask:

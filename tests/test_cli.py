@@ -1,7 +1,11 @@
 """The command line surface, driven through main(argv)."""
 import argparse
+import ast
+import importlib.util
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -475,3 +479,162 @@ def test_search_blames_n_below_one(kind, capsys):
     """--n 0 exits 3 naming n, not the max_dim of n - 1 derived from it."""
     assert main(["search", kind, "--n", "0", "--q", "2"]) == 3
     assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
+
+
+def _read_by_argparse(argv):
+    """What the full parser makes of argv: its namespace as a dict, or
+    the exit status it stops with."""
+    try:
+        return vars(cli.build_parser().parse_args(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _command_lines_of_this_file():
+    """The argv of every main([...]) call in this file whose list is
+    written out; each element that is not a literal (a path, str(n)) is
+    "2", and a starred one adds nothing."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    return [
+        [e.value if isinstance(e, ast.Constant) else "2"
+         for e in node.args[0].elts if not isinstance(e, ast.Starred)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "main" and node.args
+        and isinstance(node.args[0], ast.List)
+    ]
+
+
+def _command_lines_of_the_readme():
+    """The vspart command lines of the README's code blocks, continued
+    lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = readme.split("```")[1::2]
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("vspart ")]
+
+
+def _benchmark_module():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_command_lines():
+    workloads = _benchmark_module()
+    return [job["argv"] for name in ("verify", "oracle")
+            for job in workloads.jobs(name, "work")]
+
+
+SIGMA = ["sigma", "--n", "5", "--t", "2", "--q", "2"]
+CONSTRUCT = ["construct", "spread", "--n", "4", "--q", "2", "--t", "2",
+             "--out", "x"]
+CONJECTURE = ["search", "conjecture", "--n", "4", "--q", "2"]
+
+# Reordered and repeated options and positionals, each well formed.
+REORDERED = [
+    ["sigma", "--oracle", "--q", "2", "--t", "2", "--n", "5"],
+    SIGMA + ["--n", "6", "--oracle", "--oracle", "--budget", "7"],
+    ["construct", "--out", "x", "--t", "2", "minimal", "--q", "3",
+     "--n", "4", "--format", "json", "--format", "text"],
+    ["analyze", "--mode", "explore", "--cut", "3", "f", "--cut", "2"],
+    ["verify", "--all-identities", "f"],
+    ["search", "partitions", "--checkpoint", "c", "--q", "2", "--n", "3",
+     "--max-dim", "2", "--size-limit", "5", "--count-limit", "1"],
+    CONJECTURE + ["--cuts", "2", "3", "--budget", "9"],
+    ["search", "conjecture", "--cuts", "3", "--n", "4", "--cuts", "2",
+     "--q", "2"],
+    CONJECTURE + ["--cuts"],
+    CONJECTURE + ["--cuts", "--max-dim", "3"],
+    ["verify", ""],
+    ["sigma", "--n", " 5", "--t", "+2", "--q", "0_2"],
+]
+
+# Lines the plain parse leaves to argparse: abbreviated, "=" and
+# negative-valued options, help, unknown or missing names, values that
+# int() or the choices refuse, extra positionals and "--".
+LEFT_TO_ARGPARSE = [
+    ["sigma", "--n", "5", "--t", "2", "--qq", "2"],
+    ["sigma", "--n", "5", "--t", "2", "--q=2"],
+    ["sigma", "--n=5", "--t", "2", "--q", "2"],
+    SIGMA + ["--orac"],
+    SIGMA + ["--budget", "-5"],
+    SIGMA + ["--budget", "-1e3"],
+    ["sigma", "--n", "-5", "--t", "2", "--q", "2"],
+    CONJECTURE + ["--cuts", "2", "-3"],
+    CONJECTURE + ["--cuts", "-1"],
+    CONJECTURE + ["--cuts", "two"],
+    CONJECTURE + ["--cut", "2"],
+    SIGMA + ["-h"], SIGMA + ["--help"], ["-h", "sigma"], ["--help"],
+    SIGMA + ["--bogus"], SIGMA + ["extra"], SIGMA + ["--"],
+    SIGMA[:-2], SIGMA + ["--budget"], SIGMA[:-1] + ["two"],
+    ["sig", "--n", "5"], ["Sigma"] + SIGMA[1:], [],
+    ["search"], ["search", "part", "--n", "3", "--q", "2"],
+    ["search", "--n", "3", "partitions", "--q", "2"],
+    CONSTRUCT[:1] + ["Spread"] + CONSTRUCT[2:],
+    CONSTRUCT + ["--format", "xml"],
+    CONSTRUCT + ["--out", "-"],
+    CONSTRUCT + ["--out"],
+    CONSTRUCT[:1] + CONSTRUCT[2:],
+    ["verify"], ["verify", "a", "b"], ["verify", "-"],
+    ["verify", "--all", "f"], ["verify", "--all-identities=1", "f"],
+    ["analyze", "f", "--cut", "2", "--mode", "Explore"],
+    ["analyze", "f", "--cut", "2.0"],
+    ["analyze", "f", "--mode", "explore"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _command_lines_of_this_file() + _command_lines_of_the_readme()
+    + _benchmark_command_lines() + REORDERED + LEFT_TO_ARGPARSE,
+    ids=" ".join,
+)
+def test_plain_parse_agrees_with_argparse(argv, capsys):
+    """The plain parse reads every command line that argparse accepts and
+    that holds no negative number, into argparse's own namespace, and
+    leaves every other line to argparse."""
+    plain = cli._plain_parse(list(argv))
+    full = _read_by_argparse(argv)
+    capsys.readouterr()
+    negative = any(token[:1] == "-" and token[1:2].isdigit()
+                   for token in argv)
+    left = (argv in LEFT_TO_ARGPARSE or not isinstance(full, dict)
+            or negative)
+    assert (plain is None) == left
+    if plain is not None:
+        assert vars(plain) == full
+
+
+def test_the_agreement_lines_cover_every_source():
+    """Every written-out command line of this file, the README examples
+    and the benchmark's lines are among those checked, and most are read
+    plainly."""
+    assert len(_command_lines_of_this_file()) >= 35
+    assert len(_command_lines_of_the_readme()) >= 12
+    assert ["sigma", "--n", "5", "--t", "2", "--q", "2",
+            "--oracle"] in _benchmark_command_lines()
+    lines = (_command_lines_of_this_file() + _command_lines_of_the_readme()
+             + _benchmark_command_lines() + REORDERED)
+    assert sum(cli._plain_parse(argv) is not None for argv in lines) >= 60
+
+
+def test_benchmark_command_lines_build_no_parser(tmp_path, monkeypatch):
+    """The benchmark's verify, analyze and oracle command lines, run as
+    its jobs run them, are read with no argparse parser built."""
+    workloads = _benchmark_module()
+
+    def refuse(command=None):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    workloads.setup("verify", 1, str(tmp_path), toy=True)
+    jobs = (workloads.jobs("verify", str(tmp_path), toy=True)
+            + workloads.jobs("oracle", str(tmp_path)))
+    assert {job["argv"][0] for job in jobs} == {"verify", "analyze", "sigma"}
+    for job in jobs:
+        assert workloads.run_job(job) == (True, {"exit_code": 0})

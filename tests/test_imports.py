@@ -66,6 +66,28 @@ def test_import_loads_no_code_generation_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_well_formed_command_loads_no_parser_modules():
+    """A well-formed command line is read from the option table, so one
+    run of main loads neither argparse nor the gettext and locale that
+    argparse's messages pull in, besides the modules above."""
+    src = Path(vspart.__file__).parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import vspart.cli; "
+        "code = vspart.cli.main(['sigma', '--n', '5', '--t', '2', "
+        "'--q', '2', '--oracle']); "
+        "print(code, sorted(set(sys.argv[2:]) & set(sys.modules)))"
+    )
+    heavy = ["argparse", "gettext", "locale", "dataclasses", "inspect",
+             "fractions", "decimal"]
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src), *heavy],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0] == "sigma(5,2;q=2) = 13"
+    assert lines[-1] == "0 []"
+
+
 def _stranded_private_names(sources):
     """Module-level _private names that no statement other than their own
     definition reads, over the given {module name: source} package."""

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, minimum-size search, and the sweep oracles."""
 import json
 import random
+import time
 from functools import cache
 from itertools import islice, product
 from pathlib import Path
@@ -844,6 +845,111 @@ def test_search_min_settles_every_triple_up_to_127_points(n, t, q):
     assert res.size == min_partition_size(n, t, q)
     assert validate(res.partition).ok
     assert max(res.partition.dims()) == t
+
+
+@pytest.mark.parametrize("n, t, q", [
+    triple for triple in _triples_up_to(255) if triple[2] <= 13])
+def test_search_min_agrees_with_the_formula_up_to_255_points(n, t, q):
+    """Past the default point limit the pins still settle the oracle: it
+    lists no table while its witness holds, so every triple with at most
+    255 points answers with the formula's minimum."""
+    res = search_min_partition_size(n, t, q, point_limit=255)
+    assert res.size == min_partition_size(n, t, q)
+
+
+def test_pinned_budget_stops_before_any_table():
+    """A budget of one node stops the (8,4,2) oracle at its second node,
+    at p1, where only the pinned candidates are listed: the table of
+    every subspace, which took 1.5 s and 100 MB, is never built."""
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 1 nodes$"):
+        search_min_partition_size(8, 4, 2, point_limit=255, budget=1,
+                                  time_limit=0)
+    assert time.monotonic() - started < 0.1
+
+
+def _first_disjoint_at_p1(full, top):
+    """The pins by their definition: in the full tables, the first
+    candidate of each dimension through p1 that meets L0 trivially."""
+    pi = full.pi
+    n = pi.n
+    L0 = span([tuple(int(i == j) for j in range(n))
+               for i in range(n - top, n)], n, pi.field)
+    covered = pi.mask_of(L0)
+    p1 = search._least_point(pi.full_mask & ~covered)
+    first = {}
+    for cid in full.per_point[p1]:
+        mask, d = full.cands[cid]
+        if not mask & covered:
+            first.setdefault(d, (mask, d))
+    return p1, list(first.values())
+
+
+@pytest.mark.parametrize("n, q", [(n, 2) for n in range(2, 8)]
+                         + [(n, 3) for n in range(2, 6)]
+                         + [(3, 4), (4, 4), (3, 5)])
+def test_written_down_pins_are_the_first_disjoint_candidates(n, q):
+    """K_d = <e_0, ..., e_{d-2}, p1> is the candidate that scanning p1's
+    full list keeps, for every top and every dimension d, and pinning
+    lists no other candidate."""
+    F = make_field(q)
+    dims = range(n - 1, 0, -1)
+    full = _SubspaceCandidates(n, F, dims)
+    for top in range(1, n):
+        p1, first = _first_disjoint_at_p1(full, top)
+        tables, _, _ = search._pinned(n, F, dims, top)
+        assert [tables.cands[cid] for cid in tables.per_point[p1]] == first
+        assert [d for _, d in first] == [d for d in dims if d <= n - top]
+        assert list(tables.per_point) == [p1]
+        assert len(tables.cands) == len(first)
+
+
+def _kept_pins(monkeypatch):
+    """The dimensions, tables and covered mask of each _pinned call."""
+    made = []
+    pinned = search._pinned
+
+    def keep(n, field, dims, top):
+        tables, root, covered = pinned(n, field, dims, top)
+        made.append((dims, tables, covered))
+        return tables, root, covered
+
+    monkeypatch.setattr(search, "_pinned", keep)
+    return made
+
+
+def test_oracle_settled_at_p1_lists_no_other_point(monkeypatch):
+    """The (5,2,2) oracle cuts both pins at p1, so no other point's list
+    and no candidate but the two pins is ever listed."""
+    made = _kept_pins(monkeypatch)
+    assert search_min_partition_size(5, 2, 2).nodes == 2
+    [(_, tables, covered)] = made
+    p1 = search._least_point(tables.pi.full_mask & ~covered)
+    assert list(tables.per_point) == [p1]
+    assert [d for _, d in tables.cands] == [2, 1]
+
+
+@pytest.mark.parametrize("n, t, q", [(5, 2, 2), (4, 2, 3), (5, 3, 2)])
+def test_lists_past_p1_are_those_of_the_full_tables(monkeypatch, n, t, q):
+    """A search that leaves p1, here the oracle without a witness, lists
+    every subspace after the pins, in the order of the full tables, and
+    each other point reads the full tables' list there, so node counts
+    and streams do not move."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    made = _kept_pins(monkeypatch)
+    search_min_partition_size(n, t, q)
+    [(dims, tables, covered)] = made
+    pi = tables.pi
+    p1 = search._least_point(pi.full_mask & ~covered)
+    full = _SubspaceCandidates(pi.n, pi.field, dims)
+    k = len(tables.per_point[p1])
+    assert tables.cands[k:] == full.cands
+    assert sorted(tables.per_point) == list(range(pi.size))
+    for p in range(pi.size):
+        if p != p1:
+            assert tables.per_point[p] == [cid + k for cid in
+                                           full.per_point[p]]
 
 
 def _spoiled(how):
