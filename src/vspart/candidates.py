@@ -1,38 +1,42 @@
 """Candidate tables of the exact-cover engine.
 
 The engine in search.py covers the points of V(n, q) by candidates, each
-a point bitmask with a dimension.  _Candidates holds such a list, in any
-order and from any source, with the tables the engine reads: the
-candidates through each point, and the count-vector table whose two
-prunes are proved in search._exact_cover.  _SubspaceCandidates fills the
-list with every subspace of some dimensions, walked from echelon shapes
-(enumeration.shape_masks).  _PinnedCandidates holds the same subspaces
-for a search whose first branch point is pinned (search._pinned): its
-list starts as the pinned candidates, and the subspaces are walked, and
-every other point's list filled, on the first read of a point that has
-no list, so a search settled at its first branch point walks none.  A
-Subspace is made only for a candidate that an emitted cover names,
-spanned by its points once and kept, so that covers streamed one after
-another share their member objects; it reads only the candidate's mask,
-so any list of subspace masks decodes, in any order.
+a point bitmask with a dimension.  _Candidates holds the list of one
+search, with the tables the engine reads: the candidates through each
+point, and the count-vector table whose two prunes are proved in
+search._exact_cover.  The list starts as the given pins, listed at one
+point (search._pinned writes them down).  Every subspace of the
+candidate dimensions, walked from its echelon shape
+(enumeration.shape_masks), is appended and listed at every other point
+only on the first read of a point that has no list, so a search that
+never leaves its pins, or returns before its first node, walks none.
+The walk reads the search's clock every 1024 subspaces.  A Subspace is
+made only for a candidate that an emitted cover names, spanned by its
+points once and kept, so that covers streamed one after another share
+their member objects; it reads only the candidate's mask, so any list
+of subspace masks decodes, in any order.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import islice
 
 from .enumeration import shape_masks
-from .spaces import num_points, point_index, span
+from .spaces import num_points, span
+
+# The search reads the clock every 1024 engine nodes and every 1024
+# subspaces walked.
+_TIME_CHECK_MASK = 0x3FF
 
 
 class _Candidates:
     """Candidates cands, a list of (point mask, dimension) pairs over the
-    point index pi, plus per_point, the ids of the candidates through
-    each point in list order: lists built here, or the per_point given,
-    which a subclass fills as the engine reads it.  dims are the
-    candidate dimensions, by default those of cands.  A mask that member
-    reads must be the point set of a subspace.
+    point index pi, and per_point, a dict from a point to the ids of the
+    candidates through it, in list order.  cands starts as pins, listed
+    only at the point at (at none when at is None); listed() appends
+    every subspace of the dimensions dims, dims in the order given and
+    shape order within one, and lists them at every other point.  A mask
+    that member reads must be the point set of a subspace.
 
     The size limit reads one table per (uncovered points, spare members):
     the vectors of member counts of the candidate dimensions that can hold
@@ -40,14 +44,14 @@ class _Candidates:
     built on first read, since only size-limited searches read it.
     """
 
-    def __init__(self, pi, cands, dims=None, per_point=None):
+    def __init__(self, pi, dims, pins=(), at=None):
         self.pi = pi
-        self.cands = cands
-        self._dims = sorted({d for _, d in cands} if dims is None
-                            else set(dims))
+        self.cands = list(pins)
+        self.per_point = ({} if at is None
+                          else {at: list(range(len(self.cands)))})
+        self._walk_dims = tuple(dims)
+        self._dims = sorted(self._walk_dims)
         self._tables = {}
-        self.per_point = (_point_lists(pi.size, cands) if per_point is None
-                          else per_point)
         q = pi.field.q
         self._thetas = [num_points(d, q) for d in self._dims]
         # (theta(d-1), q^(d-1)) and theta(n-d), the number of hyperplanes
@@ -56,6 +60,30 @@ class _Candidates:
                        for d in self._dims]
         self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
         self._members = {}
+
+    def listed(self, call):
+        """per_point with every point listed.  The first call walks every
+        subspace of the candidate dimensions, appends them to cands and
+        lists them at each point that has no list yet.  Every 1024
+        subspaces it calls call.check_clock(), call being the
+        search._Call; when that raises, nothing is appended or listed."""
+        pi, per_point = self.pi, self.per_point
+        if len(per_point) < pi.size:
+            start = len(self.cands)
+            walked = []
+            lists = [[] for _ in range(pi.size)]
+            for d in self._walk_dims:
+                for mask in shape_masks(pi, d):
+                    cid = start + len(walked)
+                    for p in _bits(mask):
+                        lists[p].append(cid)
+                    walked.append((mask, d))
+                    if not len(walked) & _TIME_CHECK_MASK:
+                        call.check_clock()
+            self.cands += walked
+            for p, plist in enumerate(lists):
+                per_point.setdefault(p, plist)
+        return per_point
 
     def member(self, cid):
         """Candidate cid as a Subspace, spanned by its points on first call
@@ -157,65 +185,6 @@ class _Candidates:
                    for need, lo, hi in totals[bit]):
                 return True
         return False
-
-
-class _SubspaceCandidates(_Candidates):
-    """Every subspace of V(n, q) of the dimensions dims as a candidate:
-    dims in the order given, all_subspaces order within a dimension."""
-
-    def __init__(self, n, field, dims):
-        pi = point_index(n, field)
-        super().__init__(pi, _every_subspace(pi, dims))
-
-
-class _PinnedCandidates(_Candidates):
-    """The candidates pins, (point mask, dimension) pairs over pi, then
-    every subspace of the dimensions dims as _SubspaceCandidates lists
-    them, walked only when the engine needs them.  per_point starts with
-    no list: search._pinned sets the first branch point's list to pins.
-    The first read of a point that has no list appends the subspaces to
-    cands and gives every point without a list the ids of those through
-    it, in list order."""
-
-    def __init__(self, pi, dims, pins):
-        cands = list(pins)
-        super().__init__(pi, cands, dims, _Unlisted(pi, cands, dims))
-
-
-class _Unlisted(dict):
-    """The per_point of a _PinnedCandidates, a dict by point.  Its first
-    missing point appends every subspace of the dimensions dims to cands
-    and lists them at each point that has no list yet."""
-
-    def __init__(self, pi, cands, dims):
-        super().__init__()
-        self.pi = pi
-        self.cands = cands
-        self.dims = dims
-
-    def __missing__(self, point):
-        start = len(self.cands)
-        self.cands.extend(_every_subspace(self.pi, self.dims))
-        lists = _point_lists(self.pi.size, self.cands, start)
-        for p, plist in enumerate(lists):
-            self.setdefault(p, plist)
-        return self[point]
-
-
-def _every_subspace(pi, dims):
-    """(point mask, d) of every d-subspace of pi's V(n, q), d in dims:
-    dims in the order given, all_subspaces order within a dimension."""
-    return [(mask, d) for d in dims for mask in shape_masks(pi, d)]
-
-
-def _point_lists(size, cands, start=0):
-    """For each of the size points, the ids from start on of the
-    candidates of cands through it, in list order."""
-    lists = [[] for _ in range(size)]
-    for cid, (mask, _) in enumerate(islice(cands, start, None), start):
-        for p in _bits(mask):
-            lists[p].append(cid)
-    return lists
 
 
 def _count_vectors(thetas, u, spare):

@@ -299,13 +299,11 @@ _COMMANDS = {
 }
 
 
-def _add_commands(sub, commands, only=None):
+def _add_commands(sub, commands):
     """Add to the subparsers sub the parser of each command of the table
-    commands, or only of the one named only; the subcommands of a
-    command name their choice as f"{name}_kind"."""
+    commands; the subcommands of a command name their choice as
+    f"{name}_kind"."""
     for name, (text, *body) in commands.items():
-        if only not in (None, name):
-            continue
         parser = sub.add_parser(name, help=text)
         if len(body) == 1:
             _add_commands(parser.add_subparsers(dest=f"{name}_kind",
@@ -317,10 +315,10 @@ def _add_commands(sub, commands, only=None):
         parser.set_defaults(func=func)
 
 
-def build_parser(command=None):
-    """The command line parser.  With a command name, only that
-    subcommand's parser is built; the top-level usage still lists every
-    subcommand, so all usage, help and error texts read the same."""
+def build_parser():
+    """The argparse parser of every subcommand, built only for a command
+    line that _plain_parse cannot read: it prints every usage, help and
+    error text."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -328,11 +326,8 @@ def build_parser(command=None):
         description="Construct, verify, analyze, and search subspace "
         "partitions of finite vector spaces.",
     )
-    # With one command built, the metavar keeps every choice in the usage;
-    # the full parser keeps argparse's own name for the argument in errors.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    _add_commands(sub, _COMMANDS, command)
+    sub = parser.add_subparsers(dest="command", required=True)
+    _add_commands(sub, _COMMANDS)
     return parser
 
 
@@ -416,8 +411,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = _plain_parse(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, FileFormatError) as exc:

@@ -48,15 +48,16 @@ is given a resumed frontier.  conjecture_search streams
 enumerate_partitions.  The candidate tables come from candidates.py:
 every subspace of the member dimensions as a point mask, walked from its
 echelon shape, and a Subspace only for a member of an emitted partition.
-enumerate_partitions lists them all before its first node.  The two
-size searches write their pins down (_pinned) and walk the other
-subspaces only when the engine first reads a point past p1, so a search
-that the pins settle, as most oracle calls are, lists no table.
+The subspaces are walked only when the engine first reads a point that
+has no list: at the first node of enumerate_partitions, so a call that
+returns before its first node walks none, and past p1 in the two size
+searches, which write their pins down (_pinned), so a search that the
+pins settle, as most oracle calls are, walks none.
 Each call checks its limits once, in _checked_call, which fixes one node
 budget and one deadline for the whole call; the engine counts the nodes
 of all the call's cover streams together, reads the clock every 1024 of
-them, and raises BudgetExceeded past either limit.  A table walk, up
-front or past p1, is neither counted nor timed.  Only
+them, and raises BudgetExceeded past either limit.  The table walk
+counts no node and reads the same deadline every 1024 subspaces.  Only
 enumerate_partitions attaches a checkpoint: a JSON-serializable frontier
 that it can resume from.
 
@@ -73,7 +74,7 @@ import time
 
 from ._record import record
 from .analysis import analyze_supertail, TailClass
-from .candidates import _PinnedCandidates, _SubspaceCandidates
+from .candidates import _TIME_CHECK_MASK, _Candidates
 from .constructions import minimal_partition
 from .errors import (
     BadRange,
@@ -96,7 +97,6 @@ from .spaces import Subspace, _check_space, num_points, point_index, span
 ORACLE_POINT_LIMIT = 127
 ORACLE_NODE_BUDGET = 10**8
 CHECKPOINT_VERSION = 1
-_TIME_CHECK_MASK = 0x3FF
 
 
 def _normalize_filter(type_filter):
@@ -135,6 +135,12 @@ class _Call:
         self.nodes = 0
         self.stats = {} if stats is None else stats
         self.stats.setdefault("nodes", 0)
+
+    def check_clock(self):
+        """Raise BudgetExceeded when the call is past its deadline."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(
+                f"search stopped after {self.time_limit} seconds")
 
 
 def _checked_call(n, q, point_limit, budget=None, time_limit=None,
@@ -196,7 +202,9 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     call.stats["nodes"]; past call.budget nodes, or past call.deadline
     (the clock read every 1024 nodes of the call), BudgetExceeded is
     raised with the top frame positioned to retry that attempt, so frames
-    stays a resumable frontier.
+    stays a resumable frontier.  The first read of a point that has no
+    list lists the table (tables.listed), which may raise it too, before
+    the frame is touched.
 
     size_limit prunes extensions that cannot finish within that many
     members, and the consumer may then send() a tighter limit back after
@@ -235,7 +243,7 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    budget, deadline = call.budget, call.deadline
+    budget = call.budget
     nodes = call.nodes
     size_prunes = hyperplane_prunes = 0
     try:
@@ -248,7 +256,10 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                 if filt is not None:
                     counts[d] -= 1
                 frame[2] = None
-            plist = per_point[frame[0]]
+            try:
+                plist = per_point[frame[0]]
+            except KeyError:
+                plist = tables.listed(call)[frame[0]]
             pos = frame[1]
             while pos < len(plist):
                 cid = plist[pos]
@@ -257,17 +268,12 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                     pos += 1
                     continue
                 nodes += 1
-                if nodes > budget or (
-                    deadline is not None
-                    and nodes & _TIME_CHECK_MASK == 0
-                    and time.monotonic() > deadline
-                ):
+                if nodes > budget or not nodes & _TIME_CHECK_MASK:
                     frame[1] = pos
-                    spent = (
-                        f"{budget} nodes" if nodes > budget
-                        else f"{call.time_limit} seconds"
-                    )
-                    raise BudgetExceeded(f"search stopped after {spent}")
+                    if nodes > budget:
+                        raise BudgetExceeded(
+                            f"search stopped after {budget} nodes")
+                    call.check_clock()
                 pos += 1
                 if filt is not None and counts[d] == filt[d]:
                     continue
@@ -330,8 +336,7 @@ def _pinned(n, field, dims, top):
     shape order is (0, ..., d-2, m) and its first fill is the zero one:
     K_d = <e_0, ..., e_{d-2}, e_m>, for each d <= n - top, and there is
     none for larger d.  The other points' lists are built only when the
-    engine first reads one (candidates._PinnedCandidates), in the order
-    of the full tables."""
+    engine first reads one (candidates._Candidates.listed)."""
     pi = point_index(n, field)
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n - top, n)]
     root = span(rows, n, field)
@@ -339,9 +344,7 @@ def _pinned(n, field, dims, top):
     p1 = _least_point(pi.full_mask & ~covered)
     pins = [(pi._unit_mask([*range(d - 1), n - top - 1]), d)
             for d in dims if d <= n - top]
-    tables = _PinnedCandidates(pi, dims, pins)
-    tables.per_point[p1] = list(range(len(pins)))
-    return tables, root, covered
+    return _Candidates(pi, dims, pins, p1), root, covered
 
 
 def _covers(tables, call, covered, taken, size_limit=None, filt=None,
@@ -407,8 +410,8 @@ def enumerate_partitions(
     if filt is not None and max(filt) > max_dim:
         return
     dims = [d for d in range(1, max_dim + 1) if filt is None or d in filt]
-    tables = _SubspaceCandidates(n, field, dims)
-    pi, cands, per_point = tables.pi, tables.cands, tables.per_point
+    tables = _Candidates(point_index(n, field), dims)
+    pi = tables.pi
 
     options = {
         "n": n,
@@ -465,6 +468,13 @@ def enumerate_partitions(
         if not isinstance(stack, list) or not stack:
             raise FileFormatError("checkpoint has an empty frontier stack")
         try:
+            per_point = tables.listed(call)
+        except BudgetExceeded as exc:
+            # Stopped before its first node, the call resumes from where
+            # it was resumed.
+            exc.checkpoint = resume
+            raise
+        try:
             # The stream stops at count_limit, so it saves fewer.
             emitted = _check_int("emitted", state.get("emitted", 0), 0,
                                  count_limit - 1 if count_limit else None)
@@ -486,7 +496,7 @@ def enumerate_partitions(
                                  len(per_point[point]))
                 cid = None if last else per_point[point][pos - 1]
                 if cid is not None:
-                    mask, d = cands[cid]
+                    mask, d = tables.cands[cid]
                     if (mask & covered
                             or filt is not None and counts[d] == filt[d]):
                         raise FileFormatError(f"checkpoint frame {entry!r} "

@@ -258,13 +258,48 @@ def test_the_check_sees_every_write():
         "C.m", "appends", "rebinds", "sets", "unpacks"]
 
 
+def _pin_passers(source, name):
+    """The definitions, as dotted paths, whose code calls name with its
+    pins, or with arguments that may hold them: a third positional
+    argument, the keyword pins, or an unpacked * or ** argument."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Call) and name in _chain(node.func)
+                and (len(node.args) > 2
+                     or any(isinstance(a, ast.Starred) for a in node.args)
+                     or any(k.arg in ("pins", None) for k in node.keywords))):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(owner.lstrip(".") for owner in found)
+
+
+def test_the_check_sees_every_pin_passer():
+    source = ("def plain(pi):\n    return T(pi, (1,))\n"
+              "def positional(pi):\n    return T(pi, (1,), [], 0)\n"
+              "def keyword(pi):\n    return m.T(pi, (1,), pins=[])\n"
+              "def at(pi):\n    return T(pi, (1,), at=0)\n"
+              "class C:\n    def m(self):\n        T(*self.a)\n"
+              "    def k(self):\n        T(**self.b)\n")
+    assert _pin_passers(source, "T") == ["C.k", "C.m", "keyword",
+                                         "positional"]
+
+
 def test_one_function_pins_the_search_tables():
-    """Both size searches take their symmetry pins from one helper, and
-    nothing else in search.py edits the per-point candidate lists, so a
-    new search cannot fork the pin."""
+    """Both size searches take their symmetry pins from one helper: only
+    it passes pins to the candidate tables, and nothing in search.py
+    writes into the per-point candidate lists, so a new search cannot
+    fork the pin."""
     source = (Path(vspart.__file__).parent / "search.py").read_text(
         encoding="utf-8")
-    assert _writers(source, "per_point") == ["_pinned"]
+    assert _writers(source, "per_point") == []
+    assert _pin_passers(source, "_Candidates") == ["_pinned"]
 
 
 def _unexported_public_functions(sources):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import vspart.search as search
 from vspart.analysis import SupertailReport, TailClass, analyze_supertail
-from vspart.candidates import _Candidates, _SubspaceCandidates
+import vspart.candidates as candidates
+from vspart.candidates import _Candidates
 from vspart.constructions import minimal_partition, refine, spread
 from vspart.enumeration import all_hyperplanes, all_subspaces
 from vspart.errors import (
@@ -297,7 +298,7 @@ def test_count_vector_table_matches_brute_force(n, q, dims):
     """The size prune is exact: the table for u points and spare members
     lists no count vector exactly when the fewest members of dims that
     hold u points, by brute force, are more than spare."""
-    tables = _SubspaceCandidates(n, make_field(q), dims)
+    tables = _Candidates(point_index(n, make_field(q)), dims)
     minima = _least_members_by_count_vectors(n, q, dims)
     for u, least in enumerate(minima):
         for spare in range(-1, u + 2):
@@ -313,7 +314,7 @@ def test_count_vector_table_never_below_the_ceiling_bound(n, q, dims):
     theta(D)) of them, so with fewer spare members the table lists no
     count vector."""
     top = (q**max(dims) - 1) // (q - 1)
-    tables = _SubspaceCandidates(n, make_field(q), dims)
+    tables = _Candidates(point_index(n, make_field(q)), dims)
     for u in range(tables.pi.size + 1):
         assert not tables._table(u, -(-u // top) - 1)[0], u
     if (n, q, dims) == (4, 2, (2, 3)):
@@ -371,7 +372,8 @@ def _hyperplanes_fit_by_brute_force(n, q, dims, rest, spare):
 def test_hyperplane_check_accepts_every_union_of_members(n, q, max_dim):
     """Any set S of members of a partition covers its union with |S|
     members, so the check must let that state through."""
-    tables = _SubspaceCandidates(n, make_field(q), range(1, max_dim + 1))
+    tables = _Candidates(point_index(n, make_field(q)),
+                         range(1, max_dim + 1))
     states = set()
     for P in enumerate_partitions(n, q, max_dim):
         unions = [(0, 0)]
@@ -405,7 +407,7 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
     line.  But then the point lies in 15 hyperplanes, where a point lies
     in theta(3) = 7."""
     F = F2
-    tables = _SubspaceCandidates(4, F, (1, 2))
+    tables = _Candidates(point_index(4, F), (1, 2))
     rest = tables.pi.mask_of(next(all_subspaces(4, 3, F)))
     assert not tables.hyperplanes_fit(rest, 3)
     assert not _hyperplanes_fit_by_brute_force(4, 2, (1, 2), rest, 3)
@@ -415,10 +417,17 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
 
 
 @cache
-def _subspace_masks(n, q, dims):
+def _spanned_candidates(n, q, dims):
+    """The reference candidate list, (point mask, d) of every d-subspace,
+    d in dims in the order given and all_subspaces order within one,
+    each mask from PointIndex.mask_of, and the ids through each point in
+    list order: no code shared with enumeration.shape_masks."""
     F = make_field(q)
     pi = point_index(n, F)
-    return [pi.mask_of(U) for d in dims for U in all_subspaces(n, d, F)]
+    cands = [(pi.mask_of(U), d) for d in dims for U in all_subspaces(n, d, F)]
+    per_point = [[cid for cid, (mask, _) in enumerate(cands) if mask >> p & 1]
+                 for p in range(pi.size)]
+    return cands, per_point
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,15 +445,15 @@ def test_hyperplane_check_matches_brute_force(case, data):
     size = (q**n - 1) // (q - 1)
     rest = data.draw(st.integers(0, (1 << size) - 1), label="rest")
     if data.draw(st.booleans(), label="union"):
-        masks = _subspace_masks(n, q, dims)
-        picks = data.draw(st.lists(st.integers(0, len(masks) - 1)),
+        cands, _ = _spanned_candidates(n, q, dims)
+        picks = data.draw(st.lists(st.integers(0, len(cands) - 1)),
                           label="members")
         rest = 0
         for i in picks:
-            if not masks[i] & rest:
-                rest |= masks[i]
+            if not cands[i][0] & rest:
+                rest |= cands[i][0]
     spare = data.draw(st.integers(0, size), label="spare")
-    tables = _SubspaceCandidates(n, make_field(q), dims)
+    tables = _Candidates(point_index(n, make_field(q)), dims)
     fit = tables.hyperplanes_fit(rest, spare)
     assert bool(fit) == _hyperplanes_fit_by_brute_force(n, q, dims, rest,
                                                          spare)
@@ -869,18 +878,18 @@ def test_pinned_budget_stops_before_any_table():
     assert time.monotonic() - started < 0.1
 
 
-def _first_disjoint_at_p1(full, top):
-    """The pins by their definition: in the full tables, the first
+def _first_disjoint_at_p1(n, q, dims, top):
+    """The pins by their definition: in the reference list, the first
     candidate of each dimension through p1 that meets L0 trivially."""
-    pi = full.pi
-    n = pi.n
+    pi = point_index(n, make_field(q))
     L0 = span([tuple(int(i == j) for j in range(n))
                for i in range(n - top, n)], n, pi.field)
     covered = pi.mask_of(L0)
     p1 = search._least_point(pi.full_mask & ~covered)
+    cands, per_point = _spanned_candidates(n, q, dims)
     first = {}
-    for cid in full.per_point[p1]:
-        mask, d = full.cands[cid]
+    for cid in per_point[p1]:
+        mask, d = cands[cid]
         if not mask & covered:
             first.setdefault(d, (mask, d))
     return p1, list(first.values())
@@ -895,9 +904,8 @@ def test_written_down_pins_are_the_first_disjoint_candidates(n, q):
     lists no other candidate."""
     F = make_field(q)
     dims = range(n - 1, 0, -1)
-    full = _SubspaceCandidates(n, F, dims)
     for top in range(1, n):
-        p1, first = _first_disjoint_at_p1(full, top)
+        p1, first = _first_disjoint_at_p1(n, q, tuple(dims), top)
         tables, _, _ = search._pinned(n, F, dims, top)
         assert [tables.cands[cid] for cid in tables.per_point[p1]] == first
         assert [d for _, d in first] == [d for d in dims if d <= n - top]
@@ -933,8 +941,8 @@ def test_oracle_settled_at_p1_lists_no_other_point(monkeypatch):
 @pytest.mark.parametrize("n, t, q", [(5, 2, 2), (4, 2, 3), (5, 3, 2)])
 def test_lists_past_p1_are_those_of_the_full_tables(monkeypatch, n, t, q):
     """A search that leaves p1, here the oracle without a witness, lists
-    every subspace after the pins, in the order of the full tables, and
-    each other point reads the full tables' list there, so node counts
+    every subspace after the pins, in the order of the reference list,
+    and each other point reads the reference list there, so node counts
     and streams do not move."""
     monkeypatch.setattr(search, "minimal_partition", _refuse)
     made = _kept_pins(monkeypatch)
@@ -942,14 +950,13 @@ def test_lists_past_p1_are_those_of_the_full_tables(monkeypatch, n, t, q):
     [(dims, tables, covered)] = made
     pi = tables.pi
     p1 = search._least_point(pi.full_mask & ~covered)
-    full = _SubspaceCandidates(pi.n, pi.field, dims)
+    cands, per_point = _spanned_candidates(n, q, tuple(dims))
     k = len(tables.per_point[p1])
-    assert tables.cands[k:] == full.cands
+    assert tables.cands[k:] == cands
     assert sorted(tables.per_point) == list(range(pi.size))
     for p in range(pi.size):
         if p != p1:
-            assert tables.per_point[p] == [cid + k for cid in
-                                           full.per_point[p]]
+            assert tables.per_point[p] == [cid + k for cid in per_point[p]]
 
 
 def _spoiled(how):
@@ -1042,15 +1049,15 @@ def test_stream_members_are_shared():
 @pytest.mark.parametrize("n, q", [(4, 2), (3, 3)])
 def test_candidates_decode_members_from_their_masks_in_any_order(n, q):
     """member(cid) reads only the mask of candidate cid, so a shuffled
-    list of every subspace mask decodes: each member is the subspace with
-    that mask, already holds it, and is made once."""
+    list of every subspace mask, given as pins, decodes: each member is
+    the subspace with that mask, already holds it, and is made once."""
     F = make_field(q)
     pi = point_index(n, F)
     subspaces = {pi.mask_of(U): U for d in range(1, n + 1)
                  for U in all_subspaces(n, d, F)}
     cands = [(mask, U.dim) for mask, U in subspaces.items()]
     random.Random(n * q).shuffle(cands)
-    tables = _Candidates(pi, cands)
+    tables = _Candidates(pi, range(1, n + 1), cands)
     for cid, (mask, d) in enumerate(cands):
         M = tables.member(cid)
         assert (M, M.dim, M._mask) == (subspaces[mask], d, mask)
@@ -1059,11 +1066,14 @@ def test_candidates_decode_members_from_their_masks_in_any_order(n, q):
 
 def test_subspace_candidates_decode_all_subspaces():
     """Candidate ids run over the dimensions in the order given, each in
-    all_subspaces order; member(cid) is that subspace, with its mask."""
+    all_subspaces order, and each point lists them in that order;
+    member(cid) is that subspace, with its mask."""
     for n, q, dims in [(4, 2, (3, 1, 2)), (3, 3, (2, 1)), (3, 4, (1, 2, 3))]:
         F = make_field(q)
         pi = point_index(n, F)
-        tables = _SubspaceCandidates(n, F, dims)
+        tables = _Candidates(pi, dims)
+        per_point = tables.listed(search._Call(0, None, None))
+        assert per_point == dict(enumerate(_spanned_candidates(n, q, dims)[1]))
         expected = [U for d in dims for U in all_subspaces(n, d, F)]
         assert len(tables.cands) == len(expected)
         for cid, U in enumerate(expected):
@@ -1114,6 +1124,54 @@ def test_time_limit_stops_both_searches(monkeypatch):
     rest = enumerate_partitions(5, 2, 4, resume=ck)
     collected += islice(rest, want - len(collected))
     assert collected == list(islice(enumerate_partitions(5, 2, 4), want))
+
+
+def test_time_limit_stops_the_table_walk():
+    """The walk of enumerate_partitions(6, 2, 3), 2,109 subspaces, reads
+    the clock at its 1024th, so a zero time limit stops the call before
+    its first node.  The checkpoint resumes the identical stream, and a
+    resumed call stopped again in the walk hands back its checkpoint."""
+    counters = {}
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 0 seconds$") as info:
+        next(enumerate_partitions(6, 2, 3, time_limit=0, stats=counters))
+    ck = info.value.checkpoint
+    assert ck["state"] == {"stack": [[0, 0]], "emitted": 0, "nodes_done": 0}
+    assert counters["nodes"] == 0
+    with pytest.raises(BudgetExceeded) as again:
+        next(enumerate_partitions(6, 2, 3, time_limit=0, resume=ck))
+    assert again.value.checkpoint == ck
+    resumed = enumerate_partitions(6, 2, 3, resume=ck)
+    assert list(islice(resumed, 50)) == list(
+        islice(enumerate_partitions(6, 2, 3), 50))
+
+
+def test_time_limit_stops_the_walk_past_p1(monkeypatch):
+    """Without a witness the (8,4,2) oracle leaves p1 and walks its
+    309,000 subspaces, which took 1.5 s; a zero time limit stops it at
+    the 1024th."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 0 seconds$"):
+        search_min_partition_size(8, 4, 2, point_limit=255, time_limit=0)
+    assert time.monotonic() - started < 0.5
+
+
+@pytest.mark.parametrize("call, emitted", [
+    (lambda: enumerate_partitions(5, 2, 2, type_filter={2: 3}), 0),
+    (lambda: enumerate_partitions(3, 2, 2, seed=[full_space(3, F2)]), 1),
+], ids=["filter-cannot-fill", "seed-covers-all"])
+def test_an_early_return_walks_no_table(monkeypatch, call, emitted):
+    """A type filter whose members cannot fill the free points, or a seed
+    that covers them all, settles the call before its first node, so no
+    subspace is walked."""
+
+    def refuse(*args):
+        raise AssertionError("subspaces walked")
+
+    monkeypatch.setattr(candidates, "shape_masks", refuse)
+    assert len(list(call())) == emitted
 
 
 def test_search_min_range_and_guard():
