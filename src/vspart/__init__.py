@@ -58,7 +58,6 @@ from .hstats import (
     profile,
     supertail_quotient,
     tail_implication_checks,
-    verify_heden_lehmann,
     verify_incidence_identities,
     verify_moment_identities,
     verify_size_identity,

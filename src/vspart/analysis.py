@@ -25,6 +25,7 @@ from .errors import (
     NotDisjoint,
     StructureViolation,
 )
+from .fields import _check_int
 from .hstats import beta_stats
 from .partitions import min_partition_size, supertail
 from .spaces import num_points, point_index, span
@@ -265,6 +266,7 @@ def check_nested_bound(P, cut):
              d_s >= 2 d_{s-1}, or s = 3 with d_3 = d_2 + d_1.
     Raises HypothesisNotMet when no branch applies.
     """
+    _check_int("cut", cut)
     dims = P.dims()
     q = P.field.q
     if cut not in dims:

@@ -171,6 +171,8 @@ def recognize_subspace(points, n, field, mode="span"):
     hyperplanes.  The two modes agree; the second exists as an independent
     cross-check and is much slower.
     """
+    if mode not in ("span", "hyperplane-count"):
+        raise BadRange(f"unknown mode {mode!r}")
     pts = set(points)
     if not pts:
         return zero_subspace(n, field)
@@ -179,20 +181,18 @@ def recognize_subspace(points, n, field, mode="span"):
         if num_points(S.dim, field.q) == len(pts) and set(S.points()) == pts:
             return S
         return None
-    if mode == "hyperplane-count":
-        d = None
-        for cand in range(1, n + 1):
-            if num_points(cand, field.q) == len(pts):
-                d = cand
-                break
-        if d is None:
-            return None
-        containing = 0
-        for H in all_hyperplanes(n, field):
-            hset = set(H.points())
-            if pts <= hset:
-                containing += 1
-        if containing != num_points(n - d, field.q):
-            return None
-        return span(sorted(pts), n, field)
-    raise BadRange(f"unknown mode {mode!r}")
+    d = None
+    for cand in range(1, n + 1):
+        if num_points(cand, field.q) == len(pts):
+            d = cand
+            break
+    if d is None:
+        return None
+    containing = 0
+    for H in all_hyperplanes(n, field):
+        hset = set(H.points())
+        if pts <= hset:
+            containing += 1
+    if containing != num_points(n - d, field.q):
+        return None
+    return span(sorted(pts), n, field)

@@ -332,9 +332,6 @@ def verify_incidence_identities(P):
     return IdentityReport(tuple(checks))
 
 
-verify_heden_lehmann = verify_incidence_identities
-
-
 def verify_size_identity(P):
     """Every hyperplane sees the whole partition size through its profile:
     |P| = 1 + sum_d b_{H,d} q^d."""

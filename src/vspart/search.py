@@ -53,13 +53,17 @@ has no list: at the first node of enumerate_partitions, so a call that
 returns before its first node walks none, and past p1 in the two size
 searches, which write their pins down (_pinned), so a search that the
 pins settle, as most oracle calls are, walks none.
-Each call checks its limits once, in _checked_call, which fixes one node
-budget and one deadline for the whole call; the engine counts the nodes
-of all the call's cover streams together, reads the clock every 1024 of
-them, and raises BudgetExceeded past either limit.  The table walk
-counts no node and reads the same deadline every 1024 subspaces.  Only
-enumerate_partitions attaches a checkpoint: a JSON-serializable frontier
-that it can resume from.
+Each call checks its limits once, in _checked_call, which fixes one
+budget and one deadline for the whole call.  The budget counts units of
+work, and it is the only bound of a search: a space with more points
+than the budget is refused at once, and every other step is charged
+through _Call.charge, which reads the clock each time the units pass a
+multiple of 1024 and raises BudgetExceeded past either limit.  The point
+index costs theta(n) units, the engine one per candidate scanned and
+_NODE_UNITS per node, and the tables of candidates.py their walks and
+sumset steps; a walk is refused whole, before it allocates, when it
+would pass the budget.  Only enumerate_partitions attaches a checkpoint:
+a JSON-serializable frontier that it can resume from.
 
 check_no_minimum_supertail rests on a lemma, proved in its docstring:
 when n < 2*cut, a partition of V(n,q) has exactly one member of
@@ -74,7 +78,7 @@ import time
 
 from ._record import record
 from .analysis import analyze_supertail, TailClass
-from .candidates import _TIME_CHECK_MASK, _Candidates
+from .candidates import _Candidates
 from .constructions import minimal_partition
 from .errors import (
     BadRange,
@@ -94,9 +98,14 @@ from .partitions import (
 )
 from .spaces import Subspace, _check_space, num_points, point_index, span
 
-ORACLE_POINT_LIMIT = 127
-ORACLE_NODE_BUDGET = 10**8
+# The budget of a search call that passes none, in units of work (README,
+# Budgets): about a minute and well under 1 GB on any search.
+SEARCH_UNIT_BUDGET = 3 * 10**8
 CHECKPOINT_VERSION = 1
+# The clock is read each time a call's units pass a multiple of 1024.
+_TIME_CHECK_MASK = 0x3FF
+# The units of one engine node, its own candidate scan included.
+_NODE_UNITS = 12
 
 
 def _normalize_filter(type_filter):
@@ -121,37 +130,53 @@ def _normalize_filter(type_filter):
 
 class _Call:
     """The limits of one search call, fixed when _checked_call checks them:
-    the node budget and the deadline (None without a time limit) of the
-    whole call, the nodes its cover streams have spent so far, and the
-    stats dict the engine adds its counts to."""
+    the budget in units of work and the deadline (None without a time
+    limit) of the whole call, the units and nodes its work has spent so
+    far, and the stats dict that both are added to.  All work is charged
+    through charge(); watch is the count of units past which it must next
+    be called, the budget or the next clock read, whichever comes first."""
 
-    __slots__ = ("budget", "time_limit", "deadline", "nodes", "stats")
+    __slots__ = ("budget", "time_limit", "deadline", "units", "watch",
+                 "nodes", "stats")
 
     def __init__(self, budget, time_limit, stats):
         self.budget = budget
         self.time_limit = time_limit
         self.deadline = (None if time_limit is None
                          else time.monotonic() + time_limit)
-        self.nodes = 0
+        self.units = self.nodes = 0
+        self.watch = min(budget, _TIME_CHECK_MASK)
         self.stats = {} if stats is None else stats
         self.stats.setdefault("nodes", 0)
+        self.stats.setdefault("units", 0)
 
-    def check_clock(self):
-        """Raise BudgetExceeded when the call is past its deadline."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
+    def charge(self, units, ahead=0):
+        """Add units of work to the call.  Raise BudgetExceeded when the
+        call, with ahead more units still to come, is past its budget, or
+        when the units have passed a multiple of 1024 since the clock was
+        last read and the call is past its deadline."""
+        self.units += units
+        self.stats["units"] += units
+        if self.units + ahead > self.budget:
             raise BudgetExceeded(
-                f"search stopped after {self.time_limit} seconds")
+                f"search stopped at its budget of {self.budget} units")
+        if self.units > self.watch:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise BudgetExceeded(
+                    f"search stopped after {self.time_limit} seconds")
+            self.watch = min(self.budget, self.units | _TIME_CHECK_MASK)
 
 
-def _checked_call(n, q, point_limit, budget=None, time_limit=None,
-                  size_limit=None, count_limit=None, stats=None):
+def _checked_call(n, q, budget=None, time_limit=None, size_limit=None,
+                  count_limit=None, stats=None):
     """Check a search call's limits, field and space before any table is
-    built, and return the field and the call's _Call.  budget, size_limit
-    and count_limit must be ints, count_limit at least 1, and time_limit
-    an int or a float other than NaN; budget and time_limit must not be
-    negative; stats, when given, must be a dict.  None means no limit,
-    except for the budget, which is then ORACLE_NODE_BUDGET.  The time
-    limit counts from here."""
+    built, and return the field and the call's _Call, charged theta(n)
+    units for the point index.  budget, size_limit and count_limit must
+    be ints, count_limit at least 1, and time_limit an int or a float
+    other than NaN; budget and time_limit must not be negative; stats,
+    when given, must be a dict.  None means no limit, except for the
+    budget, which is then SEARCH_UNIT_BUDGET; a space with more points
+    than the budget is a BadRange.  The time limit counts from here."""
     if isinstance(time_limit, float):
         if not time_limit >= 0:  # NaN too
             raise BadRange(f"time_limit must be a number at least 0, got "
@@ -164,11 +189,13 @@ def _checked_call(n, q, point_limit, budget=None, time_limit=None,
         _check_int("count_limit", count_limit, 1)
     if stats is not None and not isinstance(stats, dict):
         raise BadRange(f"stats {stats!r} is not a dict")
-    budget = (ORACLE_NODE_BUDGET if budget is None
+    budget = (SEARCH_UNIT_BUDGET if budget is None
               else _check_int("budget", budget, 0))
     field = make_field(q)
-    _check_space(n, q, point_limit)
-    return field, _Call(budget, time_limit, stats)
+    _check_space(n, q, budget)
+    call = _Call(budget, time_limit, stats)
+    call.charge(num_points(n, q))
+    return field, call
 
 
 def save_checkpoint(path, checkpoint):
@@ -199,12 +226,16 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     With filt, counts (dimension to members taken) caps each dimension at
     filt[dimension].  Every disjoint extension attempt is a node, counted
     in call.nodes over all the call's streams and added to
-    call.stats["nodes"]; past call.budget nodes, or past call.deadline
-    (the clock read every 1024 nodes of the call), BudgetExceeded is
-    raised with the top frame positioned to retry that attempt, so frames
-    stays a resumable frontier.  The first read of a point that has no
-    list lists the table (tables.listed), which may raise it too, before
-    the frame is touched.
+    call.stats["nodes"].  The work is charged to call in units: one per
+    candidate scanned, read off the list positions at each node and each
+    frame pop, and _NODE_UNITS per node, its own scan included.  The
+    engine keeps the count in a local and hands it to call.charge() once
+    it passes call.watch, at a node or a pop, and before any table
+    charges call itself.  Past call.budget units, or past call.deadline,
+    BudgetExceeded is raised with the top frame positioned to retry that
+    attempt (or to pop), so frames stays a resumable frontier.  The first
+    read of a point that has no list lists the table (tables.listed),
+    which may raise it too, before the frame is touched.
 
     size_limit prunes extensions that cannot finish within that many
     members, and the consumer may then send() a tighter limit back after
@@ -243,8 +274,7 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    budget = call.budget
-    nodes = call.nodes
+    nodes, units, watch = call.nodes, call.units, call.watch
     size_prunes = hyperplane_prunes = 0
     try:
         while frames:
@@ -259,8 +289,10 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
             try:
                 plist = per_point[frame[0]]
             except KeyError:
+                call.charge(units - call.units)
                 plist = tables.listed(call)[frame[0]]
-            pos = frame[1]
+                units, watch = call.units, call.watch
+            pos = mark = frame[1]
             while pos < len(plist):
                 cid = plist[pos]
                 mask, d = cands[cid]
@@ -268,13 +300,12 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                     pos += 1
                     continue
                 nodes += 1
-                if nodes > budget or not nodes & _TIME_CHECK_MASK:
+                units += pos - mark + _NODE_UNITS
+                if units > watch:
                     frame[1] = pos
-                    if nodes > budget:
-                        raise BudgetExceeded(
-                            f"search stopped after {budget} nodes")
-                    call.check_clock()
-                pos += 1
+                    call.charge(units - call.units)
+                    watch = call.watch
+                pos = mark = pos + 1
                 if filt is not None and counts[d] == filt[d]:
                     continue
                 rest = full & ~(covered | mask)
@@ -282,7 +313,10 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                     spare = size_limit - taken - 1
                     u = rest.bit_count()
                     if spare < u:
-                        fit = tables.hyperplanes_fit(rest, spare)
+                        frame[1] = pos - 1
+                        call.charge(units - call.units)
+                        fit = tables.hyperplanes_fit(rest, spare, call)
+                        units, watch = call.units, call.watch
                         if fit is None:
                             size_prunes += 1
                             continue
@@ -303,11 +337,19 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                 frames.append([(rest & -rest).bit_length() - 1, 0, None])
                 break
             else:
+                units += len(plist) - mark
+                if units > watch:
+                    frame[1] = pos
+                    call.charge(units - call.units)
+                    watch = call.watch
                 frames.pop()
     finally:
         stats = call.stats
         stats["nodes"] += nodes - call.nodes
         call.nodes = nodes
+        if units > call.units:  # else a table charged call and raised
+            stats["units"] += units - call.units
+            call.units = units
         for key, value in (("size_prunes", size_prunes),
                            ("hyperplane_prunes", hyperplane_prunes)):
             stats[key] = stats.get(key, 0) + value
@@ -380,7 +422,6 @@ def enumerate_partitions(
     budget=None,
     time_limit=None,
     resume=None,
-    point_limit=ORACLE_POINT_LIMIT,
     stats=None,
     seed=None,
 ):
@@ -393,19 +434,20 @@ def enumerate_partitions(
     seed is a list of pairwise disjoint subspaces of V(n,q), over the
     field make_field(q), that every emitted partition must extend; seed
     dimensions are exempt from max_dim and the type filter only
-    constrains the non-seed members.  The budget counts extension
-    attempts; exhausting it (or time_limit seconds) raises BudgetExceeded
-    whose .checkpoint resumes the stream via the resume argument with
-    identical options.  When a dict is passed as stats, its "nodes" entry
-    accumulates the extension attempts spent, and once the search runs,
+    constrains the non-seed members.  The budget counts units of work
+    (see _Call and README, Budgets); exhausting it (or time_limit
+    seconds) raises BudgetExceeded whose .checkpoint resumes the stream
+    via the resume argument with identical options.  When a dict is
+    passed as stats, its "nodes" entry accumulates the extension attempts
+    spent and its "units" entry the units, and once the search runs,
     "size_prunes" and "hyperplane_prunes" the extensions that size_limit
     cut because no vector of member counts holds the uncovered points
     and because none fits the hyperplanes.
     """
     _check_int("n", n, 1)
     _check_int("max_dim", max_dim, 1, n)
-    field, call = _checked_call(n, q, point_limit, budget, time_limit,
-                                size_limit, count_limit, stats)
+    field, call = _checked_call(n, q, budget, time_limit, size_limit,
+                                count_limit, stats)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
         return
@@ -573,7 +615,6 @@ def search_min_partition_size(
     *,
     budget=None,
     time_limit=None,
-    point_limit=ORACLE_POINT_LIMIT,
 ):
     """Minimum size of a partition of V(n,q) whose largest member has
     dimension exactly t, by seeded branch and bound.
@@ -620,7 +661,7 @@ def search_min_partition_size(
     """
     _check_int("n", n, 2)
     _check_int("t", t, 1, n - 1)
-    field, call = _checked_call(n, q, point_limit, budget, time_limit)
+    field, call = _checked_call(n, q, budget, time_limit)
     tables, root, covered = _pinned(n, field, range(t, 0, -1), t)
     # Without a witness the first limit prunes nothing: a partition has
     # at most one member per point.
@@ -671,7 +712,6 @@ def check_no_minimum_supertail(
     *,
     budget=None,
     time_limit=None,
-    point_limit=ORACLE_POINT_LIMIT,
 ):
     """Confirm by exhaustive search that no partition of V(n,q) with
     n < 2*cut has a supertail ST of minimum size sigma_q(cut, t) at the
@@ -702,7 +742,7 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
-    field, call = _checked_call(n, q, point_limit, budget, time_limit)
+    field, call = _checked_call(n, q, budget, time_limit)
     # Not empty: n < 2*cut and cut < n give cut >= 2.
     tail_dims = range(1, min(cut - 1, n - cut) + 1)
     limit = 1 + max(min_partition_size(cut, top, q) for top in tail_dims)
@@ -759,7 +799,6 @@ def conjecture_search(
     max_dim=None,
     budget=None,
     time_limit=None,
-    point_limit=ORACLE_POINT_LIMIT,
 ):
     """Sweep every partition of V(n,q) (member dimensions up to max_dim,
     default n-1) and record how each supertail in cut_range behaves.
@@ -777,7 +816,7 @@ def conjecture_search(
     if max_dim is None:
         max_dim = n - 1
     _check_int("max_dim", max_dim)
-    _checked_call(n, q, point_limit, budget, time_limit)
+    _checked_call(n, q, budget, time_limit)
     try:
         cuts = tuple(range(2, n) if cut_range is None else cut_range)
     except TypeError as exc:
@@ -807,7 +846,6 @@ def conjecture_search(
         max_dim,
         budget=budget,
         time_limit=time_limit,
-        point_limit=point_limit,
     ):
         partitions += 1
         dims = P.dims()

@@ -70,7 +70,6 @@ def _check_space(n, q, limit):
     dimension at a time, so a huge n costs no more than about
     log_q(limit) steps."""
     _check_int("n", n, 1)
-    _check_int("point_limit", limit)
     points = 0
     for _ in range(n):
         points = points * q + 1

@@ -16,6 +16,7 @@ from vspart.analysis import (
 from vspart.constructions import beutelspacher, minimal_partition, refine, spread
 from vspart.enumeration import all_subspaces, recognize_subspace
 from vspart.errors import (
+    BadRange,
     EmptySupertail,
     HypothesisNotMet,
     NotDisjoint,
@@ -247,6 +248,14 @@ def test_nested_bound_equality_case():
     assert rep.nested_size == 7
     assert rep.branches == (("wide or additive", 7, True),)
     assert rep.ok
+
+
+@pytest.mark.parametrize("cut", ["x", 2.5, True])
+def test_nested_bound_checks_the_cut_first(cut):
+    """A cut that is not an int is a BadRange naming cut, not a cut that
+    does not occur."""
+    with pytest.raises(BadRange, match="cut"):
+        check_nested_bound(spread(4, 2, F2), cut)
 
 
 def test_nested_bound_hypotheses():

@@ -89,8 +89,6 @@ CASES = [
      lambda x: list(v.enumerate_partitions(3, 2, 1, count_limit=x)), 0),
     ("enumerate_partitions-budget",
      lambda x: list(v.enumerate_partitions(3, 2, 1, budget=x)), -1),
-    ("enumerate_partitions-point_limit",
-     lambda x: list(v.enumerate_partitions(3, 2, 1, point_limit=x)), None),
     ("search_min_partition_size-n",
      lambda x: v.search_min_partition_size(x, 1, 2), 1),
     ("search_min_partition_size-t",
@@ -99,8 +97,6 @@ CASES = [
      lambda x: v.search_min_partition_size(3, 1, x), 1),
     ("search_min_partition_size-budget",
      lambda x: v.search_min_partition_size(3, 1, 2, budget=x), -1),
-    ("search_min_partition_size-point_limit",
-     lambda x: v.search_min_partition_size(3, 1, 2, point_limit=x), None),
     ("check_no_minimum_supertail-n",
      lambda x: v.check_no_minimum_supertail(x, 2, 2), 1),
     ("check_no_minimum_supertail-cut",

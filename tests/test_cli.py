@@ -239,12 +239,28 @@ def _no_construction(n, t, field):
     raise BadRange("no construction")
 
 
+def test_sigma_oracle_past_127_points(capsys):
+    """The budget alone bounds the oracle: V(8,2) has 255 points, and its
+    pins settle (8,4,2) in 4 nodes."""
+    assert main(["sigma", "--n", "8", "--t", "4", "--q", "2",
+                 "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle minimum = 17 (4 nodes), agreement: yes" in out
+
+
 def test_sigma_oracle_budget(capsys):
+    """16 units pay for the 15 points of V(4,2) but not for a node; a
+    budget below the points of the space is refused as a range."""
+    assert main([
+        "sigma", "--n", "4", "--t", "2", "--q", "2", "--oracle",
+        "--budget", "16",
+    ]) == 5
+    assert "budget exhausted" in capsys.readouterr().err
     assert main([
         "sigma", "--n", "4", "--t", "2", "--q", "2", "--oracle",
         "--budget", "1",
-    ]) == 5
-    assert "budget exhausted" in capsys.readouterr().err
+    ]) == 3
+    assert "V(4,2) has more than 1 points" in capsys.readouterr().err
 
 
 def test_sigma_oracle_negative_budget(capsys):
@@ -291,7 +307,7 @@ def test_search_partitions_checkpoint_cycle(tmp_path, capsys):
     ck = tmp_path / "v42.ckpt"
     argv = [
         "search", "partitions", "--n", "4", "--q", "2", "--max-dim", "2",
-        "--budget", "400", "--checkpoint", str(ck),
+        "--budget", "20000", "--checkpoint", str(ck),
     ]
     sessions = 0
     while True:
@@ -326,7 +342,7 @@ def test_search_partitions_rejects_spoiled_checkpoint(
     ck = tmp_path / "v42.ckpt"
     argv = [
         "search", "partitions", "--n", "4", "--q", "2", "--max-dim", "2",
-        "--budget", "400", "--checkpoint", str(ck),
+        "--budget", "20000", "--checkpoint", str(ck),
     ]
     assert main(argv) == 5
     doc = json.loads(ck.read_text(encoding="utf-8"))

@@ -188,9 +188,12 @@ def test_recognize_empty_set_is_zero_subspace():
 
 
 def test_recognize_unknown_mode():
+    """The mode is checked before the empty set gets the zero subspace."""
     F = make_field(2)
     with pytest.raises(BadRange):
         recognize_subspace([(1, 0)], 2, F, mode="guess")
+    with pytest.raises(BadRange):
+        recognize_subspace([], 3, F, mode="bogus")
 
 
 # (q, largest n) for the shape walk checks

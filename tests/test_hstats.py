@@ -31,7 +31,6 @@ from vspart.hstats import (
     profile,
     supertail_quotient,
     tail_implication_checks,
-    verify_heden_lehmann,
     verify_incidence_identities,
     verify_moment_identities,
     verify_size_identity,
@@ -103,10 +102,6 @@ def test_incidence_identities_on_corpus():
         rep = verify_incidence_identities(P)
         assert rep.ok
         assert all(c.ok for c in rep.checks)
-
-
-def test_incidence_identities_alias():
-    assert verify_heden_lehmann is verify_incidence_identities
 
 
 def test_identities_skip_out_of_window_dimensions():

@@ -302,6 +302,65 @@ def test_one_function_pins_the_search_tables():
     assert _pin_passers(source, "_Candidates") == ["_pinned"]
 
 
+def _limit_readers(source):
+    """The definitions, as dotted paths, once for each comparison with a
+    budget, a watch or a deadline that they make, identity tests aside,
+    and once for each read of time.monotonic."""
+    limits = {"budget", "watch", "deadline"}
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (isinstance(node, ast.Compare)
+                and not all(isinstance(op, (ast.Is, ast.IsNot))
+                            for op in node.ops)
+                and any(limits & set(_chain(side))
+                        for side in [node.left, *node.comparators])):
+            found.append(owner)
+        if "monotonic" in _chain(node)[:1]:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(owner.lstrip(".") for owner in found)
+
+
+def test_the_check_sees_every_limit_reader():
+    source = ("import time\n"
+              "def over(c):\n    return c.units > c.budget\n"
+              "def local(units, watch):\n    return watch <= units\n"
+              "def clock():\n    return time.monotonic()\n"
+              "def unset(deadline):\n    return deadline is None\n"
+              "def other(c):\n    return c.units > c.size\n"
+              "class C:\n    def m(self, a):\n"
+              "        return a + 1 > self.deadline\n")
+    assert _limit_readers(source) == ["C.m", "clock", "local", "over"]
+
+
+@pytest.mark.parametrize("name", ["search.py", "candidates.py"])
+def test_one_method_charges_every_search_step(name):
+    """Every search step is charged through _Call.charge, which alone
+    compares units with the budget and reads the clock.  The one
+    exception is the engine's inline check, at a node and at a frame
+    pop, which compares its local count with the call's watch and calls
+    charge once it is passed, so a walk or a table cannot grow a second
+    limit."""
+    source = (Path(vspart.__file__).parent / name).read_text(
+        encoding="utf-8")
+    outside = [owner for owner in _limit_readers(source)
+               if not owner.startswith("_Call.")]
+    assert outside == (["_exact_cover"] * 2 if name == "search.py" else [])
+    methods = [[stmt.name for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef)]
+               for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "_Call"]
+    assert methods == ([["__init__", "charge"]] if name == "search.py"
+                       else [])
+
+
 def _unexported_public_functions(sources):
     """Public module-level functions, over the given {module name: source}
     package, that __init__ does not export and no other module reads."""

@@ -45,6 +45,11 @@ from vspart.spaces import Subspace, full_space, point_index, span
 F2 = make_field(2)
 
 
+def _unlimited():
+    """A search call with a budget that no test reaches."""
+    return search._Call(10**18, None, None)
+
+
 def test_enumerate_small_spaces():
     assert len(list(enumerate_partitions(2, 2, 1))) == 1
     assert len(list(enumerate_partitions(2, 2, 2))) == 2
@@ -173,14 +178,6 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: make_field(2.0),
     lambda: make_field("4"),
     lambda: make_field(True),
-    lambda: list(enumerate_partitions(3, 2, 2, point_limit="x")),
-    lambda: list(enumerate_partitions(3, 2, 2, point_limit=7.5)),
-    lambda: search_min_partition_size(4, 2, 2, point_limit="x"),
-    lambda: search_min_partition_size(4, 2, 2, point_limit=127.5),
-    lambda: check_no_minimum_supertail(5, 3, 2, point_limit="x"),
-    lambda: check_no_minimum_supertail(5, 3, 2, point_limit=127.5),
-    lambda: conjecture_search(3, 2, point_limit="x"),
-    lambda: conjecture_search(3, 2, point_limit=7.5),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
     "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
@@ -199,16 +196,12 @@ def test_enumerate_malformed_type_filter(type_filter):
     "minimum-str-n", "impossibility-float-cut", "impossibility-float-n",
     "conjecture-float-max-dim", "conjecture-float-n", "conjecture-str-q",
     "field-float", "field-str", "field-bool",
-    "enumerate-str-point-limit", "enumerate-float-point-limit",
-    "minimum-str-point-limit", "minimum-float-point-limit",
-    "impossibility-str-point-limit", "impossibility-float-point-limit",
-    "conjecture-str-point-limit", "conjecture-float-point-limit",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
     """A limit of the wrong type, a negative budget or time limit, a
     conjecture cut that can never be a case (outside [2, min(max_dim,
-    n - 1)]), or an n, t, max_dim, cut, q or point_limit that is not an
-    int (a bool is not one), is refused before any candidate table is
+    n - 1)]), or an n, t, max_dim, cut or q that is not an int (a bool
+    is not one), is refused before any candidate table is
     built, so even a time limit is checked without searching."""
 
     def no_tables(*args, **kwargs):
@@ -302,8 +295,8 @@ def test_count_vector_table_matches_brute_force(n, q, dims):
     minima = _least_members_by_count_vectors(n, q, dims)
     for u, least in enumerate(minima):
         for spare in range(-1, u + 2):
-            assert (not tables._table(u, spare)[0]) == (least > spare), (
-                u, spare)
+            vectors = tables._table(u, spare, _unlimited())[0]
+            assert (not vectors) == (least > spare), (u, spare)
 
 
 @pytest.mark.parametrize("n, q", AMBIENTS)
@@ -316,12 +309,40 @@ def test_count_vector_table_never_below_the_ceiling_bound(n, q, dims):
     top = (q**max(dims) - 1) // (q - 1)
     tables = _Candidates(point_index(n, make_field(q)), dims)
     for u in range(tables.pi.size + 1):
-        assert not tables._table(u, -(-u // top) - 1)[0], u
+        assert not tables._table(u, -(-u // top) - 1, _unlimited())[0], u
     if (n, q, dims) == (4, 2, (2, 3)):
         # 7a + 3b = 15 only for a = 0: five lines, where the ceiling
         # bound says three members.
-        assert not tables._table(15, 4)[0]
-        assert tables._table(15, 5)[0] == [(5, 0)]
+        assert not tables._table(15, 4, _unlimited())[0]
+        assert tables._table(15, 5, _unlimited())[0] == [(5, 0)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_count_vectors_are_listed_in_product_order(q):
+    """The listing skips only counts that cannot finish within spare
+    members, so it equals the filtered product of every count range,
+    last entry slowest, for dimension sets with and without points."""
+    for dims in [(1, 2), (1, 2, 3), (2, 3), (3,)]:
+        thetas = [(q**d - 1) // (q - 1) for d in dims]
+        for u in range(2 * thetas[-1] + 2):
+            every = [tuple(reversed(a)) for a in product(
+                *(range(u // w + 1) for w in reversed(thetas)))
+                if sum(x * w for x, w in zip(a, reversed(thetas))) == u]
+            for spare in range(-1, u + 2):
+                assert list(candidates._count_vectors(thetas, u, spare)) == [
+                    a for a in every if sum(a) <= spare], (dims, u, spare)
+
+
+def test_impossibility_lists_no_dead_count_vectors():
+    """At its first node the (12,7,2) sweep asks for count vectors of
+    3,967 points in at most 126 members of at most 31 points each, which
+    hold at most 3,906.  None exists, and the listing rules the counts
+    out level by level instead of walking every combination of them, so
+    the sweep ends at once."""
+    started = time.monotonic()
+    rep = check_no_minimum_supertail(12, 7, 2)
+    assert rep.confirmed and rep.sweep_partitions == 0
+    assert time.monotonic() - started < 2
 
 
 @cache
@@ -382,7 +403,7 @@ def test_hyperplane_check_accepts_every_union_of_members(n, q, max_dim):
             unions += [(rest | mask, k + 1) for rest, k in unions]
         states.update(unions)
     for rest, spare in states:
-        assert tables.hyperplanes_fit(rest, spare), (rest, spare)
+        assert tables.hyperplanes_fit(rest, spare, _unlimited()), (rest, spare)
 
 
 def test_hyperplane_check_refutes_ten_lines_and_a_point():
@@ -394,9 +415,9 @@ def test_hyperplane_check_refutes_ten_lines_and_a_point():
     covered |= tables.cands[tables.per_point[p1][0]][0]
     covered |= 1 << search._least_point(tables.pi.full_mask & ~covered)
     rest = tables.pi.full_mask & ~covered
-    assert not tables.hyperplanes_fit(rest, 12 - 3)
+    assert not tables.hyperplanes_fit(rest, 12 - 3, _unlimited())
     assert not _hyperplanes_fit_by_brute_force(5, 2, (1, 2), rest, 9)
-    assert tables.hyperplanes_fit(rest, 10)
+    assert tables.hyperplanes_fit(rest, 10, _unlimited())
 
 
 def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
@@ -409,10 +430,10 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
     F = F2
     tables = _Candidates(point_index(4, F), (1, 2))
     rest = tables.pi.mask_of(next(all_subspaces(4, 3, F)))
-    assert not tables.hyperplanes_fit(rest, 3)
+    assert not tables.hyperplanes_fit(rest, 3, _unlimited())
     assert not _hyperplanes_fit_by_brute_force(4, 2, (1, 2), rest, 3)
     heights = {(rest & H).bit_count() for H in tables.hyperplanes}
-    fits = tables._table(7, 3)[1]
+    fits = tables._table(7, 3, _unlimited())[1]
     assert all(fits[h] for h in heights) and heights == {3, 7}
 
 
@@ -454,7 +475,7 @@ def test_hyperplane_check_matches_brute_force(case, data):
                 rest |= cands[i][0]
     spare = data.draw(st.integers(0, size), label="spare")
     tables = _Candidates(point_index(n, make_field(q)), dims)
-    fit = tables.hyperplanes_fit(rest, spare)
+    fit = tables.hyperplanes_fit(rest, spare, _unlimited())
     assert bool(fit) == _hyperplanes_fit_by_brute_force(n, q, dims, rest,
                                                          spare)
     # None, the size prune, exactly when no count vector holds rest.
@@ -510,24 +531,25 @@ def test_enumerate_rejects_bad_ranges():
         list(enumerate_partitions(3, 2, 0))
     with pytest.raises(BadRange):
         list(enumerate_partitions(3, 2, 4))
-    with pytest.raises(BadRange):
-        list(enumerate_partitions(8, 2, 2))  # 255 points, above the guard
-    with pytest.raises(BadRange):
-        list(enumerate_partitions(4, 2, 2, point_limit=7))
+    with pytest.raises(BadRange, match="more than 14 points"):
+        list(enumerate_partitions(4, 2, 2, budget=14))  # 15 points
 
 
 def test_enumerate_budget_resume_stream():
-    """A budget of 40 nodes splits the spread enumeration, and a
+    """A budget of units splits the spread enumeration, and a
     size-limited one, into several sessions; stitching the sessions
-    reproduces the one-shot stream."""
-    for options in ({"type_filter": {2: 5}}, {"size_limit": 8}):
+    reproduces the one-shot stream.  Each session pays again for its
+    point index and table walk, 3,165 units for the spreads and 3,615
+    for the size limit, which also lists its hyperplanes (3,150)."""
+    for options, budget in (({"type_filter": {2: 5}}, 3800),
+                            ({"size_limit": 8}, 20000)):
         one_shot = list(enumerate_partitions(4, 2, 2, **options))
         collected = []
         resume = None
         sessions = 0
         while True:
             stream = enumerate_partitions(
-                4, 2, 2, budget=40, resume=resume, **options
+                4, 2, 2, budget=budget, resume=resume, **options
             )
             try:
                 for P in stream:
@@ -690,14 +712,14 @@ def test_fuzz_resume_checkpoint(case):
 def test_enumerate_stats_accumulate():
     counters = {}
     list(enumerate_partitions(3, 2, 2, stats=counters))
-    assert counters["nodes"] > 0
-    before = counters["nodes"]
+    assert counters["nodes"] > 0 and counters["units"] > 0
+    before = dict(counters)
     list(enumerate_partitions(3, 2, 2, stats=counters))
-    assert counters["nodes"] == 2 * before
+    assert counters == {key: 2 * value for key, value in before.items()}
     empty = {}
     assert list(enumerate_partitions(3, 2, 2, type_filter={2: 2},
                                      stats=empty)) == []
-    assert empty == {"nodes": 0}
+    assert empty == {"nodes": 0, "units": 7}  # the point index only
 
 
 def test_stats_count_size_prunes_by_reason():
@@ -711,7 +733,7 @@ def test_stats_count_size_prunes_by_reason():
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, size_limit=5,
                                          stats=counters))) == 56
-    assert counters == {"nodes": 358, "size_prunes": 112,
+    assert counters == {"nodes": 358, "units": 40065, "size_prunes": 112,
                         "hyperplane_prunes": 43}
 
 
@@ -746,7 +768,7 @@ def test_unbounded_streams_skip_the_hyperplane_check(monkeypatch):
     monkeypatch.setattr(_Candidates, "hyperplanes_fit", refuse)
     counters = {}
     assert len(list(enumerate_partitions(4, 2, 3, stats=counters))) == 1227
-    assert counters == {"nodes": 6231, "size_prunes": 0,
+    assert counters == {"nodes": 6231, "units": 150381, "size_prunes": 0,
                         "hyperplane_prunes": 0}
 
 
@@ -859,23 +881,64 @@ def test_search_min_settles_every_triple_up_to_127_points(n, t, q):
 @pytest.mark.parametrize("n, t, q", [
     triple for triple in _triples_up_to(255) if triple[2] <= 13])
 def test_search_min_agrees_with_the_formula_up_to_255_points(n, t, q):
-    """Past the default point limit the pins still settle the oracle: it
-    lists no table while its witness holds, so every triple with at most
-    255 points answers with the formula's minimum."""
-    res = search_min_partition_size(n, t, q, point_limit=255)
+    """The pins settle the oracle within the default budget: it lists no
+    table of subspaces while its witness holds, so every triple with at
+    most 255 points answers with the formula's minimum."""
+    res = search_min_partition_size(n, t, q)
     assert res.size == min_partition_size(n, t, q)
 
 
 def test_pinned_budget_stops_before_any_table():
-    """A budget of one node stops the (8,4,2) oracle at its second node,
-    at p1, where only the pinned candidates are listed: the table of
-    every subspace, which took 1.5 s and 100 MB, is never built."""
+    """A budget of 255 units for the point index of V(8,2) and one node
+    stops the (8,4,2) oracle at its first node, at p1, in its first
+    count vector, where only the pinned candidates are listed: the table
+    of every subspace, which took 1.9 s and 107 MB, is never built."""
+    budget = 255 + search._NODE_UNITS
     started = time.monotonic()
     with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 1 nodes$"):
-        search_min_partition_size(8, 4, 2, point_limit=255, budget=1,
-                                  time_limit=0)
+                       match=f"^search stopped at its budget of {budget} "
+                             f"units$"):
+        search_min_partition_size(8, 4, 2, budget=budget, time_limit=0)
     assert time.monotonic() - started < 0.1
+
+
+def _refuse_walks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subspaces walked")
+
+    monkeypatch.setattr(candidates, "shape_masks", refuse)
+
+
+@pytest.mark.parametrize("n, t", [(8, 4), (9, 4), (10, 6)])
+def test_a_budget_alone_refuses_the_walk_past_p1(monkeypatch, n, t):
+    """Without a witness the oracle leaves p1, where (8,4,2) must walk
+    309,000 subspaces, 3.7 million list entries.  A budget of 10^6
+    units, with no time limit, refuses the walk before it starts."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    _refuse_walks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped at its budget of 1000000 "
+                             "units$"):
+        search_min_partition_size(n, t, 2, budget=10**6)
+    assert time.monotonic() - started < 0.5
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_enumerate_refuses_a_walk_beyond_the_budget(monkeypatch, n):
+    """The walk of enumerate_partitions(n, 2, 3) has more units than a
+    budget of 10^6, so the call is refused before it walks a subspace,
+    having spent only the point index, and its checkpoint starts the
+    stream afresh."""
+    _refuse_walks(monkeypatch)
+    counters = {}
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped at its budget of 1000000 "
+                             "units$") as info:
+        next(enumerate_partitions(n, 2, 3, budget=10**6, stats=counters))
+    assert counters["units"] == 2**n - 1 and counters["nodes"] == 0
+    assert info.value.checkpoint["state"] == {
+        "stack": [[0, 0]], "emitted": 0, "nodes_done": 0}
 
 
 def _first_disjoint_at_p1(n, q, dims, top):
@@ -1072,7 +1135,7 @@ def test_subspace_candidates_decode_all_subspaces():
         F = make_field(q)
         pi = point_index(n, F)
         tables = _Candidates(pi, dims)
-        per_point = tables.listed(search._Call(0, None, None))
+        per_point = tables.listed(_unlimited())
         assert per_point == dict(enumerate(_spanned_candidates(n, q, dims)[1]))
         expected = [U for d in dims for U in all_subspaces(n, d, F)]
         assert len(tables.cands) == len(expected)
@@ -1098,38 +1161,59 @@ def test_search_min_settles_v62_top_dimension_4():
 
 
 def test_search_min_budget_payload():
-    """The minimum-size search cannot resume, so it carries no checkpoint."""
+    """The minimum-size search cannot resume, so it carries no checkpoint;
+    a budget below the points of the space is a BadRange."""
     with pytest.raises(BudgetExceeded) as info:
-        search_min_partition_size(5, 2, 2, budget=1)
+        search_min_partition_size(5, 2, 2, budget=100)
     assert info.value.checkpoint is None
+    with pytest.raises(BadRange, match="more than 30 points"):
+        search_min_partition_size(5, 2, 2, budget=30)
+
+
+class _Clock:
+    """A stand-in for the time module whose clock moves one second at
+    each read."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
 
 
 def test_time_limit_stops_both_searches(monkeypatch):
-    """The clock is read every 1024 nodes, so a zero time limit stops both
-    searches early; the enumeration still leaves a checkpoint that
-    resumes the stream where it stopped.  The minimum search from its
-    witness takes 2 nodes, so there the clock is read at every node."""
-    with monkeypatch.context() as patch:
-        patch.setattr(search, "_TIME_CHECK_MASK", 0)
-        with pytest.raises(BudgetExceeded):
-            search_min_partition_size(5, 2, 3, time_limit=0)
+    """The clock is read each time the units of a call pass a multiple of
+    1024, so a zero time limit stops the minimum search at its first
+    read, in its hyperplane table.  With a clock that moves a second at
+    each read, a time limit of 10.5 seconds runs out at the 11th read
+    after the start: the enumeration of V(4,2) reads the clock 3 times
+    in its table walk and 8 times in the stream, which the checkpoint
+    resumes where it stopped."""
+    with pytest.raises(BudgetExceeded,
+                       match="^search stopped after 0 seconds$"):
+        search_min_partition_size(5, 2, 3, time_limit=0)
     collected = []
-    with pytest.raises(BudgetExceeded) as info:
-        for P in enumerate_partitions(5, 2, 4, time_limit=0):
-            collected.append(P)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "time", _Clock())
+        with pytest.raises(BudgetExceeded,
+                           match="^search stopped after 10.5 seconds$"
+                           ) as info:
+            for P in enumerate_partitions(4, 2, 2, time_limit=10.5):
+                collected.append(P)
     ck = info.value.checkpoint
     assert ck["kind"] == "partition-enumeration"
-    assert ck["state"]["nodes_done"] == 1024
+    assert ck["state"]["nodes_done"] == 440
     want = len(collected) + 20
-    rest = enumerate_partitions(5, 2, 4, resume=ck)
+    rest = enumerate_partitions(4, 2, 2, resume=ck)
     collected += islice(rest, want - len(collected))
-    assert collected == list(islice(enumerate_partitions(5, 2, 4), want))
+    assert collected == list(islice(enumerate_partitions(4, 2, 2), want))
 
 
 def test_time_limit_stops_the_table_walk():
-    """The walk of enumerate_partitions(6, 2, 3), 2,109 subspaces, reads
-    the clock at its 1024th, so a zero time limit stops the call before
-    its first node.  The checkpoint resumes the identical stream, and a
+    """The walk of enumerate_partitions(6, 2, 3), 2,109 subspaces, passes
+    1024 units at its 33rd point, where the clock is read, so a zero
+    time limit stops the call before its first node.  The checkpoint resumes the identical stream, and a
     resumed call stopped again in the walk hands back its checkpoint."""
     counters = {}
     with pytest.raises(BudgetExceeded,
@@ -1148,13 +1232,14 @@ def test_time_limit_stops_the_table_walk():
 
 def test_time_limit_stops_the_walk_past_p1(monkeypatch):
     """Without a witness the (8,4,2) oracle leaves p1 and walks its
-    309,000 subspaces, which took 1.5 s; a zero time limit stops it at
-    the 1024th."""
+    309,000 subspaces, which took 1.9 s and fit the default budget; a
+    zero time limit stops it at the first clock read, a few subspaces
+    in."""
     monkeypatch.setattr(search, "minimal_partition", _refuse)
     started = time.monotonic()
     with pytest.raises(BudgetExceeded,
                        match="^search stopped after 0 seconds$"):
-        search_min_partition_size(8, 4, 2, point_limit=255, time_limit=0)
+        search_min_partition_size(8, 4, 2, time_limit=0)
     assert time.monotonic() - started < 0.5
 
 
@@ -1177,8 +1262,8 @@ def test_an_early_return_walks_no_table(monkeypatch, call, emitted):
 def test_search_min_range_and_guard():
     with pytest.raises(BadRange):
         search_min_partition_size(4, 4, 2)
-    with pytest.raises(BadRange):
-        search_min_partition_size(8, 2, 2)
+    with pytest.raises(BadRange, match=r"V\(8,2\) has more than 254 points"):
+        search_min_partition_size(8, 2, 2, budget=254)
 
 
 def test_impossibility_v52_cut3():
@@ -1253,31 +1338,74 @@ def test_pinned_covers_reach_every_type(n, q, top, dims):
     assert pinned == every
 
 
-def test_impossibility_budget_covers_the_whole_call():
-    """The budget bounds the nodes of the whole call, and running out
-    names the budget of the call."""
-    rep = check_no_minimum_supertail(7, 4, 2)
+def _kept_calls(monkeypatch):
+    """The _Call of each search call made from here on."""
+    made = []
+
+    class Kept(search._Call):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Call", Kept)
+    return made
+
+
+@pytest.mark.parametrize("options", [
+    {"max_dim": 2}, {"max_dim": 3, "size_limit": 5},
+    {"max_dim": 2, "type_filter": {2: 5}},
+], ids=["points-and-lines", "size-limit", "spreads"])
+def test_stats_units_are_the_least_budget_that_finishes(options):
+    """The units a stream reports are exactly what it spends: a budget of
+    that many streams every partition, and one unit less stops it."""
+    counters = {}
+    stream = list(enumerate_partitions(4, 2, stats=counters, **options))
+    units = counters["units"]
+    assert list(enumerate_partitions(4, 2, budget=units, **options)) == stream
     with pytest.raises(BudgetExceeded,
-                       match=f"^search stopped after {rep.nodes - 1} nodes$"):
-        check_no_minimum_supertail(7, 4, 2, budget=rep.nodes - 1)
-    assert check_no_minimum_supertail(7, 4, 2, budget=rep.nodes) == rep
+                       match=f"^search stopped at its budget of {units - 1} "
+                             f"units$"):
+        list(enumerate_partitions(4, 2, budget=units - 1, **options))
+
+
+def test_impossibility_budget_covers_the_whole_call(monkeypatch):
+    """The budget bounds the units of the whole call, 163 here, and
+    running out names the budget of the call."""
+    made = _kept_calls(monkeypatch)
+    rep = check_no_minimum_supertail(7, 4, 2)
+    units = made[0].units
+    assert units == 163
+    with pytest.raises(BudgetExceeded,
+                       match=f"^search stopped at its budget of {units - 1} "
+                             f"units$"):
+        check_no_minimum_supertail(7, 4, 2, budget=units - 1)
+    assert check_no_minimum_supertail(7, 4, 2, budget=units) == rep
 
 
 def test_search_min_budget_covers_the_whole_call(monkeypatch):
-    """The same holds across the tightening passes of the minimum search:
-    without a witness, (7,2,2) takes 3,108 nodes in all."""
+    """The same holds across the tightening passes of the minimum search,
+    its table walk and its count-vector tables: without a witness,
+    (7,2,2) takes 3,108 nodes and 3,994,121 units in all."""
     monkeypatch.setattr(search, "minimal_partition", _refuse)
+    made = _kept_calls(monkeypatch)
+    assert search_min_partition_size(7, 2, 2).nodes == 3108
+    units = made[0].units
+    assert units == 3994121
     with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 3107 nodes$"):
-        search_min_partition_size(7, 2, 2, budget=3107)
-    assert search_min_partition_size(7, 2, 2, budget=3108).nodes == 3108
+                       match=f"^search stopped at its budget of {units - 1} "
+                             f"units$"):
+        search_min_partition_size(7, 2, 2, budget=units - 1)
+    assert search_min_partition_size(7, 2, 2, budget=units).nodes == 3108
 
 
 def test_one_deadline_per_call(monkeypatch):
-    """The clock is read every 1024 nodes of the whole call, and never by
-    the call itself: (5, 4, 2) takes 1 node, so even a zero time limit
-    lets it finish.  The (7,2,2) minimum without a witness takes 3,108
-    nodes, and stops at the first read."""
+    """The clock is read each time the units of the whole call pass a
+    multiple of 1024, and never by the call itself: (5, 4, 2) takes 1
+    node and 43 units, so even a zero time limit lets it finish.  The
+    (7,2,2) minimum without a witness takes 3,108 nodes, and stops at
+    the first read."""
     assert check_no_minimum_supertail(5, 4, 2, time_limit=0).nodes == 1
     monkeypatch.setattr(search, "minimal_partition", _refuse)
     with pytest.raises(BudgetExceeded,
