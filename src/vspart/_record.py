@@ -9,7 +9,7 @@ field values, and __setattr__ and __delattr__ that refuse every change.
 This is what dataclass(frozen=True) gave these classes.  Importing
 dataclasses loads inspect, ast and dis, and each decorated class then
 compiles generated source; every command-line run pays that once per
-process, and it was most of the package's import time.
+process, and it was most of the time that importing the package took.
 """
 from operator import attrgetter
 

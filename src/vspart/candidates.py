@@ -20,15 +20,14 @@ search._Call.charge, in the units of the call's budget.  A walked mask
 costs _walk_units: _ENTRY_UNITS per point, a list entry in the candidate
 walk, and per 64 points of the space, a word of the mask.  The candidate
 walk is refused whole, before it starts, when it would pass the budget,
-and the hyperplane masks are charged when first read.  The count
-vectors and their totals cost _STEP_UNITS per sumset step and per
-height listed, and each check of the hyperplanes _STEP_UNITS per
-hyperplane.
+and is charged its total once walked; the hyperplane masks are charged
+when they are built, on first read.  The count vectors and their totals
+cost _STEP_UNITS per sumset step and per height listed, and each check
+of the hyperplanes _STEP_UNITS per hyperplane.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 from .enumeration import gaussian_binomial, shape_masks
 from .spaces import num_points, span
@@ -71,26 +70,26 @@ class _Candidates:
                        for d in self._dims]
         self._in_hyperplanes = [num_points(pi.n - d, q) for d in self._dims]
         self._members = {}
+        self._hyperplanes = None
 
     def listed(self, call):
         """per_point with every point listed.  The first call walks every
         subspace of the candidate dimensions, appends them to cands and
         lists them at each point that has no list yet.  It charges call,
-        the search._Call, _ENTRY_UNITS per list entry: the whole walk,
-        counted by gaussian_binomial, before anything is walked, and each
-        subspace as it is walked; when that raises, nothing is appended
-        or listed."""
+        the search._Call, _ENTRY_UNITS per list entry (_walk_units per
+        subspace): the whole walk, counted by gaussian_binomial, is
+        refused before anything is walked when it would pass the budget,
+        and charged once it has been walked."""
         pi, per_point = self.pi, self.per_point
         if len(per_point) < pi.size:
-            call.charge(0, sum(gaussian_binomial(pi.n, d, pi.field.q)
-                               * _walk_units(pi, d) for d in self._walk_dims))
+            units = sum(gaussian_binomial(pi.n, d, pi.field.q)
+                        * _walk_units(pi, d) for d in self._walk_dims)
+            call.charge(0, units)
             start = len(self.cands)
             walked = []
             lists = [[] for _ in range(pi.size)]
             for d in self._walk_dims:
-                units = _walk_units(pi, d)
                 for mask in shape_masks(pi, d):
-                    call.charge(units)
                     cid = start + len(walked)
                     for p in _bits(mask):
                         lists[p].append(cid)
@@ -98,6 +97,7 @@ class _Candidates:
             self.cands += walked
             for p, plist in enumerate(lists):
                 per_point.setdefault(p, plist)
+            call.charge(units)
         return per_point
 
     def member(self, cid):
@@ -112,10 +112,15 @@ class _Candidates:
             U._mask = mask
         return U
 
-    @cached_property
-    def hyperplanes(self):
-        """Point masks of the hyperplanes of V(n, q), in shape order."""
-        return list(shape_masks(self.pi, self.pi.n - 1))
+    def hyperplanes(self, call):
+        """Point masks of the hyperplanes of V(n, q), in shape order, built
+        on first call and kept, and charged to call, the search._Call, as
+        a walk of theta(n) masks when built."""
+        if self._hyperplanes is None:
+            pi = self.pi
+            call.charge(pi.size * _walk_units(pi, pi.n - 1))
+            self._hyperplanes = list(shape_masks(pi, pi.n - 1))
+        return self._hyperplanes
 
     def _table(self, u, spare, call):
         """The count vectors a (a_d members of each candidate dimension d,
@@ -192,11 +197,9 @@ class _Candidates:
         vectors, fits, totals = self._table(u, spare, call)
         if not vectors:
             return None
-        pi = self.pi
-        if "hyperplanes" not in vars(self):
-            call.charge(pi.size * _walk_units(pi, pi.n - 1))
-        call.charge(_STEP_UNITS * pi.size)
-        heights = list(map(int.bit_count, map(rest.__and__, self.hyperplanes)))
+        hyperplanes = self.hyperplanes(call)
+        call.charge(_STEP_UNITS * len(hyperplanes))
+        heights = list(map(int.bit_count, map(rest.__and__, hyperplanes)))
         alive = (1 << len(vectors)) - 1
         for h in set(heights):
             alive &= fits.get(h, 0)

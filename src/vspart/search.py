@@ -54,16 +54,17 @@ returns before its first node walks none, and past p1 in the two size
 searches, which write their pins down (_pinned), so a search that the
 pins settle, as most oracle calls are, walks none.
 Each call checks its limits once, in _checked_call, which fixes one
-budget and one deadline for the whole call.  The budget counts units of
-work, and it is the only bound of a search: a space with more points
-than the budget is refused at once, and every other step is charged
-through _Call.charge, which reads the clock each time the units pass a
-multiple of 1024 and raises BudgetExceeded past either limit.  The point
-index costs theta(n) units, the engine one per candidate scanned and
-_NODE_UNITS per node, and the tables of candidates.py their walks and
-sumset steps; a walk is refused whole, before it allocates, when it
-would pass the budget.  Only enumerate_partitions attaches a checkpoint:
-a JSON-serializable frontier that it can resume from.
+budget for the whole call.  The budget counts units of work, and it is
+the only bound of a search, so a given budget stops a call at the same
+node on every machine: a space with more points than the budget is
+refused at once, and every other step is charged through _Call.charge,
+which raises BudgetExceeded past the budget.  The point index costs
+theta(n) units, the engine one per candidate scanned and _NODE_UNITS per
+node, and the tables of candidates.py their walks and sumset steps; a
+walk is refused whole, before it allocates, when it would pass the
+budget.  Only enumerate_partitions attaches a checkpoint: a
+JSON-serializable frontier that it can resume from, written by
+save_checkpoint so that a failed write leaves the last one whole.
 
 check_no_minimum_supertail rests on a lemma, proved in its docstring:
 when n < 2*cut, a partition of V(n,q) has exactly one member of
@@ -74,7 +75,7 @@ in one cover stream, from the pinned cut-subspace.
 from __future__ import annotations
 
 import json
-import time
+import os
 
 from ._record import record
 from .analysis import analyze_supertail, TailClass
@@ -102,8 +103,6 @@ from .spaces import Subspace, _check_space, num_points, point_index, span
 # Budgets): about a minute and well under 1 GB on any search.
 SEARCH_UNIT_BUDGET = 3 * 10**8
 CHECKPOINT_VERSION = 1
-# The clock is read each time a call's units pass a multiple of 1024.
-_TIME_CHECK_MASK = 0x3FF
 # The units of one engine node, its own candidate scan included.
 _NODE_UNITS = 12
 
@@ -129,60 +128,39 @@ def _normalize_filter(type_filter):
 
 
 class _Call:
-    """The limits of one search call, fixed when _checked_call checks them:
-    the budget in units of work and the deadline (None without a time
-    limit) of the whole call, the units and nodes its work has spent so
+    """The budget of one search call in units of work, fixed when
+    _checked_call checks it, the units and nodes its work has spent so
     far, and the stats dict that both are added to.  All work is charged
-    through charge(); watch is the count of units past which it must next
-    be called, the budget or the next clock read, whichever comes first."""
+    through charge()."""
 
-    __slots__ = ("budget", "time_limit", "deadline", "units", "watch",
-                 "nodes", "stats")
+    __slots__ = ("budget", "units", "nodes", "stats")
 
-    def __init__(self, budget, time_limit, stats):
+    def __init__(self, budget, stats):
         self.budget = budget
-        self.time_limit = time_limit
-        self.deadline = (None if time_limit is None
-                         else time.monotonic() + time_limit)
         self.units = self.nodes = 0
-        self.watch = min(budget, _TIME_CHECK_MASK)
         self.stats = {} if stats is None else stats
         self.stats.setdefault("nodes", 0)
         self.stats.setdefault("units", 0)
 
     def charge(self, units, ahead=0):
         """Add units of work to the call.  Raise BudgetExceeded when the
-        call, with ahead more units still to come, is past its budget, or
-        when the units have passed a multiple of 1024 since the clock was
-        last read and the call is past its deadline."""
+        call, with ahead more units still to come, is past its budget."""
         self.units += units
         self.stats["units"] += units
         if self.units + ahead > self.budget:
             raise BudgetExceeded(
                 f"search stopped at its budget of {self.budget} units")
-        if self.units > self.watch:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise BudgetExceeded(
-                    f"search stopped after {self.time_limit} seconds")
-            self.watch = min(self.budget, self.units | _TIME_CHECK_MASK)
 
 
-def _checked_call(n, q, budget=None, time_limit=None, size_limit=None,
-                  count_limit=None, stats=None):
+def _checked_call(n, q, budget=None, size_limit=None, count_limit=None,
+                  stats=None):
     """Check a search call's limits, field and space before any table is
     built, and return the field and the call's _Call, charged theta(n)
     units for the point index.  budget, size_limit and count_limit must
-    be ints, count_limit at least 1, and time_limit an int or a float
-    other than NaN; budget and time_limit must not be negative; stats,
-    when given, must be a dict.  None means no limit, except for the
-    budget, which is then SEARCH_UNIT_BUDGET; a space with more points
-    than the budget is a BadRange.  The time limit counts from here."""
-    if isinstance(time_limit, float):
-        if not time_limit >= 0:  # NaN too
-            raise BadRange(f"time_limit must be a number at least 0, got "
-                           f"{time_limit}")
-    elif time_limit is not None:
-        _check_int("time_limit", time_limit, 0)
+    be ints, count_limit at least 1 and budget at least 0; stats, when
+    given, must be a dict.  None means no limit, except for the budget,
+    which is then SEARCH_UNIT_BUDGET; a space with more points than the
+    budget is a BadRange."""
     if size_limit is not None:
         _check_int("size_limit", size_limit)
     if count_limit is not None:
@@ -193,15 +171,22 @@ def _checked_call(n, q, budget=None, time_limit=None, size_limit=None,
               else _check_int("budget", budget, 0))
     field = make_field(q)
     _check_space(n, q, budget)
-    call = _Call(budget, time_limit, stats)
+    call = _Call(budget, stats)
     call.charge(num_points(n, q))
     return field, call
 
 
 def save_checkpoint(path, checkpoint):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write checkpoint to path as JSON.  It is written to path + ".tmp"
+    first, flushed to disk and then renamed onto path, so a write that
+    fails leaves the checkpoint already at path whole."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(checkpoint, fh, indent=1)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
@@ -229,9 +214,9 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     call.stats["nodes"].  The work is charged to call in units: one per
     candidate scanned, read off the list positions at each node and each
     frame pop, and _NODE_UNITS per node, its own scan included.  The
-    engine keeps the count in a local and hands it to call.charge() once
-    it passes call.watch, at a node or a pop, and before any table
-    charges call itself.  Past call.budget units, or past call.deadline,
+    engine keeps the count in a local and hands it to call.charge()
+    before any table charges call itself, and once the count passes
+    call.budget at a node or a pop.  Past call.budget units,
     BudgetExceeded is raised with the top frame positioned to retry that
     attempt (or to pop), so frames stays a resumable frontier.  The first
     read of a point that has no list lists the table (tables.listed),
@@ -274,7 +259,7 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
     cands = tables.cands
     per_point = tables.per_point
     full = tables.pi.full_mask
-    nodes, units, watch = call.nodes, call.units, call.watch
+    nodes, units, budget = call.nodes, call.units, call.budget
     size_prunes = hyperplane_prunes = 0
     try:
         while frames:
@@ -291,7 +276,7 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
             except KeyError:
                 call.charge(units - call.units)
                 plist = tables.listed(call)[frame[0]]
-                units, watch = call.units, call.watch
+                units = call.units
             pos = mark = frame[1]
             while pos < len(plist):
                 cid = plist[pos]
@@ -301,10 +286,9 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                     continue
                 nodes += 1
                 units += pos - mark + _NODE_UNITS
-                if units > watch:
+                if units > budget:
                     frame[1] = pos
                     call.charge(units - call.units)
-                    watch = call.watch
                 pos = mark = pos + 1
                 if filt is not None and counts[d] == filt[d]:
                     continue
@@ -316,7 +300,7 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                         frame[1] = pos - 1
                         call.charge(units - call.units)
                         fit = tables.hyperplanes_fit(rest, spare, call)
-                        units, watch = call.units, call.watch
+                        units = call.units
                         if fit is None:
                             size_prunes += 1
                             continue
@@ -338,10 +322,9 @@ def _exact_cover(tables, frames, covered, taken, call, size_limit, filt,
                 break
             else:
                 units += len(plist) - mark
-                if units > watch:
+                if units > budget:
                     frame[1] = pos
                     call.charge(units - call.units)
-                    watch = call.watch
                 frames.pop()
     finally:
         stats = call.stats
@@ -420,7 +403,6 @@ def enumerate_partitions(
     size_limit=None,
     count_limit=None,
     budget=None,
-    time_limit=None,
     resume=None,
     stats=None,
     seed=None,
@@ -435,19 +417,19 @@ def enumerate_partitions(
     field make_field(q), that every emitted partition must extend; seed
     dimensions are exempt from max_dim and the type filter only
     constrains the non-seed members.  The budget counts units of work
-    (see _Call and README, Budgets); exhausting it (or time_limit
-    seconds) raises BudgetExceeded whose .checkpoint resumes the stream
-    via the resume argument with identical options.  When a dict is
-    passed as stats, its "nodes" entry accumulates the extension attempts
-    spent and its "units" entry the units, and once the search runs,
-    "size_prunes" and "hyperplane_prunes" the extensions that size_limit
-    cut because no vector of member counts holds the uncovered points
-    and because none fits the hyperplanes.
+    (see _Call and README, Budgets); exhausting it raises BudgetExceeded,
+    at the same node on every machine, whose .checkpoint resumes the
+    stream via the resume argument with identical options.  When a dict
+    is passed as stats, its "nodes" entry accumulates the extension
+    attempts spent and its "units" entry the units, and once the search
+    runs, "size_prunes" and "hyperplane_prunes" the extensions that
+    size_limit cut because no vector of member counts holds the
+    uncovered points and because none fits the hyperplanes.
     """
     _check_int("n", n, 1)
     _check_int("max_dim", max_dim, 1, n)
-    field, call = _checked_call(n, q, budget, time_limit, size_limit,
-                                count_limit, stats)
+    field, call = _checked_call(n, q, budget, size_limit, count_limit,
+                                stats)
     filt = _normalize_filter(type_filter)
     if filt is not None and max(filt) > max_dim:
         return
@@ -614,7 +596,6 @@ def search_min_partition_size(
     q,
     *,
     budget=None,
-    time_limit=None,
 ):
     """Minimum size of a partition of V(n,q) whose largest member has
     dimension exactly t, by seeded branch and bound.
@@ -661,7 +642,7 @@ def search_min_partition_size(
     """
     _check_int("n", n, 2)
     _check_int("t", t, 1, n - 1)
-    field, call = _checked_call(n, q, budget, time_limit)
+    field, call = _checked_call(n, q, budget)
     tables, root, covered = _pinned(n, field, range(t, 0, -1), t)
     # Without a witness the first limit prunes nothing: a partition has
     # at most one member per point.
@@ -711,7 +692,6 @@ def check_no_minimum_supertail(
     q,
     *,
     budget=None,
-    time_limit=None,
 ):
     """Confirm by exhaustive search that no partition of V(n,q) with
     n < 2*cut has a supertail ST of minimum size sigma_q(cut, t) at the
@@ -733,8 +713,7 @@ def check_no_minimum_supertail(
     GL(n,q), so it runs one cover stream with the pins of
     search_min_partition_size (proof there), which reach every partition
     with a cut-member up to GL(n,q).  By the lemma it finds none, so
-    sweep_partitions is 0.  The budget and time limit cover the whole
-    call.
+    sweep_partitions is 0.  The budget covers the whole call.
     """
     _check_int("n", n, 2)
     _check_int("cut", cut, 1, n - 1)
@@ -742,7 +721,7 @@ def check_no_minimum_supertail(
         raise HypothesisNotMet(
             "only the n < 2*cut regime forces a unique member above the cut"
         )
-    field, call = _checked_call(n, q, budget, time_limit)
+    field, call = _checked_call(n, q, budget)
     # Not empty: n < 2*cut and cut < n give cut >= 2.
     tail_dims = range(1, min(cut - 1, n - cut) + 1)
     limit = 1 + max(min_partition_size(cut, top, q) for top in tail_dims)
@@ -798,7 +777,6 @@ def conjecture_search(
     *,
     max_dim=None,
     budget=None,
-    time_limit=None,
 ):
     """Sweep every partition of V(n,q) (member dimensions up to max_dim,
     default n-1) and record how each supertail in cut_range behaves.
@@ -816,7 +794,7 @@ def conjecture_search(
     if max_dim is None:
         max_dim = n - 1
     _check_int("max_dim", max_dim)
-    _checked_call(n, q, budget, time_limit)
+    _checked_call(n, q, budget)
     try:
         cuts = tuple(range(2, n) if cut_range is None else cut_range)
     except TypeError as exc:
@@ -840,13 +818,7 @@ def conjecture_search(
     open_cases = []
     counterexamples = []
     violations = []
-    for P in enumerate_partitions(
-        n,
-        q,
-        max_dim,
-        budget=budget,
-        time_limit=time_limit,
-    ):
+    for P in enumerate_partitions(n, q, max_dim, budget=budget):
         partitions += 1
         dims = P.dims()
         for cut in dims[1:]:

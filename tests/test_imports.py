@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import vspart
+from vspart.search import _Call
 
 MODULES = sorted(
     path for path in Path(vspart.__file__).parent.glob("*.py")
@@ -176,9 +177,9 @@ SEARCH_ENTRY_POINTS = ("enumerate_partitions", "search_min_partition_size",
 
 def test_every_search_reaches_the_engine_through_one_front_end():
     """Only the front end drives the exact-cover engine, and no search
-    entry point reads the clock: each call's node budget and deadline are
-    fixed once and enforced by the engine, so a new search cannot fork
-    its own set-up or limits."""
+    entry point reads the clock: each call's budget is fixed once and
+    charged through _Call, so a new search cannot fork its own set-up or
+    limits."""
     package = Path(vspart.__file__).parent
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
@@ -343,11 +344,12 @@ def test_the_check_sees_every_limit_reader():
 @pytest.mark.parametrize("name", ["search.py", "candidates.py"])
 def test_one_method_charges_every_search_step(name):
     """Every search step is charged through _Call.charge, which alone
-    compares units with the budget and reads the clock.  The one
-    exception is the engine's inline check, at a node and at a frame
-    pop, which compares its local count with the call's watch and calls
-    charge once it is passed, so a walk or a table cannot grow a second
-    limit."""
+    compares units with the budget.  The one exception is the engine's
+    inline check, at a node and at a frame pop, which compares its local
+    count with the call's budget and calls charge once it is passed, so
+    a walk or a table cannot grow a second limit.  The check still sees
+    a watch, a deadline or a clock read, so a clock that comes back
+    fails it."""
     source = (Path(vspart.__file__).parent / name).read_text(
         encoding="utf-8")
     outside = [owner for owner in _limit_readers(source)
@@ -359,6 +361,20 @@ def test_one_method_charges_every_search_step(name):
                if isinstance(node, ast.ClassDef) and node.name == "_Call"]
     assert methods == ([["__init__", "charge"]] if name == "search.py"
                        else [])
+
+
+def test_no_module_reads_a_clock_to_stop_a_search():
+    """A search stops only at its budget of units, which stops a call at
+    the same node on every machine: no module imports time, and the
+    call holds the budget, its units and nodes, and the stats, and no
+    deadline."""
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "time" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "time", path.name
+    assert _Call.__slots__ == ("budget", "units", "nodes", "stats")
 
 
 def _unexported_public_functions(sources):

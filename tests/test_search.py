@@ -47,7 +47,7 @@ F2 = make_field(2)
 
 def _unlimited():
     """A search call with a budget that no test reaches."""
-    return search._Call(10**18, None, None)
+    return search._Call(10**18, None)
 
 
 def test_enumerate_small_spaces():
@@ -138,24 +138,15 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: list(enumerate_partitions(4, 2, 2, budget="10")),
     lambda: list(enumerate_partitions(4, 2, 2, size_limit="3")),
     lambda: list(enumerate_partitions(4, 2, 2, count_limit="3")),
-    lambda: list(enumerate_partitions(4, 2, 2, time_limit="3")),
     lambda: list(enumerate_partitions(4, 2, 2, budget=True)),
     lambda: list(enumerate_partitions(4, 2, 2, size_limit=3.0)),
-    lambda: list(enumerate_partitions(4, 2, 2, time_limit=float("nan"))),
     lambda: search_min_partition_size(4, 2, 2, budget="10"),
-    lambda: search_min_partition_size(4, 2, 2, time_limit="3"),
     lambda: check_no_minimum_supertail(5, 3, 2, budget=10.0),
-    lambda: check_no_minimum_supertail(5, 3, 2, time_limit=[3]),
     lambda: conjecture_search(3, 2, budget="10"),
-    lambda: conjecture_search(3, 2, time_limit="3"),
     lambda: list(enumerate_partitions(4, 2, 3, budget=-1)),
-    lambda: list(enumerate_partitions(4, 2, 3, time_limit=-1)),
     lambda: search_min_partition_size(5, 2, 2, budget=-5),
-    lambda: search_min_partition_size(5, 2, 2, time_limit=-1),
     lambda: check_no_minimum_supertail(5, 3, 2, budget=-1),
-    lambda: check_no_minimum_supertail(5, 3, 2, time_limit=-0.5),
     lambda: conjecture_search(3, 2, budget=-1),
-    lambda: conjecture_search(3, 2, time_limit=float("-inf")),
     lambda: conjecture_search(3, 2, cut_range=(0,)),
     lambda: conjecture_search(3, 2, cut_range=(5,)),
     lambda: conjecture_search(3, 2, cut_range=(1, 2)),
@@ -180,14 +171,10 @@ def test_enumerate_malformed_type_filter(type_filter):
     lambda: make_field(True),
 ], ids=[
     "enumerate-budget", "enumerate-size", "enumerate-count",
-    "enumerate-time", "enumerate-bool-budget", "enumerate-float-size",
-    "enumerate-nan-time", "minimum-budget", "minimum-time",
-    "impossibility-float-budget", "impossibility-list-time",
-    "conjecture-budget", "conjecture-time",
-    "enumerate-negative-budget", "enumerate-negative-time",
-    "minimum-negative-budget", "minimum-negative-time",
-    "impossibility-negative-budget", "impossibility-negative-time",
-    "conjecture-negative-budget", "conjecture-negative-time",
+    "enumerate-bool-budget", "enumerate-float-size", "minimum-budget",
+    "impossibility-float-budget", "conjecture-budget",
+    "enumerate-negative-budget", "minimum-negative-budget",
+    "impossibility-negative-budget", "conjecture-negative-budget",
     "conjecture-cut-0", "conjecture-cut-5", "conjecture-cut-1",
     "conjecture-cut-n", "conjecture-float-cut", "conjecture-v52-cut-5",
     "conjecture-cut-above-max-dim",
@@ -198,11 +185,10 @@ def test_enumerate_malformed_type_filter(type_filter):
     "field-float", "field-str", "field-bool",
 ])
 def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
-    """A limit of the wrong type, a negative budget or time limit, a
-    conjecture cut that can never be a case (outside [2, min(max_dim,
-    n - 1)]), or an n, t, max_dim, cut or q that is not an int (a bool
-    is not one), is refused before any candidate table is
-    built, so even a time limit is checked without searching."""
+    """A limit of the wrong type, a negative budget, a conjecture cut
+    that can never be a case (outside [2, min(max_dim, n - 1)]), or an
+    n, t, max_dim, cut or q that is not an int (a bool is not one), is
+    refused before any candidate table is built."""
 
     def no_tables(*args, **kwargs):
         raise AssertionError("candidate tables built")
@@ -214,11 +200,9 @@ def test_numeric_arguments_checked_before_any_table(monkeypatch, call):
 
 def test_numeric_arguments_of_the_right_type_still_work():
     assert len(list(enumerate_partitions(
-        3, 2, 2, budget=10**6, time_limit=60, size_limit=10**100,
-        count_limit=10**9,
+        3, 2, 2, budget=10**6, size_limit=10**100, count_limit=10**9,
     ))) == 8
-    assert len(list(enumerate_partitions(3, 2, 2, time_limit=60.5))) == 8
-    assert search_min_partition_size(3, 2, 2, time_limit=5).size == 5
+    assert search_min_partition_size(3, 2, 2, budget=10**6).size == 5
 
 
 def test_enumerate_seed_from_another_ambient():
@@ -432,7 +416,8 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
     rest = tables.pi.mask_of(next(all_subspaces(4, 3, F)))
     assert not tables.hyperplanes_fit(rest, 3, _unlimited())
     assert not _hyperplanes_fit_by_brute_force(4, 2, (1, 2), rest, 3)
-    heights = {(rest & H).bit_count() for H in tables.hyperplanes}
+    heights = {(rest & H).bit_count()
+               for H in tables.hyperplanes(_unlimited())}
     fits = tables._table(7, 3, _unlimited())[1]
     assert all(fits[h] for h in heights) and heights == {3, 7}
 
@@ -591,6 +576,35 @@ def test_checkpoint_file_round_trip(tmp_path):
                 4, 2, 2, type_filter={2: 5}, budget=40, resume=bad_kind
             )
         )
+
+
+def test_a_failed_checkpoint_write_keeps_the_last_one(tmp_path,
+                                                      monkeypatch):
+    """A checkpoint is written beside its path and renamed onto it, so a
+    write that fails part way, as on a full disk, leaves the checkpoint
+    that the session resumed from whole, and it still resumes."""
+    path = tmp_path / "search.ckpt"
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_partitions(4, 2, 2, budget=5000))
+    first = info.value.checkpoint
+    save_checkpoint(path, first)
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_partitions(4, 2, 2, budget=5000, resume=first))
+    assert info.value.checkpoint != first
+
+    def torn(obj, fh, **kwargs):
+        fh.write('{"version": 1, "kind": ')
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", torn)
+        with pytest.raises(OSError):
+            save_checkpoint(path, info.value.checkpoint)
+    loaded = load_checkpoint(path)
+    assert loaded == json.loads(json.dumps(first))
+    resumed = list(enumerate_partitions(4, 2, 2, resume=loaded))
+    whole = list(enumerate_partitions(4, 2, 2))
+    assert resumed == whole[first["state"]["emitted"]:]
 
 
 def test_checkpoint_file_rejects_garbage(tmp_path):
@@ -898,7 +912,7 @@ def test_pinned_budget_stops_before_any_table():
     with pytest.raises(BudgetExceeded,
                        match=f"^search stopped at its budget of {budget} "
                              f"units$"):
-        search_min_partition_size(8, 4, 2, budget=budget, time_limit=0)
+        search_min_partition_size(8, 4, 2, budget=budget)
     assert time.monotonic() - started < 0.1
 
 
@@ -1146,7 +1160,7 @@ def test_subspace_candidates_decode_all_subspaces():
                 U, d, U.dim, pi.mask_of(U), mask
             )
             assert tables.member(cid) is M
-        assert sorted(tables.hyperplanes) == sorted(
+        assert sorted(tables.hyperplanes(_unlimited())) == sorted(
             mask for _, mask in hyperplane_masks(n, F)
         )
 
@@ -1170,77 +1184,26 @@ def test_search_min_budget_payload():
         search_min_partition_size(5, 2, 2, budget=30)
 
 
-class _Clock:
-    """A stand-in for the time module whose clock moves one second at
-    each read."""
-
-    def __init__(self):
-        self.now = 0
-
-    def monotonic(self):
-        self.now += 1
-        return self.now
-
-
-def test_time_limit_stops_both_searches(monkeypatch):
-    """The clock is read each time the units of a call pass a multiple of
-    1024, so a zero time limit stops the minimum search at its first
-    read, in its hyperplane table.  With a clock that moves a second at
-    each read, a time limit of 10.5 seconds runs out at the 11th read
-    after the start: the enumeration of V(4,2) reads the clock 3 times
-    in its table walk and 8 times in the stream, which the checkpoint
-    resumes where it stopped."""
-    with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 0 seconds$"):
-        search_min_partition_size(5, 2, 3, time_limit=0)
-    collected = []
-    with monkeypatch.context() as patch:
-        patch.setattr(search, "time", _Clock())
-        with pytest.raises(BudgetExceeded,
-                           match="^search stopped after 10.5 seconds$"
-                           ) as info:
-            for P in enumerate_partitions(4, 2, 2, time_limit=10.5):
-                collected.append(P)
-    ck = info.value.checkpoint
-    assert ck["kind"] == "partition-enumeration"
-    assert ck["state"]["nodes_done"] == 440
-    want = len(collected) + 20
-    rest = enumerate_partitions(4, 2, 2, resume=ck)
-    collected += islice(rest, want - len(collected))
-    assert collected == list(islice(enumerate_partitions(4, 2, 2), want))
-
-
-def test_time_limit_stops_the_table_walk():
-    """The walk of enumerate_partitions(6, 2, 3), 2,109 subspaces, passes
-    1024 units at its 33rd point, where the clock is read, so a zero
-    time limit stops the call before its first node.  The checkpoint resumes the identical stream, and a
-    resumed call stopped again in the walk hands back its checkpoint."""
+def test_a_budget_stops_the_table_walk():
+    """The walk of enumerate_partitions(6, 2, 3), 2,109 subspaces, takes
+    more units than a budget of 10^4, so the call stops before its first
+    node, charged only the 63 units of its point index.  The checkpoint
+    resumes the identical stream, and a resumed call stopped again in
+    the walk, by the same budget, hands back its checkpoint."""
     counters = {}
     with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 0 seconds$") as info:
-        next(enumerate_partitions(6, 2, 3, time_limit=0, stats=counters))
+                       match="^search stopped at its budget of 10000 "
+                             "units$") as info:
+        next(enumerate_partitions(6, 2, 3, budget=10**4, stats=counters))
     ck = info.value.checkpoint
     assert ck["state"] == {"stack": [[0, 0]], "emitted": 0, "nodes_done": 0}
-    assert counters["nodes"] == 0
+    assert (counters["nodes"], counters["units"]) == (0, 63)
     with pytest.raises(BudgetExceeded) as again:
-        next(enumerate_partitions(6, 2, 3, time_limit=0, resume=ck))
+        next(enumerate_partitions(6, 2, 3, budget=10**4, resume=ck))
     assert again.value.checkpoint == ck
     resumed = enumerate_partitions(6, 2, 3, resume=ck)
     assert list(islice(resumed, 50)) == list(
         islice(enumerate_partitions(6, 2, 3), 50))
-
-
-def test_time_limit_stops_the_walk_past_p1(monkeypatch):
-    """Without a witness the (8,4,2) oracle leaves p1 and walks its
-    309,000 subspaces, which took 1.9 s and fit the default budget; a
-    zero time limit stops it at the first clock read, a few subspaces
-    in."""
-    monkeypatch.setattr(search, "minimal_partition", _refuse)
-    started = time.monotonic()
-    with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 0 seconds$"):
-        search_min_partition_size(8, 4, 2, time_limit=0)
-    assert time.monotonic() - started < 0.5
 
 
 @pytest.mark.parametrize("call, emitted", [
@@ -1330,7 +1293,7 @@ def test_pinned_covers_reach_every_type(n, q, top, dims):
     enumeration does among partitions with a top-member and otherwise
     members of the dimensions dims."""
     tables, root, covered = search._pinned(n, make_field(q), dims, top)
-    call = search._Call(10**6, None, None)
+    call = search._Call(10**6, None)
     pinned = {search._partition(tables, [root], chosen).type()
               for chosen in search._covers(tables, call, covered, 1)}
     every = {P.type() for P in enumerate_partitions(n, q, max(top, *dims))
@@ -1398,19 +1361,6 @@ def test_search_min_budget_covers_the_whole_call(monkeypatch):
                              f"units$"):
         search_min_partition_size(7, 2, 2, budget=units - 1)
     assert search_min_partition_size(7, 2, 2, budget=units).nodes == 3108
-
-
-def test_one_deadline_per_call(monkeypatch):
-    """The clock is read each time the units of the whole call pass a
-    multiple of 1024, and never by the call itself: (5, 4, 2) takes 1
-    node and 43 units, so even a zero time limit lets it finish.  The
-    (7,2,2) minimum without a witness takes 3,108 nodes, and stops at
-    the first read."""
-    assert check_no_minimum_supertail(5, 4, 2, time_limit=0).nodes == 1
-    monkeypatch.setattr(search, "minimal_partition", _refuse)
-    with pytest.raises(BudgetExceeded,
-                       match="^search stopped after 0 seconds$"):
-        search_min_partition_size(7, 2, 2, time_limit=0)
 
 
 def test_impossibility_guards():
