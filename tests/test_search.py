@@ -205,6 +205,25 @@ def test_numeric_arguments_of_the_right_type_still_work():
     assert search_min_partition_size(3, 2, 2, budget=10**6).size == 5
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_partitions(4, 2, 2, time_limit=60),
+    lambda: search_min_partition_size(4, 2, 2, time_limit=60),
+    lambda: check_no_minimum_supertail(5, 3, 2, time_limit=60),
+    lambda: conjecture_search(3, 2, time_limit=60),
+], ids=["enumerate", "minimum", "impossibility", "conjecture"])
+def test_no_search_takes_a_time_limit(monkeypatch, call):
+    """The budget of units is the one bound of a search call: a time
+    limit is an unknown keyword, refused before any candidate table is
+    built."""
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("candidate tables built")
+
+    monkeypatch.setattr(_Candidates, "__init__", no_tables)
+    with pytest.raises(TypeError, match="time_limit"):
+        call()
+
+
 def test_enumerate_seed_from_another_ambient():
     plane = span([(1, 0, 0, 0), (0, 1, 0, 0)], 4, F2)
     with pytest.raises(DimensionMismatch):
@@ -422,6 +441,31 @@ def test_hyperplane_totals_refute_a_plane_as_two_lines_and_a_point():
     assert all(fits[h] for h in heights) and heights == {3, 7}
 
 
+def test_hyperplanes_are_charged_once_when_built():
+    """The 15 hyperplanes of V(4,2) are charged as a walk of 15 masks,
+    3,150 units, when first listed; the kept list is handed back
+    without a further charge."""
+    tables = _Candidates(point_index(4, F2), (1, 2))
+    call = search._Call(10**6, None)
+    hyperplanes = tables.hyperplanes(call)
+    assert call.units == 3150
+    assert tables.hyperplanes(call) is hyperplanes
+    assert call.units == 3150
+    assert sorted(hyperplanes) == sorted(
+        mask for _, mask in hyperplane_masks(4, F2))
+
+
+def test_hyperplanes_beyond_the_budget_are_never_built(monkeypatch):
+    """A budget below the 3,150 units of the hyperplane list refuses it
+    before a mask is built, and a later call with room builds it."""
+    tables = _Candidates(point_index(4, F2), (1, 2))
+    with monkeypatch.context() as patch:
+        _refuse_walks(patch)
+        with pytest.raises(BudgetExceeded):
+            tables.hyperplanes(search._Call(3149, None))
+    assert len(tables.hyperplanes(search._Call(3150, None))) == 15
+
+
 @cache
 def _spanned_candidates(n, q, dims):
     """The reference candidate list, (point mask, d) of every d-subspace,
@@ -605,6 +649,21 @@ def test_a_failed_checkpoint_write_keeps_the_last_one(tmp_path,
     resumed = list(enumerate_partitions(4, 2, 2, resume=loaded))
     whole = list(enumerate_partitions(4, 2, 2))
     assert resumed == whole[first["state"]["emitted"]:]
+
+
+def test_a_saved_checkpoint_replaces_the_last_one(tmp_path):
+    """A later checkpoint saved to the same path replaces the earlier
+    one, and the file it was written to first is not left behind."""
+    path = tmp_path / "search.ckpt"
+    checkpoints = []
+    for budget in (5000, 20000):
+        with pytest.raises(BudgetExceeded) as info:
+            list(enumerate_partitions(4, 2, 2, budget=budget))
+        checkpoints.append(info.value.checkpoint)
+        save_checkpoint(path, info.value.checkpoint)
+    assert checkpoints[0] != checkpoints[1]
+    assert load_checkpoint(path) == json.loads(json.dumps(checkpoints[1]))
+    assert [p.name for p in tmp_path.iterdir()] == ["search.ckpt"]
 
 
 def test_checkpoint_file_rejects_garbage(tmp_path):
@@ -1361,6 +1420,29 @@ def test_search_min_budget_covers_the_whole_call(monkeypatch):
                              f"units$"):
         search_min_partition_size(7, 2, 2, budget=units - 1)
     assert search_min_partition_size(7, 2, 2, budget=units).nodes == 3108
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(enumerate_partitions(4, 2, 2, budget=20000)),
+    lambda: search_min_partition_size(7, 2, 2, budget=10**6),
+    lambda: check_no_minimum_supertail(7, 4, 2, budget=150),
+    lambda: conjecture_search(4, 2, budget=20000),
+], ids=["enumerate", "minimum", "impossibility", "conjecture"])
+def test_a_budget_stops_each_search_at_the_same_node(monkeypatch, call):
+    """Work is counted in units, not read off a clock, so a given budget
+    stops a search part way through at the same node, with the same
+    units spent and the same checkpoint, each time it runs."""
+    monkeypatch.setattr(search, "minimal_partition", _refuse)
+    made = _kept_calls(monkeypatch)
+    stops = []
+    for _ in range(2):
+        made.clear()
+        with pytest.raises(BudgetExceeded) as info:
+            call()
+        stops.append(([(c.nodes, c.units) for c in made],
+                      info.value.checkpoint))
+    assert stops[0] == stops[1]
+    assert made[-1].nodes > 0
 
 
 def test_impossibility_guards():
